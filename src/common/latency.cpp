@@ -60,7 +60,11 @@ LatencyRecorder LatencyRecorder::deserialize(const std::string& image) {
   BOHR_CHECK(image.size() >= 8);
   std::uint64_t n = 0;
   std::memcpy(&n, image.data(), 8);
-  BOHR_CHECK(image.size() == 8 + n * 8);
+  // Divide the payload rather than multiply the claimed count: 8 + n * 8
+  // wraps for n >= 2^61, and a wrapped check would let the loop below
+  // read past the image.
+  const std::size_t payload = image.size() - 8;
+  BOHR_CHECK(payload % 8 == 0 && n == payload / 8);
   LatencyRecorder out;
   for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t bits = 0;

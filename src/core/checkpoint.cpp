@@ -80,17 +80,33 @@ struct ByteReader {
     return v;
   }
   double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t size = u32();
-    if (size > static_cast<std::size_t>(end - p)) {
-      throw SnapshotRejected("state image truncated in string");
+  /// Reads an element count stored as a `Count` (u32 or u64) and rejects
+  /// it unless the remaining bytes could hold that many elements of at
+  /// least `min_element_bytes` each, so no container is ever sized from
+  /// a count the image cannot back.
+  template <typename Count>
+  std::size_t count(std::size_t min_element_bytes) {
+    Count n = 0;
+    raw(&n, sizeof(n));
+    if (n > static_cast<std::size_t>(end - p) / min_element_bytes) {
+      throw SnapshotRejected("state image count exceeds its bytes");
     }
-    std::string s(static_cast<std::size_t>(size), '\0');
-    if (size > 0) raw(s.data(), s.size());
+    return static_cast<std::size_t>(n);
+  }
+  std::string str() {
+    std::string s(count<std::uint32_t>(1), '\0');
+    if (!s.empty()) raw(s.data(), s.size());
     return s;
   }
   bool exhausted() const { return p == end; }
 };
+
+// Smallest encodings, for the minimum element sizes ByteReader::count
+// checks counts against.
+constexpr std::size_t kU8 = 1;
+constexpr std::size_t kU32 = 4;
+constexpr std::size_t kU64 = 8;
+constexpr std::size_t kF64 = 8;
 
 // ---- report / progress serialization ----------------------------------
 
@@ -100,8 +116,7 @@ void write_doubles(ByteWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_doubles(ByteReader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<double> v(n);
+  std::vector<double> v(r.count<std::uint32_t>(kF64));
   for (auto& d : v) d = r.f64();
   return v;
 }
@@ -147,9 +162,10 @@ PrepareReport read_report(ByteReader& r) {
   report.probe_bytes = r.f64();
 
   PlacementDecision& d = report.decision;
-  d.move_bytes.resize(r.u32());
+  // Each matrix and each of its rows starts with a u32 count.
+  d.move_bytes.resize(r.count<std::uint32_t>(kU32));
   for (auto& per_dataset : d.move_bytes) {
-    per_dataset.resize(r.u32());
+    per_dataset.resize(r.count<std::uint32_t>(kU32));
     for (auto& row : per_dataset) row = read_doubles(r);
   }
   d.reduce_fractions = read_doubles(r);
@@ -195,14 +211,16 @@ void write_plans(ByteWriter& w, const std::vector<MovementPlan>& plans) {
 }
 
 std::vector<MovementPlan> read_plans(ByteReader& r) {
-  std::vector<MovementPlan> plans(r.u32());
+  // A plan is at least its flow count, planned bytes and planned rows; a
+  // flow at least src, dst, bytes and its row-index count.
+  std::vector<MovementPlan> plans(r.count<std::uint32_t>(kU32 + kF64 + kU64));
   for (MovementPlan& plan : plans) {
-    plan.flows.resize(r.u32());
+    plan.flows.resize(r.count<std::uint32_t>(kU32 + kU32 + kF64 + kU64));
     for (PlannedFlow& flow : plan.flows) {
       flow.src = r.u32();
       flow.dst = r.u32();
       flow.bytes = r.f64();
-      flow.row_indices.resize(r.u64());
+      flow.row_indices.resize(r.count<std::uint64_t>(kU64));
       for (auto& i : flow.row_indices) i = r.u64();
     }
     plan.planned_bytes = r.f64();
@@ -237,18 +255,22 @@ void write_similarity(ByteWriter& w,
 }
 
 std::vector<DatasetSimilarity> read_similarity(ByteReader& r) {
-  std::vector<DatasetSimilarity> sims(r.u32());
+  // A dataset's entry is at least three u32 counts (self, pair, matched
+  // keys) plus checking seconds, probe bytes and lost pairs; a key set is
+  // at least its u64 count.
+  std::vector<DatasetSimilarity> sims(
+      r.count<std::uint32_t>(3 * kU32 + kF64 + kF64 + kU64));
   for (DatasetSimilarity& sim : sims) {
     sim.self = read_doubles(r);
-    sim.pair.resize(r.u32());
+    sim.pair.resize(r.count<std::uint32_t>(kU32));
     for (auto& row : sim.pair) row = read_doubles(r);
-    sim.matched_keys.resize(r.u32());
+    sim.matched_keys.resize(r.count<std::uint32_t>(kU32));
     for (auto& per_dst : sim.matched_keys) {
-      per_dst.resize(r.u32());
+      per_dst.resize(r.count<std::uint32_t>(kU64));
       for (auto& keys : per_dst) {
-        const std::uint64_t n = r.u64();
+        const std::size_t n = r.count<std::uint64_t>(kU64);
         keys.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) keys.insert(r.u64());
+        for (std::size_t i = 0; i < n; ++i) keys.insert(r.u64());
       }
     }
     sim.checking_seconds = r.f64();
@@ -278,9 +300,11 @@ void write_rows(ByteWriter& w, const std::vector<olap::Row>& rows) {
 }
 
 std::vector<olap::Row> read_rows(ByteReader& r) {
-  std::vector<olap::Row> rows(r.u64());
+  // A row is at least its u32 value count; a value at least its tag plus
+  // an empty string's u32 length.
+  std::vector<olap::Row> rows(r.count<std::uint64_t>(kU32));
   for (olap::Row& row : rows) {
-    row.resize(r.u32());
+    row.resize(r.count<std::uint32_t>(kU8 + kU32));
     for (olap::Value& value : row) {
       switch (r.u8()) {
         case 0:
@@ -377,7 +401,8 @@ DecodedState decode_state_image(const std::string& image) {
   state.rng.has_spare = r.u8() != 0;
 
   if (r.u8() != 0) {
-    std::vector<net::BandwidthEstimator::SiteEstimate> estimates(r.u32());
+    std::vector<net::BandwidthEstimator::SiteEstimate> estimates(
+        r.count<std::uint32_t>(kF64 + kF64 + kU8));
     for (auto& e : estimates) {
       e.up = r.f64();
       e.down = r.f64();
@@ -390,14 +415,16 @@ DecodedState decode_state_image(const std::string& image) {
   state.progress.plans = read_plans(r);
   state.similarity = read_similarity(r);
 
-  const std::uint32_t dataset_count = r.u32();
+  // A dataset is at least its site count and cube flag; a site's rows at
+  // least their u64 count.
+  const std::size_t dataset_count = r.count<std::uint32_t>(kU32 + kU8);
   state.dataset_rows.resize(dataset_count);
   state.dataset_has_cubes.resize(dataset_count);
-  for (std::uint32_t a = 0; a < dataset_count; ++a) {
-    const std::uint32_t sites = r.u32();
+  for (std::size_t a = 0; a < dataset_count; ++a) {
+    const std::size_t sites = r.count<std::uint32_t>(kU64);
     state.dataset_has_cubes[a] = r.u8() != 0;
     state.dataset_rows[a].resize(sites);
-    for (std::uint32_t s = 0; s < sites; ++s) {
+    for (std::size_t s = 0; s < sites; ++s) {
       state.dataset_rows[a][s] = read_rows(r);
     }
   }

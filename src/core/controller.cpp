@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <shared_mutex>
 #include <utility>
 
 #include "common/check.h"
@@ -10,6 +13,66 @@
 #include "engine/partitioner.h"
 
 namespace bohr::core {
+
+/// run_single_query's results (DESIGN.md §16, "plan cache"): per
+/// (dataset, query type), one entry per distinct reduce placement, each
+/// stamped with the DatasetState::version() it was computed at.
+struct Controller::PlanCache {
+  struct Entry {
+    /// The placement by content: a bucket map, or none for the prepared
+    /// LP fractions (fixed once prepare() has finished).
+    std::optional<engine::ReduceBucketMap> buckets;
+    std::uint64_t version = 0;
+    engine::JobResult result;
+
+    bool placed_by(const engine::ReduceBucketMap* map) const {
+      if (map == nullptr || !buckets) return map == nullptr && !buckets;
+      return buckets->site_count == map->site_count &&
+             buckets->owner == map->owner;
+    }
+  };
+
+  /// The result for the key at `version`, from the cache or from
+  /// `compute()`, which runs outside the lock. When callers race to fill
+  /// one key the first install wins; every racer computed the same bits.
+  /// An entry from an older version is replaced, so a key holds at most
+  /// one entry.
+  template <typename Compute>
+  engine::JobResult get(std::size_t dataset, std::size_t type,
+                        const engine::ReduceBucketMap* map,
+                        std::uint64_t version, const Compute& compute) {
+    const std::pair key{dataset, type};
+    {
+      std::shared_lock lock(mu);
+      const auto it = entries.find(key);
+      if (it != entries.end()) {
+        for (const Entry& e : it->second) {
+          if (e.placed_by(map) && e.version == version) return e.result;
+        }
+      }
+    }
+    engine::JobResult result = compute();
+    std::unique_lock lock(mu);
+    std::vector<Entry>& slot = entries[key];
+    for (Entry& e : slot) {
+      if (!e.placed_by(map)) continue;
+      if (e.version != version) {
+        e.version = version;
+        e.result = std::move(result);
+      }
+      return e.result;
+    }
+    Entry& fresh = slot.emplace_back();
+    if (map != nullptr) fresh.buckets = *map;
+    fresh.version = version;
+    fresh.result = std::move(result);
+    return fresh.result;
+  }
+
+  std::shared_mutex mu;
+  /// Guarded by mu.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<Entry>> entries;
+};
 
 Controller::Controller(net::WanTopology topology,
                        std::vector<DatasetState> datasets,
@@ -19,7 +82,8 @@ Controller::Controller(net::WanTopology topology,
       options_(options),
       probe_faults_(options.faults.restricted_to(net::kPhaseProbe)),
       query_faults_(options.faults.restricted_to(net::kPhaseQuery)),
-      rng_(options.seed) {
+      rng_(options.seed),
+      plan_cache_(std::make_unique<PlanCache>()) {
   BOHR_EXPECTS(!datasets_.empty());
   options_.faults.validate();
   const StrategyTraits traits = traits_of(options_.strategy);
@@ -30,6 +94,10 @@ Controller::Controller(net::WanTopology topology,
   }
   BOHR_EXPECTS(total_queries_ > 0);
 }
+
+Controller::~Controller() = default;
+Controller::Controller(Controller&&) = default;
+Controller& Controller::operator=(Controller&&) = default;
 
 engine::QuerySpec Controller::query_spec_for(const DatasetState& dataset,
                                              std::size_t type_spec) const {
@@ -472,15 +540,27 @@ engine::JobResult Controller::run_single_query(
   job.machine.record_scale = std::max(
       1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
 
-  const engine::QuerySpec spec = query_spec_for(d, type_spec);
-  const std::uint64_t salt =
-      hash_combine(d.dataset_id(), hash_combine(type_spec, 0xABCD));
-  std::vector<engine::RecordStream> inputs(d.site_count());
-  for (std::size_t i = 0; i < d.site_count(); ++i) {
-    inputs[i] = d.map_rows(i, type_spec, spec.selectivity, salt);
-  }
-  return engine::run_job(topology_, inputs, prep.decision.reduce_fractions,
-                         spec, job, rng);
+  const auto execute = [&] {
+    const engine::QuerySpec spec = query_spec_for(d, type_spec);
+    const std::uint64_t salt =
+        hash_combine(d.dataset_id(), hash_combine(type_spec, 0xABCD));
+    std::vector<engine::RecordStream> inputs(d.site_count());
+    for (std::size_t i = 0; i < d.site_count(); ++i) {
+      inputs[i] = d.map_rows(i, type_spec, spec.selectivity, salt);
+    }
+    return engine::run_job(topology_, inputs, prep.decision.reduce_fractions,
+                           spec, job, rng);
+  };
+  // Purity guard: a run is a function of prepared state alone only when
+  // the engine takes nothing from `rng`. Round-robin assignment shuffles
+  // partitions with it and stragglers draw per executor, so those runs
+  // skip the cache and consume `rng` exactly as before.
+  const bool pure = job.executor_assignment ==
+                        engine::ExecutorAssignment::SimilarityKMeans &&
+                    job.machine.straggler_probability == 0.0;
+  if (!pure) return execute();
+  return plan_cache_->get(dataset, type_spec, reduce_buckets, d.version(),
+                          execute);
 }
 
 void Controller::run_degraded_query(

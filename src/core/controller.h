@@ -3,6 +3,7 @@
 // schemes of §8.1.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -105,6 +106,9 @@ class Controller {
  public:
   Controller(net::WanTopology topology, std::vector<DatasetState> datasets,
              ControllerOptions options);
+  ~Controller();
+  Controller(Controller&&);
+  Controller& operator=(Controller&&);
 
   /// Runs everything that happens in the lag before queries arrive:
   /// similarity checking (if the strategy uses it), placement (heuristic
@@ -173,6 +177,14 @@ class Controller {
   /// hand each batch the bucket map of its admission epoch. prepare()
   /// must have completed. No fault plan and no degradation ladder: the
   /// serving path models a healthy steady state.
+  ///
+  /// Results are cached per (dataset, query type, reduce placement) for
+  /// as long as the dataset's rows keep their version (DESIGN.md §16,
+  /// "plan cache"), so a recurring query skips the engine. Only runs
+  /// that take nothing from `rng` are cached — Bohr-RDD executor
+  /// assignment and no stragglers — so a cached and a fresh answer are
+  /// the same bits; any other configuration runs the engine every time
+  /// and draws from `rng` as before.
   engine::JobResult run_single_query(
       std::size_t dataset, std::size_t type_spec,
       const engine::ReduceBucketMap* reduce_buckets, Rng& rng) const;
@@ -229,6 +241,10 @@ class Controller {
   std::optional<PrepareReport> prepared_;
   std::size_t total_queries_ = 0;
   Rng rng_;
+  /// run_single_query's results; held by pointer so the controller
+  /// stays movable.
+  struct PlanCache;
+  std::unique_ptr<PlanCache> plan_cache_;
 };
 
 }  // namespace bohr::core

@@ -1,12 +1,24 @@
 #include "core/state.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
 
 namespace bohr::core {
+
+namespace {
+
+/// Next DatasetState::version(); shared by every state in the process so
+/// a stamp is never handed out twice.
+std::uint64_t fresh_version() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 std::uint64_t engine_key(const olap::CellCoords& projected_coords) {
   std::uint64_t h = 0x5EEDBEEFULL;
@@ -16,7 +28,9 @@ std::uint64_t engine_key(const olap::CellCoords& projected_coords) {
 
 DatasetState::DatasetState(workload::DatasetBundle bundle,
                            workload::DatasetQueryMix mix, bool with_cubes)
-    : bundle_(std::move(bundle)), mix_(std::move(mix)) {
+    : bundle_(std::move(bundle)),
+      mix_(std::move(mix)),
+      version_(fresh_version()) {
   BOHR_EXPECTS(!bundle_.site_rows.empty());
   BOHR_EXPECTS(mix_.counts.size() == bundle_.query_types.size());
   if (with_cubes) {
@@ -162,6 +176,7 @@ void DatasetState::move_rows_multi(std::size_t src,
   for (std::size_t k = 1; k < tagged.size(); ++k) {
     BOHR_EXPECTS(tagged[k].first != tagged[k - 1].first);
   }
+  version_ = fresh_version();
 
   // Extract in one descending pass so indices stay valid throughout.
   std::vector<std::vector<olap::Row>> moved(site_count());
@@ -190,6 +205,7 @@ void DatasetState::append_rows(std::size_t site, std::vector<olap::Row> rows,
                                bool buffer_only) {
   BOHR_EXPECTS(site < site_count());
   if (rows.empty()) return;
+  version_ = fresh_version();
   auto& site_rows = bundle_.site_rows[site];
   const std::size_t offset = site_rows.size();
   for (auto& row : rows) site_rows.push_back(std::move(row));
@@ -207,6 +223,7 @@ void DatasetState::append_rows(std::size_t site, std::vector<olap::Row> rows,
 void DatasetState::restore_sites(std::vector<std::vector<olap::Row>> site_rows,
                                  std::vector<olap::OlapCube> base_cubes) {
   BOHR_EXPECTS(site_rows.size() == site_count());
+  version_ = fresh_version();
   bundle_.site_rows = std::move(site_rows);
   if (has_cubes()) {
     BOHR_EXPECTS(base_cubes.size() == site_count());

@@ -37,6 +37,13 @@ class DatasetState {
 
   const std::vector<olap::Row>& rows_at(std::size_t site) const;
   double input_bytes_at(std::size_t site) const;
+
+  /// Version of the per-site rows: a fresh process-wide stamp at
+  /// construction and after every change to them (move_rows_multi,
+  /// append_rows, restore_sites). Stamps never repeat, so equal versions
+  /// mean equal rows even across copies; result caches keyed on a
+  /// dataset record it to spot stale entries.
+  std::uint64_t version() const { return version_; }
   double total_input_bytes() const;
 
   /// Registered cube query-type id for query-type spec index `t` (specs
@@ -95,6 +102,7 @@ class DatasetState {
   workload::DatasetQueryMix mix_;
   std::vector<olap::DatasetCubes> cubes_;             // empty if !with_cubes
   std::vector<olap::QueryTypeId> spec_to_cube_type_;  // per query-type spec
+  std::uint64_t version_;
 };
 
 }  // namespace bohr::core

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -80,6 +83,12 @@ TEST(LatencyRecorderTest, DeserializeRejectsTruncatedImage) {
   std::string image = rec.serialize();
   image.pop_back();
   EXPECT_THROW(LatencyRecorder::deserialize(image), ContractViolation);
+
+  // A bare header claiming 2^61 samples: 8 + n * 8 wraps to 8.
+  std::string huge(8, '\0');
+  const std::uint64_t n = std::uint64_t{1} << 61;
+  std::memcpy(huge.data(), &n, sizeof(n));
+  EXPECT_THROW(LatencyRecorder::deserialize(huge), ContractViolation);
 }
 
 }  // namespace

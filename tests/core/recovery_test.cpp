@@ -6,11 +6,16 @@
 // from scratch — never to a wrong answer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "net/bandwidth_estimator.h"
@@ -152,6 +157,67 @@ TEST(RecoveryTest, CorruptNewestSnapshotFallsBackToOlderIntactOne) {
   file.seekp(100);
   file.put(static_cast<char>(byte ^ 0x20));
   file.close();
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
+}
+
+std::string hex32(std::uint32_t v) {
+  char buf[9];
+  std::snprintf(buf, sizeof(buf), "%08x", v);
+  return buf;
+}
+
+/// Rewrites a snapshot's manifest over its files as they now are on
+/// disk, so an edited file passes every size and checksum test and only
+/// the decoder can catch the edit.
+void reseal_manifest(const fs::path& snapshot) {
+  std::ifstream in(snapshot / "MANIFEST");
+  std::string line;
+  std::getline(in, line);
+  std::string text = line + "\n";
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string tag, size, crc, name;
+    if (!(fields >> tag >> size >> crc >> name) || tag != "file") continue;
+    std::ifstream file(snapshot / name, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    text += "file " + std::to_string(bytes.size()) + " " +
+            hex32(crc32(bytes)) + " " + name + "\n";
+  }
+  text += "self " + hex32(crc32(text)) + "\n";
+  in.close();
+  std::ofstream(snapshot / "MANIFEST", std::ios::binary | std::ios::trunc)
+      << text;
+}
+
+TEST(RecoveryTest, InflatedCountIsRejectedAndFallsBackToOlderSnapshot) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-inflated-count");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+
+  // The state image opens with magic (8), version (4), step count (4),
+  // RNG state (4 x 8 + 8 + 1), bandwidth flag (1) and two report doubles
+  // (16); the u32 at offset 74 counts the placement's per-dataset
+  // movement matrices. Claim four billion of them.
+  constexpr std::streamoff kMatrixCount = 74;
+  const fs::path snapshot = fs::path(dir) / "snapshot-2";
+  std::fstream file(snapshot / "state.bin",
+                    std::ios::binary | std::ios::in | std::ios::out);
+  std::uint32_t count = 0;
+  file.seekg(kMatrixCount);
+  file.read(reinterpret_cast<char*>(&count), sizeof(count));
+  ASSERT_EQ(count, cfg.n_datasets);
+  count = 0xFFFFFFFFu;
+  file.seekp(kMatrixCount);
+  file.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  file.close();
+  reseal_manifest(snapshot);
 
   RecoveryResult details;
   EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
