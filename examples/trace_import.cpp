@@ -1,6 +1,6 @@
 // Bring-your-own-data workflow: export a dataset to CSV (stand-in for a
-// real trace), re-import it, inspect it with the SQL front-end, persist
-// its cube, and run the full Bohr-vs-baseline comparison on it.
+// real trace), re-import it, inspect it with a cube query, persist its
+// cube, and run the full Bohr-vs-baseline comparison on it.
 //
 // Run: ./build/examples/trace_import
 #include <cstdio>
@@ -8,7 +8,7 @@
 
 #include "core/experiment.h"
 #include "olap/cube_io.h"
-#include "olap/sql.h"
+#include "olap/cube_query.h"
 #include "workload/query_mix.h"
 #include "workload/trace_io.h"
 
@@ -32,13 +32,16 @@ int main() {
   // 2. Import it back (in a real deployment: load_csv(path, ...)).
   const auto imported = workload::read_csv(csv, reference, gen.sites);
 
-  // 3. Build one site's cube and poke at it with SQL.
+  // 3. Build one site's cube and poke at it: the three URLs with the
+  //    most records.
   Rng rng(1);
   auto mix = workload::sample_query_mix(imported, rng);
   core::DatasetState state(imported, mix, /*with_cubes=*/true);
-  const auto top_urls = olap::run_sql(
-      state.cubes_at(0).base_cube(),
-      "SELECT count(*) FROM trace GROUP BY url ORDER BY value DESC LIMIT 3");
+  olap::CubeQuery by_url;
+  by_url.group_by = {0};  // url
+  by_url.aggregate = olap::CubeAggregate::Count;
+  by_url.top_k = 3;
+  const auto top_urls = olap::execute(state.cubes_at(0).base_cube(), by_url);
   std::printf("site 0 top URLs by record count:");
   for (const auto& row : top_urls) {
     std::printf("  url#%llu x%llu",

@@ -1,4 +1,4 @@
-// Stable 64-bit hashing used for record keys, MinHash, and LSH.
+// Stable 64-bit hashing used for record keys and MinHash.
 //
 // These hashes are part of the reproducibility contract: the same input
 // data always produces the same cube cells, probe representatives, and

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/hash.h"
 #include "engine/partitioner.h"
 
 namespace bohr::core {
@@ -394,33 +393,65 @@ DatasetState& Controller::mutable_dataset(std::size_t idx) {
   return datasets_[idx];
 }
 
-std::vector<double> Controller::vanilla_reduce_fractions(
-    const DatasetState& dataset) const {
-  // Vanilla Spark runs reduce tasks where the data is.
-  std::vector<double> r(dataset.site_count(), 0.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < dataset.site_count(); ++i) {
-    r[i] = dataset.input_bytes_at(i);
-    total += r[i];
+namespace {
+
+/// Calls `run(a, t, exec)` once per (dataset, query type) that recurs in
+/// its dataset's mix, in dataset-then-type order — the order in which
+/// batch and churn runs draw from the controller's RNG.
+template <typename Run>
+std::vector<QueryExecution> run_mix(const std::vector<DatasetState>& datasets,
+                                    const Run& run) {
+  std::vector<QueryExecution> executions;
+  for (std::size_t a = 0; a < datasets.size(); ++a) {
+    const DatasetState& d = datasets[a];
+    for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
+      const std::size_t recurrences = d.mix().counts[t];
+      if (recurrences == 0) continue;
+      QueryExecution exec;
+      exec.dataset_id = d.dataset_id();
+      exec.query_type_spec = t;
+      exec.kind = d.bundle().query_types[t].kind;
+      exec.recurrences = recurrences;
+      run(a, t, exec);
+      executions.push_back(std::move(exec));
+    }
   }
-  if (total <= 0.0) {
-    std::fill(r.begin(), r.end(), 1.0 / static_cast<double>(r.size()));
-    return r;
-  }
-  for (auto& ri : r) ri /= total;
-  return r;
+  return executions;
 }
 
-std::vector<QueryExecution> Controller::run_all_queries() {
-  const PrepareReport& prep = prepare();
-  const StrategyTraits traits = traits_of(options_.strategy);
+}  // namespace
 
+engine::JobConfig Controller::job_config() const {
+  const StrategyTraits traits = traits_of(options_.strategy);
   engine::JobConfig job = options_.job;
   job.partition_policy = traits.cubes ? engine::PartitionPolicy::CubeSorted
                                       : engine::PartitionPolicy::ArrivalOrder;
   job.executor_assignment = traits.rdd_similarity
                                 ? engine::ExecutorAssignment::SimilarityKMeans
                                 : engine::ExecutorAssignment::RoundRobin;
+  job.controller_overhead_seconds = 0.0;
+  return job;
+}
+
+engine::JobResult Controller::execute(std::size_t dataset,
+                                      std::size_t type_spec,
+                                      engine::JobConfig job, Rng& rng) const {
+  const DatasetState& d = datasets_[dataset];
+  const engine::QuerySpec spec = query_spec_for(d, type_spec);
+  job.machine.record_scale = std::max(
+      1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
+  const std::uint64_t salt = d.query_salt(type_spec);
+  std::vector<engine::RecordStream> inputs(d.site_count());
+  for (std::size_t i = 0; i < d.site_count(); ++i) {
+    inputs[i] = d.map_rows(i, type_spec, spec.selectivity, salt);
+  }
+  return engine::run_job(topology_, inputs,
+                         prepared_->decision.reduce_fractions, spec, job, rng);
+}
+
+std::vector<QueryExecution> Controller::run_all_queries() {
+  const PrepareReport& prep = prepare();
+  engine::JobConfig job = job_config();
   // §8.5: LP solving time is included in QCT, amortized across the
   // recurring queries the one placement serves. The charge is the
   // modeled per-iteration cost, not wall-clock lp_seconds — simulated
@@ -430,93 +461,28 @@ std::vector<QueryExecution> Controller::run_all_queries() {
   // Query-phase faults hit the shuffle; the runner takes the pristine
   // path when the projection has no WAN events.
   job.faults = &query_faults_;
-
-  std::vector<QueryExecution> executions;
-  for (std::size_t a = 0; a < datasets_.size(); ++a) {
-    DatasetState& d = datasets_[a];
-    for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
-      const std::size_t recurrences = d.mix().counts[t];
-      if (recurrences == 0) continue;
-      const engine::QuerySpec spec = query_spec_for(d, t);
-      const std::uint64_t salt =
-          hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
-
-      std::vector<engine::RecordStream> inputs(d.site_count());
-      for (std::size_t i = 0; i < d.site_count(); ++i) {
-        inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
-      }
-
-      engine::JobConfig dataset_job = job;
-      dataset_job.machine.record_scale = std::max(
-          1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
-
-      QueryExecution exec;
-      exec.dataset_id = d.dataset_id();
-      exec.query_type_spec = t;
-      exec.kind = spec.kind;
-      exec.recurrences = recurrences;
-      exec.result = engine::run_job(topology_, inputs,
-                                    prep.decision.reduce_fractions, spec,
-                                    dataset_job, rng_);
-      executions.push_back(std::move(exec));
-    }
-  }
-  return executions;
+  return run_mix(datasets_, [&](std::size_t a, std::size_t t,
+                                QueryExecution& exec) {
+    exec.result = execute(a, t, job, rng_);
+  });
 }
 
 std::vector<QueryExecution> Controller::run_query_round(
     const QueryRound& round) {
   BOHR_EXPECTS(prepared_.has_value());
-  const PrepareReport& prep = *prepared_;
-  const StrategyTraits traits = traits_of(options_.strategy);
-
-  engine::JobConfig job = options_.job;
-  job.partition_policy = traits.cubes ? engine::PartitionPolicy::CubeSorted
-                                      : engine::PartitionPolicy::ArrivalOrder;
-  job.executor_assignment = traits.rdd_similarity
-                                ? engine::ExecutorAssignment::SimilarityKMeans
-                                : engine::ExecutorAssignment::RoundRobin;
-  job.controller_overhead_seconds = 0.0;
+  engine::JobConfig job = job_config();
   job.faults = round.faults;
   job.reduce_buckets = round.reduce_buckets;
   job.bucket_speculation = round.bucket_speculation;
   job.bucket_speculation_cap = round.bucket_speculation_cap;
-
-  std::vector<QueryExecution> executions;
-  for (std::size_t a = 0; a < datasets_.size(); ++a) {
-    DatasetState& d = datasets_[a];
-    for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
-      const std::size_t recurrences = d.mix().counts[t];
-      if (recurrences == 0) continue;
-      const engine::QuerySpec spec = query_spec_for(d, t);
-      const std::uint64_t salt =
-          hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
-
-      std::vector<engine::RecordStream> inputs(d.site_count());
-      for (std::size_t i = 0; i < d.site_count(); ++i) {
-        inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
-      }
-
-      engine::JobConfig dataset_job = job;
-      dataset_job.machine.record_scale = std::max(
-          1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
-
-      QueryExecution exec;
-      exec.dataset_id = d.dataset_id();
-      exec.query_type_spec = t;
-      exec.kind = spec.kind;
-      exec.recurrences = recurrences;
-      if (round.degrade == nullptr) {
-        exec.result = engine::run_job(topology_, inputs,
-                                      prep.decision.reduce_fractions, spec,
-                                      dataset_job, rng_);
-      } else {
-        run_degraded_query(round, a, t, inputs, spec, dataset_job, exec);
-      }
-      executions.push_back(std::move(exec));
+  return run_mix(datasets_, [&](std::size_t a, std::size_t t,
+                                QueryExecution& exec) {
+    if (round.degrade == nullptr) {
+      exec.result = execute(a, t, job, rng_);
+    } else {
+      run_degraded_query(round, a, t, job, exec);
     }
-  }
-  return executions;
+  });
 }
 
 engine::JobResult Controller::run_single_query(
@@ -524,33 +490,11 @@ engine::JobResult Controller::run_single_query(
     const engine::ReduceBucketMap* reduce_buckets, Rng& rng) const {
   BOHR_EXPECTS(prepared_.has_value());
   BOHR_EXPECTS(dataset < datasets_.size());
-  const PrepareReport& prep = *prepared_;
-  const StrategyTraits traits = traits_of(options_.strategy);
   const DatasetState& d = datasets_[dataset];
   BOHR_EXPECTS(type_spec < d.bundle().query_types.size());
 
-  engine::JobConfig job = options_.job;
-  job.partition_policy = traits.cubes ? engine::PartitionPolicy::CubeSorted
-                                      : engine::PartitionPolicy::ArrivalOrder;
-  job.executor_assignment = traits.rdd_similarity
-                                ? engine::ExecutorAssignment::SimilarityKMeans
-                                : engine::ExecutorAssignment::RoundRobin;
-  job.controller_overhead_seconds = 0.0;
+  engine::JobConfig job = job_config();
   job.reduce_buckets = reduce_buckets;
-  job.machine.record_scale = std::max(
-      1.0, d.bundle().bytes_per_row / options_.physical_record_bytes);
-
-  const auto execute = [&] {
-    const engine::QuerySpec spec = query_spec_for(d, type_spec);
-    const std::uint64_t salt =
-        hash_combine(d.dataset_id(), hash_combine(type_spec, 0xABCD));
-    std::vector<engine::RecordStream> inputs(d.site_count());
-    for (std::size_t i = 0; i < d.site_count(); ++i) {
-      inputs[i] = d.map_rows(i, type_spec, spec.selectivity, salt);
-    }
-    return engine::run_job(topology_, inputs, prep.decision.reduce_fractions,
-                           spec, job, rng);
-  };
   // Purity guard: a run is a function of prepared state alone only when
   // the engine takes nothing from `rng`. Round-robin assignment shuffles
   // partitions with it and stragglers draw per executor, so those runs
@@ -558,17 +502,16 @@ engine::JobResult Controller::run_single_query(
   const bool pure = job.executor_assignment ==
                         engine::ExecutorAssignment::SimilarityKMeans &&
                     job.machine.straggler_probability == 0.0;
-  if (!pure) return execute();
-  return plan_cache_->get(dataset, type_spec, reduce_buckets, d.version(),
-                          execute);
+  if (!pure) return execute(dataset, type_spec, std::move(job), rng);
+  return plan_cache_->get(dataset, type_spec, reduce_buckets, d.version(), [&] {
+    return execute(dataset, type_spec, job, rng);
+  });
 }
 
-void Controller::run_degraded_query(
-    const QueryRound& round, std::size_t a, std::size_t t,
-    const std::vector<engine::RecordStream>& inputs,
-    const engine::QuerySpec& spec, const engine::JobConfig& dataset_job,
-    QueryExecution& exec) {
-  const PrepareReport& prep = *prepared_;
+void Controller::run_degraded_query(const QueryRound& round, std::size_t a,
+                                    std::size_t t,
+                                    const engine::JobConfig& job,
+                                    QueryExecution& exec) {
   const DegradationService& degrade = *round.degrade;
   const DegradeOptions& opts = degrade.options();
   const std::size_t n = topology_.site_count();
@@ -591,7 +534,7 @@ void Controller::run_degraded_query(
   // Shuffle phase: run the job; a timed-out attempt retries against the
   // fault plan re-based to the time already spent, modeling waiting out
   // a fault window. With an empty plan the first attempt always fits,
-  // so exactly one run_job call happens — the pristine path bit for bit.
+  // so exactly one execution happens — the pristine path bit for bit.
   engine::JobResult jr;
   net::FaultPlan shifted_storage;
   const net::FaultPlan* used_plan = round.faults;
@@ -601,11 +544,9 @@ void Controller::run_degraded_query(
           shifted_storage = round.faults->shifted_by(offset);
           used_plan = &shifted_storage;
         }
-        engine::JobConfig jc = dataset_job;
+        engine::JobConfig jc = job;
         jc.faults = used_plan;
-        jr = engine::run_job(topology_, inputs,
-                             prep.decision.reduce_fractions, spec, jc,
-                             rng_);
+        jr = execute(a, t, std::move(jc), rng_);
         return shuffle_makespan(jr);
       });
   const double makespan = std::min(shuffle_makespan(jr), sh.window_seconds);
@@ -621,12 +562,11 @@ void Controller::run_degraded_query(
     // last attempt with a finite reduce deadline so the engine drops
     // the buckets/shares that cannot finish — QCT is bounded by the
     // budget instead of the fault horizon.
-    engine::JobConfig jc = dataset_job;
+    engine::JobConfig jc = job;
     jc.faults = used_plan;
     jc.reduce_deadline_seconds =
         std::max(1e-9, makespan + rd.window_seconds);
-    jr = engine::run_job(topology_, inputs, prep.decision.reduce_fractions,
-                         spec, jc, rng_);
+    jr = execute(a, t, std::move(jc), rng_);
     jr.qct_seconds = std::min(jr.qct_seconds, budget.spent_seconds());
   }
   exec.result = jr;

@@ -169,14 +169,14 @@ class Controller {
   std::vector<QueryExecution> run_query_round(const QueryRound& round);
 
   /// One (dataset, query-type) execution for the online serving loop:
-  /// the same per-dataset job config as run_query_round, but const and
-  /// re-entrant — concurrent serving batches call this on shared
-  /// controller state, each thread with its own caller-owned Rng
-  /// stream. `reduce_buckets` (nullable) stands in for the prepared LP
-  /// fractions exactly like the churn rounds, so the serving loop can
-  /// hand each batch the bucket map of its admission epoch. prepare()
-  /// must have completed. No fault plan and no degradation ladder: the
-  /// serving path models a healthy steady state.
+  /// the same job config as run_query_round, but const and re-entrant —
+  /// concurrent serving batches call this on shared controller state,
+  /// each thread with its own caller-owned Rng stream. `reduce_buckets`
+  /// (nullable) stands in for the prepared LP fractions exactly like the
+  /// churn rounds, so the serving loop can hand each batch the bucket map
+  /// of its admission epoch. prepare() must have completed. No fault plan
+  /// and no degradation ladder: the serving path models a healthy steady
+  /// state.
   ///
   /// Results are cached per (dataset, query type, reduce placement) for
   /// as long as the dataset's rows keep their version (DESIGN.md §16,
@@ -216,19 +216,25 @@ class Controller {
   PlacementProblem build_placement_problem() const;
 
  private:
+  /// The strategy's job config: options().job with its partition policy
+  /// and executor assignment, and no LP overhead. Callers set the rest.
+  engine::JobConfig job_config() const;
+
+  /// The one query-execution path (DESIGN.md §16): maps every site's rows
+  /// of (dataset, type_spec) under the query salt and runs the job on the
+  /// prepared reduce fractions, with `job` scaled to the dataset's
+  /// records. prepare() must have completed.
+  engine::JobResult execute(std::size_t dataset, std::size_t type_spec,
+                            engine::JobConfig job, Rng& rng) const;
+
   /// One query under the degradation ladder: deadline-budgeted engine
   /// run (retries, partial close-out) plus the value-plane answer.
   void run_degraded_query(const QueryRound& round, std::size_t a,
-                          std::size_t t,
-                          const std::vector<engine::RecordStream>& inputs,
-                          const engine::QuerySpec& spec,
-                          const engine::JobConfig& dataset_job,
+                          std::size_t t, const engine::JobConfig& job,
                           QueryExecution& exec);
 
   engine::QuerySpec query_spec_for(const DatasetState& dataset,
                                    std::size_t type_spec) const;
-  std::vector<double> vanilla_reduce_fractions(
-      const DatasetState& dataset) const;
 
   net::WanTopology topology_;
   std::vector<DatasetState> datasets_;

@@ -84,11 +84,9 @@ std::vector<double> vanilla_baseline(const ExperimentConfig& config,
       const double rep_bytes =
           spec.intermediate_bytes_per_record *
           (d.bundle().bytes_per_row / config.physical_record_bytes);
-      const std::uint64_t salt =
-          hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
       for (std::size_t i = 0; i < d.site_count(); ++i) {
         const engine::RecordStream input =
-            d.map_rows(i, t, spec.selectivity, salt);
+            d.map_rows(i, t, spec.selectivity, d.query_salt(t));
         const auto partitions =
             engine::make_partitions(input, config.job.partition_records,
                                     engine::PartitionPolicy::ArrivalOrder);
@@ -399,8 +397,7 @@ DynamicRunResult run_dynamic_experiment(const ExperimentConfig& config,
     spec.query_type = d.cube_query_type(t);
     spec.intermediate_bytes_per_record *=
         d.bundle().bytes_per_row / config.physical_record_bytes;
-    const std::uint64_t salt =
-        hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
+    const std::uint64_t salt = d.query_salt(t);
     std::vector<engine::RecordStream> site_inputs(d.site_count());
     for (std::size_t i = 0; i < d.site_count(); ++i) {
       site_inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
@@ -508,7 +505,11 @@ double decode_churn_image(const std::string& image, ChurnRunResult& out,
   const double qct_weighted_sum = churn_take_f64(image, at);
   out.speculations = churn_take_u64(image, at);
   out.max_reduce_slowdown = churn_take_f64(image, at);
-  out.round_qct_seconds.resize(churn_take_u64(image, at));
+  // Bound the count by the bytes left before allocating: the manifest CRC
+  // proves these are the bytes written, not that they are well formed.
+  const std::uint64_t rounds = churn_take_u64(image, at);
+  BOHR_CHECK(rounds <= (image.size() - at) / 8);
+  out.round_qct_seconds.resize(rounds);
   for (double& q : out.round_qct_seconds) q = churn_take_f64(image, at);
   const std::uint64_t qct_size = churn_take_u64(image, at);
   BOHR_CHECK(at + qct_size <= image.size());

@@ -150,6 +150,10 @@ engine::RecordStream DatasetState::map_rows(std::size_t site, std::size_t t,
   return out;
 }
 
+std::uint64_t DatasetState::query_salt(std::size_t t) const {
+  return hash_combine(dataset_id(), hash_combine(t, 0xABCD));
+}
+
 void DatasetState::move_rows(std::size_t src, std::size_t dst,
                              std::vector<std::size_t> row_indices) {
   move_rows_multi(src, {MoveTarget{dst, std::move(row_indices)}});

@@ -66,6 +66,10 @@ class DatasetState {
                                 double selectivity,
                                 std::uint64_t query_salt) const;
 
+  /// map_rows' `query_salt` for query-type spec `t` of this dataset:
+  /// every run of a recurring query filters the same rows.
+  std::uint64_t query_salt(std::size_t t) const;
+
   /// Moves specific rows (by index into rows_at(src)) from src to dst,
   /// updating rows and cubes on both sides. Indices must be unique and
   /// valid; they are taken in descending order internally.

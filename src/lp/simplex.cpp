@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -15,225 +13,10 @@ namespace bohr::lp {
 
 namespace {
 
-Engine resolve_engine(Engine engine) {
-  if (engine != Engine::Auto) return engine;
-  if (const char* env = std::getenv("BOHR_LP")) {
-    const std::string_view v(env);
-    if (v == "dense") return Engine::Dense;
-    if (v == "revised") return Engine::Revised;
-  }
-  return Engine::Revised;
-}
-
 std::size_t auto_max_iterations(const SimplexOptions& options, std::size_t rows,
                                 std::size_t cols) {
   return options.max_iterations > 0 ? options.max_iterations
                                     : 200 + 50 * (rows + 1) + 2 * cols;
-}
-
-// ------------------------------------------------------------------------
-// Dense tableau engine (the original implementation, kept as a reference
-// oracle; both engines consume the same StandardForm).
-// ------------------------------------------------------------------------
-
-/// Dense tableau state shared by both phases.
-struct Tableau {
-  std::size_t rows = 0;
-  std::size_t cols = 0;  // structural + slack/surplus + artificial
-  std::vector<std::vector<double>> a;  // rows x cols
-  std::vector<double> rhs;             // per row, kept >= 0
-  std::vector<std::size_t> basis;      // basic column per row
-  std::vector<double> obj;             // reduced-cost row, size cols
-  double obj_shift = 0.0;              // z = -obj_shift
-  std::vector<bool> allowed;           // column may enter the basis
-
-  void pivot(std::size_t prow, std::size_t pcol) {
-    const double p = a[prow][pcol];
-    BOHR_CHECK(std::abs(p) > 1e-12);
-    const double inv = 1.0 / p;
-    for (auto& v : a[prow]) v *= inv;
-    rhs[prow] *= inv;
-    a[prow][pcol] = 1.0;  // fight rounding
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (r == prow) continue;
-      const double factor = a[r][pcol];
-      if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < cols; ++c) a[r][c] -= factor * a[prow][c];
-      a[r][pcol] = 0.0;
-      rhs[r] -= factor * rhs[prow];
-      if (rhs[r] < 0.0 && rhs[r] > -1e-11) rhs[r] = 0.0;
-    }
-    const double ofactor = obj[pcol];
-    if (ofactor != 0.0) {
-      for (std::size_t c = 0; c < cols; ++c) obj[c] -= ofactor * a[prow][c];
-      obj[pcol] = 0.0;
-      obj_shift -= ofactor * rhs[prow];
-    }
-    basis[prow] = pcol;
-  }
-
-  /// Rebuilds the reduced-cost row for the given phase costs.
-  void price(const std::vector<double>& costs) {
-    obj = costs;
-    obj.resize(cols, 0.0);
-    obj_shift = 0.0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double cb = basis[r] < costs.size() ? costs[basis[r]] : 0.0;
-      if (cb == 0.0) continue;
-      for (std::size_t c = 0; c < cols; ++c) obj[c] -= cb * a[r][c];
-      obj_shift -= cb * rhs[r];
-    }
-  }
-};
-
-enum class PivotOutcome { Improved, Optimal, Unbounded };
-
-PivotOutcome pivot_step(Tableau& t, bool bland, double eps) {
-  // Entering column: most negative reduced cost (Dantzig) or first
-  // negative (Bland).
-  std::size_t enter = t.cols;
-  double best = -eps;
-  for (std::size_t c = 0; c < t.cols; ++c) {
-    if (!t.allowed[c]) continue;
-    if (t.obj[c] < best) {
-      best = t.obj[c];
-      enter = c;
-      if (bland) break;
-    }
-  }
-  if (enter == t.cols) return PivotOutcome::Optimal;
-
-  // Ratio test; Bland tie-break on smallest basis column.
-  std::size_t leave = t.rows;
-  double best_ratio = std::numeric_limits<double>::max();
-  for (std::size_t r = 0; r < t.rows; ++r) {
-    const double arc = t.a[r][enter];
-    if (arc <= eps) continue;
-    const double ratio = t.rhs[r] / arc;
-    if (ratio < best_ratio - eps ||
-        (ratio < best_ratio + eps && leave < t.rows &&
-         t.basis[r] < t.basis[leave])) {
-      best_ratio = ratio;
-      leave = r;
-    }
-  }
-  if (leave == t.rows) return PivotOutcome::Unbounded;
-  t.pivot(leave, enter);
-  return PivotOutcome::Improved;
-}
-
-SolveStatus run_phase(Tableau& t, std::size_t max_iter, double eps,
-                      std::size_t bland_after, std::size_t& iterations) {
-  std::size_t stall = 0;
-  double last_z = -t.obj_shift;
-  while (iterations < max_iter) {
-    const bool bland = stall >= bland_after;
-    const PivotOutcome outcome = pivot_step(t, bland, eps);
-    if (outcome == PivotOutcome::Optimal) return SolveStatus::Optimal;
-    if (outcome == PivotOutcome::Unbounded) return SolveStatus::Unbounded;
-    ++iterations;
-    const double z = -t.obj_shift;
-    if (z < last_z - eps) {
-      stall = 0;
-      last_z = z;
-    } else {
-      ++stall;
-    }
-  }
-  return SolveStatus::IterationLimit;
-}
-
-LpSolution solve_dense(const LpProblem& problem, const StandardForm& sf,
-                       const SimplexOptions& options) {
-  const std::size_t n = sf.n_struct;
-  const std::size_t m = sf.rows;
-  LpSolution solution;
-  solution.values.assign(n, 0.0);
-
-  Tableau t;
-  t.rows = m;
-  t.cols = sf.cols;
-  t.a.assign(m, std::vector<double>(t.cols, 0.0));
-  for (std::size_t c = 0; c < sf.cols; ++c) {
-    for (std::size_t p = sf.a.col_start[c]; p < sf.a.col_start[c + 1]; ++p) {
-      t.a[sf.a.row_index[p]][c] = sf.a.value[p];
-    }
-  }
-  t.rhs = sf.rhs;
-  t.basis = sf.initial_basis;
-  t.allowed.assign(t.cols, true);
-  solution.peak_bytes = sf.a.bytes() + m * t.cols * sizeof(double) +
-                        (t.cols + m) * sizeof(double);
-
-  const std::size_t max_iter = auto_max_iterations(options, m, t.cols);
-
-  // ---- Phase 1: minimize sum of artificials -----------------------------
-  if (sf.n_art > 0) {
-    std::vector<double> phase1_costs(t.cols, 0.0);
-    for (std::size_t c = 0; c < t.cols; ++c) {
-      if (sf.is_artificial[c]) phase1_costs[c] = 1.0;
-    }
-    t.price(phase1_costs);
-    const SolveStatus st = run_phase(t, max_iter, options.epsilon,
-                                     options.bland_after, solution.iterations);
-    if (st == SolveStatus::IterationLimit) {
-      solution.status = st;
-      return solution;
-    }
-    // Phase-1 optimum must be ~0 for feasibility.
-    const double z1 = -t.obj_shift;
-    if (z1 > 1e-7) {
-      solution.status = SolveStatus::Infeasible;
-      return solution;
-    }
-    // Drive remaining artificials out of the basis where possible.
-    for (std::size_t r = 0; r < m; ++r) {
-      if (!sf.is_artificial[t.basis[r]]) continue;
-      std::size_t pcol = t.cols;
-      for (std::size_t c = 0; c < n + sf.n_slack; ++c) {
-        if (std::abs(t.a[r][c]) > 1e-8) {
-          pcol = c;
-          break;
-        }
-      }
-      if (pcol < t.cols) t.pivot(r, pcol);
-      // else: redundant row; the artificial stays basic at value 0.
-    }
-    for (std::size_t c = 0; c < t.cols; ++c) {
-      if (sf.is_artificial[c]) t.allowed[c] = false;
-    }
-  }
-
-  // ---- Phase 2: minimize the real objective -----------------------------
-  t.price(sf.cost);
-  const SolveStatus st = run_phase(t, max_iter, options.epsilon,
-                                   options.bland_after, solution.iterations);
-  if (st != SolveStatus::Optimal) {
-    solution.status = st;
-    return solution;
-  }
-
-  for (std::size_t r = 0; r < m; ++r) {
-    if (t.basis[r] < n) solution.values[t.basis[r]] = t.rhs[r];
-  }
-  // Dual extraction: y = c_B B^{-1}; the final reduced cost of a row's
-  // slack/surplus/artificial column encodes y_r up to a sign. Rows whose
-  // rhs was negated during normalization flip the sign back (their dual
-  // is w.r.t. the ORIGINAL right-hand side).
-  solution.duals.assign(m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    double y = sf.dual_sign[r] * t.obj[sf.dual_col[r]];
-    if (sf.rhs_negated[r]) y = -y;  // row was normalized by -1
-    solution.duals[r] = y;
-  }
-  double z = 0.0;
-  for (VarId v = 0; v < n; ++v) {
-    z += problem.objective_coeff(v) * solution.values[v];
-  }
-  solution.objective = z;
-  solution.basis.basic = t.basis;
-  solution.status = SolveStatus::Optimal;
-  return solution;
 }
 
 // ------------------------------------------------------------------------
@@ -340,7 +123,7 @@ StepOutcome revised_step(RevisedContext& ctx, const std::vector<double>& costs,
   };
 
   // Entering column: most negative reduced cost (Dantzig) or first
-  // negative (Bland), lowest index on ties — the dense engine's rule.
+  // negative (Bland), lowest index on ties — the dense oracle's rule.
   std::size_t enter = cols;
   double best = -eps;
   if (bland) {
@@ -407,7 +190,7 @@ StepOutcome revised_step(RevisedContext& ctx, const std::vector<double>& costs,
   if (enter == cols) return StepOutcome::Optimal;
 
   // Ratio test over w = B^{-1} a_enter; tie-break on smallest basis
-  // column, exactly as the dense engine.
+  // column, exactly as the dense oracle.
   ctx.scatter_col(enter, ctx.w);
   ctx.lu.ftran(ctx.w);
   const std::size_t m = ctx.sf.rows;
@@ -524,7 +307,7 @@ LpSolution solve_revised(const LpProblem& problem, const StandardForm& sf,
 
   // ---- Phase 1: minimize sum of artificials -----------------------------
   // A cold start needs phase 1 whenever artificials exist (mirroring the
-  // dense engine); a warm start only when a basic artificial carries a
+  // dense oracle); a warm start only when a basic artificial carries a
   // nonzero value (i.e. the inherited basis is not feasible for the
   // original rows).
   bool need_phase1 = false;
@@ -561,7 +344,7 @@ LpSolution solve_revised(const LpProblem& problem, const StandardForm& sf,
     }
     // Drive remaining artificials out of the basis where possible: the
     // first structural/slack column with a nonzero tableau entry in the
-    // row, exactly as the dense engine (pivots not counted).
+    // row, exactly as the dense oracle (pivots not counted).
     for (std::size_t r = 0; r < m; ++r) {
       if (!sf.is_artificial[ctx.basis[r]]) continue;
       std::fill(ctx.y.begin(), ctx.y.end(), 0.0);
@@ -606,7 +389,7 @@ LpSolution solve_revised(const LpProblem& problem, const StandardForm& sf,
   }
   // Dual extraction: with y = B^{-T} c_B, the reduced cost of a row's
   // designated slack/surplus/artificial column encodes y_r up to a sign
-  // (and the rhs-negation flip), matching the dense engine.
+  // (and the rhs-negation flip), matching the dense oracle.
   ctx.compute_y(sf.cost);
   solution.duals.assign(m, 0.0);
   for (std::size_t r = 0; r < m; ++r) {
@@ -634,11 +417,7 @@ LpSolution solve(const LpProblem& problem, const SimplexOptions& options) {
 
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options,
                  const Basis* warm_start) {
-  const StandardForm sf = standardize(problem);
-  if (resolve_engine(options.engine) == Engine::Dense) {
-    return solve_dense(problem, sf, options);
-  }
-  return solve_revised(problem, sf, options, warm_start);
+  return solve_revised(problem, standardize(problem), options, warm_start);
 }
 
 std::string to_string(SolveStatus status) {

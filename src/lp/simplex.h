@@ -1,15 +1,14 @@
-// Two-phase primal simplex, in two interchangeable engines.
+// Two-phase primal simplex.
 //
-// Purpose-built for the placement LPs of §5. The default engine is a
-// sparse revised simplex (CSC constraint matrix, LU-factorized basis
-// with eta-file updates and periodic refactorization, BTRAN/FTRAN
-// solves, candidate-list pricing at scale) that solves the
-// hundreds-of-sites joint LPs in O(nonzeros) memory. The original
-// dense-tableau engine is kept as a reference oracle for differential
-// testing: both engines standardize the problem identically and apply
-// the same Dantzig-with-Bland-fallback entering rule and lowest-index
-// tie-breaks, so their pivot sequences coincide (exactly, when the
-// revised engine prices every column).
+// Purpose-built for the placement LPs of §5: a sparse revised simplex
+// (CSC constraint matrix, LU-factorized basis with eta-file updates and
+// periodic refactorization, BTRAN/FTRAN solves, candidate-list pricing
+// at scale) that solves the hundreds-of-sites joint LPs in O(nonzeros)
+// memory. The original dense-tableau engine lives on in tests/lp as its
+// differential oracle: both standardize the problem identically and
+// apply the same Dantzig-with-Bland-fallback entering rule and
+// lowest-index tie-breaks, so their pivot sequences coincide (exactly,
+// when every column is priced).
 #pragma once
 
 #include <cstddef>
@@ -22,17 +21,12 @@ namespace bohr::lp {
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
-/// Which simplex implementation to run. Auto resolves through the
-/// BOHR_LP environment variable ("dense" or "revised"), defaulting to
-/// Revised.
-enum class Engine { Auto, Dense, Revised };
-
 /// A simplex basis: the basic padded column (structural | slack/surplus
 /// | artificial, in standard-form order) per constraint row. Returned
-/// with every optimal solution and accepted as a warm start by the
-/// revised engine: if the basis is still primal feasible for the
-/// (possibly re-coefficiented) problem, phase 1 is skipped and phase 2
-/// resumes from it; otherwise the solver silently cold-starts.
+/// with every optimal solution and accepted as a warm start: if the
+/// basis is still primal feasible for the (possibly re-coefficiented)
+/// problem, phase 1 is skipped and phase 2 resumes from it; otherwise
+/// the solver silently cold-starts.
 struct Basis {
   std::vector<std::size_t> basic;
 
@@ -71,14 +65,12 @@ struct SimplexOptions {
   /// Switch from Dantzig to Bland pricing after this many degenerate
   /// pivots in a row (guarantees termination).
   std::size_t bland_after = 64;
-  /// Engine selection; Auto consults BOHR_LP, defaulting to Revised.
-  Engine engine = Engine::Auto;
-  /// Revised engine: refactorize the basis after this many eta updates.
+  /// Refactorize the basis after this many eta updates.
   std::size_t refactor_interval = 64;
-  /// Revised engine: above this many padded columns, Dantzig pricing
-  /// scans a cached candidate list instead of every column (refilled by
-  /// a full pass when it runs dry). Below it, every column is priced
-  /// each pivot — bit-compatible with the dense engine's pivot order.
+  /// Above this many padded columns, Dantzig pricing scans a cached
+  /// candidate list instead of every column (refilled by a full pass
+  /// when it runs dry). Below it, every column is priced each pivot —
+  /// bit-compatible with the dense oracle's pivot order.
   std::size_t partial_pricing_threshold = 8192;
   /// Candidate-list capacity for partial pricing.
   std::size_t candidate_list_size = 512;
@@ -88,9 +80,8 @@ struct SimplexOptions {
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options = {});
 
 /// Warm-started solve: `warm_start` (from a previous LpSolution::basis
-/// of a structurally identical problem) seeds the revised engine's
-/// initial basis. Null or rejected warm starts fall back to a cold
-/// two-phase solve; the dense oracle always cold-starts.
+/// of a structurally identical problem) seeds the initial basis. Null or
+/// rejected warm starts fall back to a cold two-phase solve.
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options,
                  const Basis* warm_start);
 

@@ -1,11 +1,11 @@
 // Sparse (CSC) standard-form view of an LpProblem.
 //
-// Both simplex engines solve the same standardized program
+// The sparse revised simplex and its dense-tableau test oracle solve the
+// same standardized program
 //   min c'x  s.t.  Ax = b, x >= 0, b >= 0
 // with the padded column layout structural | slack/surplus | artificial
-// and the same rhs-negation / relation-flip normalization, so that the
-// dense tableau engine and the sparse revised engine see identical
-// problems (identical pivot sequences in exact arithmetic).
+// and the same rhs-negation / relation-flip normalization, so both see
+// identical problems (identical pivot sequences in exact arithmetic).
 #pragma once
 
 #include <cstddef>

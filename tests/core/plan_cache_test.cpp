@@ -2,7 +2,8 @@
 // warm answers equal the engine run directly on freshly mapped inputs,
 // bit for bit; a change to a dataset's rows invalidates its entries;
 // configurations whose engine draws from the caller's RNG bypass the
-// cache; and concurrent cold fills of one key agree.
+// cache; concurrent cold fills of one key agree; and a churn round runs
+// the same execution path.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -67,11 +68,9 @@ engine::JobResult reference(const Controller& c, std::size_t a,
   job.machine.record_scale = std::max(
       1.0, d.bundle().bytes_per_row / c.options().physical_record_bytes);
 
-  const std::uint64_t salt =
-      hash_combine(d.dataset_id(), hash_combine(t, 0xABCD));
   std::vector<engine::RecordStream> inputs(d.site_count());
   for (std::size_t i = 0; i < d.site_count(); ++i) {
-    inputs[i] = d.map_rows(i, t, spec.selectivity, salt);
+    inputs[i] = d.map_rows(i, t, spec.selectivity, d.query_salt(t));
   }
   return engine::run_job(c.topology(), inputs,
                          c.prepare_report().decision.reduce_fractions, spec,
@@ -202,6 +201,41 @@ TEST(PlanCacheTest, RngDrawingConfigurationsBypassTheCache) {
       EXPECT_EQ(rng_words(rng), rng_words(ref_rng));
       EXPECT_NE(rng_words(rng), rng_words(Rng(seed)));
     }
+  }
+}
+
+TEST(PlanCacheTest, ChurnRoundRunsTheServingQueryInBatchOrder) {
+  // run_query_round, run_single_query and run_all_queries share one
+  // execution path: a fault-free, ladder-free churn round over a bucket
+  // map answers each (dataset, type) exactly as serving does, and lists
+  // its executions the way the batch run does.
+  Controller c = prepared(small_config());
+  const engine::ReduceBucketMap map = migrated_buckets(c);
+  Controller::QueryRound round;
+  round.reduce_buckets = &map;
+  const std::vector<QueryExecution> churn = c.run_query_round(round);
+  ASSERT_FALSE(churn.empty());
+  for (const QueryExecution& exec : churn) {
+    SCOPED_TRACE(::testing::Message() << "dataset " << exec.dataset_id
+                                      << " type " << exec.query_type_spec);
+    const auto it = std::find_if(
+        c.datasets().begin(), c.datasets().end(), [&](const DatasetState& d) {
+          return d.dataset_id() == exec.dataset_id;
+        });
+    ASSERT_NE(it, c.datasets().end());
+    const auto a = static_cast<std::size_t>(it - c.datasets().begin());
+    Rng rng(7);
+    EXPECT_EQ(words(exec.result),
+              words(c.run_single_query(a, exec.query_type_spec, &map, rng)));
+  }
+
+  const std::vector<QueryExecution> batch = c.run_all_queries();
+  ASSERT_EQ(churn.size(), batch.size());
+  for (std::size_t i = 0; i < churn.size(); ++i) {
+    EXPECT_EQ(churn[i].dataset_id, batch[i].dataset_id) << i;
+    EXPECT_EQ(churn[i].query_type_spec, batch[i].query_type_spec) << i;
+    EXPECT_EQ(churn[i].kind, batch[i].kind) << i;
+    EXPECT_EQ(churn[i].recurrences, batch[i].recurrences) << i;
   }
 }
 

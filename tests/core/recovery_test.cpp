@@ -226,6 +226,37 @@ TEST(RecoveryTest, InflatedCountIsRejectedAndFallsBackToOlderSnapshot) {
   EXPECT_EQ(details.snapshots_rejected, 1u);
 }
 
+TEST(RecoveryTest, InflatedChurnRoundCountIsAContractViolation) {
+  const ExperimentConfig cfg = small_config();
+  const std::string dir = fresh_dir("ck-churn-rounds");
+  ChurnOptions churn;
+  churn.rounds = 4;
+  churn.checkpoint_dir = dir;
+  churn.crash_after_round = 2;  // leaves snapshots 1 and 2
+  ASSERT_TRUE(run_churn_experiment(cfg, churn).crashed);
+
+  // The churn image opens with magic (4), version (8) and five round
+  // counters (40); the u64 at offset 52 counts the per-round QCTs that
+  // follow. Claim 2^34 of them, 128 GiB of doubles.
+  constexpr std::streamoff kRoundCount = 52;
+  const fs::path snapshot = fs::path(dir) / "snapshot-2";
+  std::fstream file(snapshot / "migration.bin",
+                    std::ios::binary | std::ios::in | std::ios::out);
+  std::uint64_t rounds = 0;
+  file.seekg(kRoundCount);
+  file.read(reinterpret_cast<char*>(&rounds), sizeof(rounds));
+  ASSERT_EQ(rounds, 2u);
+  rounds = std::uint64_t{1} << 34;
+  file.seekp(kRoundCount);
+  file.write(reinterpret_cast<const char*>(&rounds), sizeof(rounds));
+  file.close();
+  reseal_manifest(snapshot);
+
+  churn.crash_after_round = 0;
+  churn.recover = true;
+  EXPECT_THROW(run_churn_experiment(cfg, churn), ContractViolation);
+}
+
 TEST(RecoveryTest, InjectedBitFlipRejectsSnapshotAndFallsBackToScratch) {
   ExperimentConfig cfg = small_config();
   const std::string expected = plain_prepare_image(cfg);

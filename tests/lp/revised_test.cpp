@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_oracle.h"
 #include "lp/basis_lu.h"
 #include "lp/problem.h"
 #include "lp/simplex.h"
@@ -16,24 +17,13 @@
 namespace bohr::lp {
 namespace {
 
-SimplexOptions dense_options() {
-  SimplexOptions o;
-  o.engine = Engine::Dense;
-  return o;
-}
-
-SimplexOptions revised_options() {
-  SimplexOptions o;
-  o.engine = Engine::Revised;
-  return o;
-}
-
-/// Solves with both engines and checks full agreement: status,
-/// iteration count, objective, primal values and duals.
+/// Solves with the revised engine and the dense oracle and checks full
+/// agreement: status, iteration count, objective, primal values and
+/// duals.
 void expect_engines_agree(const LpProblem& p, const char* label) {
   SCOPED_TRACE(label);
-  const LpSolution dense = solve(p, dense_options());
-  const LpSolution revised = solve(p, revised_options());
+  const LpSolution dense = solve_dense(p);
+  const LpSolution revised = solve(p);
   ASSERT_EQ(dense.status, revised.status);
   if (!dense.optimal()) return;
   EXPECT_EQ(dense.iterations, revised.iterations);
@@ -64,7 +54,7 @@ TEST(RevisedSimplexTest, MatchesDenseOnSmallLp) {
   p.add_constraint({{y, 2.0}}, Relation::LessEq, 12.0);
   p.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::LessEq, 18.0);
   expect_engines_agree(p, "wyndor");
-  const LpSolution sol = solve(p, revised_options());
+  const LpSolution sol = solve(p);
   EXPECT_NEAR(sol.objective, -36.0, 1e-9);
   EXPECT_NEAR(sol.value(x), 2.0, 1e-9);
   EXPECT_NEAR(sol.value(y), 6.0, 1e-9);
@@ -100,7 +90,7 @@ TEST(RevisedSimplexTest, RandomDifferentialSuite) {
                        static_cast<Relation>(rel_dist(rng)), rhs_dist(rng));
     }
     SCOPED_TRACE(trial);
-    const LpSolution dense = solve(p, dense_options());
+    const LpSolution dense = solve_dense(p);
     expect_engines_agree(p, "random");
     switch (dense.status) {
       case SolveStatus::Optimal:
@@ -130,7 +120,7 @@ TEST(RevisedSimplexTest, NegativeRhsDualConvention) {
   const VarId y = p.add_variable("y", 3.0);
   p.add_constraint({{x, -1.0}, {y, -1.0}}, Relation::LessEq, -4.0);
   expect_engines_agree(p, "neg-rhs");
-  const LpSolution sol = solve(p, revised_options());
+  const LpSolution sol = solve(p);
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.objective, 8.0, 1e-9);
   EXPECT_NEAR(sol.dual(0), -2.0, 1e-9);  // dz*/db: raising b toward 0 relaxes
@@ -144,7 +134,7 @@ TEST(RevisedSimplexTest, EqualityRowDuals) {
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 3.0);
   p.add_constraint({{y, 1.0}}, Relation::GreaterEq, 1.0);
   expect_engines_agree(p, "equality");
-  const LpSolution sol = solve(p, revised_options());
+  const LpSolution sol = solve(p);
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.objective, 6.0, 1e-9);
   EXPECT_NEAR(dual_objective(p, sol), sol.objective, 1e-9);
@@ -161,7 +151,7 @@ TEST(RevisedSimplexTest, RedundantRowKeepsBasicArtificial) {
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 2.0);
   p.add_constraint({{x, 1.0}}, Relation::LessEq, 1.5);
   expect_engines_agree(p, "redundant");
-  const LpSolution sol = solve(p, revised_options());
+  const LpSolution sol = solve(p);
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.value(x) + sol.value(y), 2.0, 1e-9);
 }
@@ -214,7 +204,7 @@ TEST(WarmStartTest, ReusedBasisCutsIterations) {
   std::vector<std::size_t> demand_rows;
   LpProblem p = transport_lp({10.0, 8.0, 6.0}, {5.0, 7.0, 6.0}, &x,
                              &demand_rows);
-  const SimplexOptions opts = revised_options();
+  const SimplexOptions opts;
   const LpSolution cold = solve(p, opts);
   ASSERT_TRUE(cold.optimal());
   EXPECT_FALSE(cold.warm_started);
@@ -229,7 +219,7 @@ TEST(WarmStartTest, ReusedBasisCutsIterations) {
   EXPECT_LT(warm.iterations, cold.iterations);
 
   // The warm solution must match a cold dense solve of the new problem.
-  const LpSolution oracle = solve(p, dense_options());
+  const LpSolution oracle = solve_dense(p);
   ASSERT_TRUE(oracle.optimal());
   EXPECT_NEAR(oracle.objective, warm.objective, 1e-9);
   for (std::size_t v = 0; v < oracle.values.size(); ++v) {
@@ -242,10 +232,10 @@ TEST(WarmStartTest, InvalidBasisFallsBackCold) {
   LpProblem p = transport_lp({10.0, 8.0}, {5.0, 7.0}, &x);
   Basis bogus;
   bogus.basic = {0, 0, 0, 0};  // duplicate columns: structurally invalid
-  const LpSolution sol = solve(p, revised_options(), &bogus);
+  const LpSolution sol = solve(p, SimplexOptions{}, &bogus);
   ASSERT_TRUE(sol.optimal());
   EXPECT_FALSE(sol.warm_started);
-  const LpSolution oracle = solve(p, dense_options());
+  const LpSolution oracle = solve_dense(p);
   EXPECT_NEAR(sol.objective, oracle.objective, 1e-9);
 }
 
@@ -253,13 +243,13 @@ TEST(WarmStartTest, InfeasibleBasisFallsBackCold) {
   std::vector<std::vector<VarId>> x;
   std::vector<std::size_t> demand_rows;
   LpProblem p = transport_lp({10.0, 8.0}, {5.0, 7.0}, &x, &demand_rows);
-  const LpSolution cold = solve(p, revised_options());
+  const LpSolution cold = solve(p);
   ASSERT_TRUE(cold.optimal());
   // A demand jump past the old vertex makes the inherited basis primal
   // infeasible; the solver must detect it and cold-start.
   p.set_rhs(demand_rows[0], 18.0);
-  const LpSolution warm = solve(p, revised_options(), &cold.basis);
-  const LpSolution oracle = solve(p, dense_options());
+  const LpSolution warm = solve(p, SimplexOptions{}, &cold.basis);
+  const LpSolution oracle = solve_dense(p);
   ASSERT_EQ(warm.status, oracle.status);
   if (oracle.optimal()) {
     EXPECT_NEAR(warm.objective, oracle.objective, 1e-9);
@@ -282,8 +272,8 @@ TEST(UpdateConstraintTest, PatchedProblemMatchesFreshBuild) {
   fresh.add_constraint({{fx, 2.0}, {fy, 1.0}}, Relation::LessEq, 8.0);
   fresh.add_constraint({{fx, 1.0}}, Relation::LessEq, 3.0);
 
-  const LpSolution a = solve(patched, revised_options());
-  const LpSolution b = solve(fresh, revised_options());
+  const LpSolution a = solve(patched);
+  const LpSolution b = solve(fresh);
   ASSERT_TRUE(a.optimal());
   ASSERT_TRUE(b.optimal());
   EXPECT_EQ(a.iterations, b.iterations);
@@ -298,12 +288,12 @@ TEST(PartialPricingTest, AgreesWithFullPricingAndIsDeterministic) {
   // and repeated runs must take the identical pivot count.
   std::vector<std::vector<VarId>> x;
   LpProblem p = transport_lp({10.0, 8.0, 6.0, 9.0}, {5.0, 7.0, 6.0, 4.0}, &x);
-  SimplexOptions partial = revised_options();
+  SimplexOptions partial;
   partial.partial_pricing_threshold = 1;
   partial.candidate_list_size = 3;
   const LpSolution a = solve(p, partial);
   const LpSolution b = solve(p, partial);
-  const LpSolution full = solve(p, revised_options());
+  const LpSolution full = solve(p);
   ASSERT_TRUE(a.optimal());
   ASSERT_TRUE(full.optimal());
   EXPECT_EQ(a.iterations, b.iterations);
@@ -317,10 +307,10 @@ TEST(PartialPricingTest, AgreesWithFullPricingAndIsDeterministic) {
 TEST(PartialPricingTest, TinyRefactorIntervalStaysExact) {
   std::vector<std::vector<VarId>> x;
   LpProblem p = transport_lp({10.0, 8.0, 6.0}, {5.0, 7.0, 6.0}, &x);
-  SimplexOptions churn = revised_options();
+  SimplexOptions churn;
   churn.refactor_interval = 1;  // refactorize after every pivot
   const LpSolution a = solve(p, churn);
-  const LpSolution oracle = solve(p, dense_options());
+  const LpSolution oracle = solve_dense(p);
   ASSERT_TRUE(a.optimal());
   EXPECT_EQ(a.iterations, oracle.iterations);
   EXPECT_NEAR(a.objective, oracle.objective, 1e-9);
@@ -336,8 +326,8 @@ TEST(PeakBytesTest, RevisedIsSparseDenseIsQuadratic) {
     const VarId v = p.add_variable("v", -1.0);
     p.add_constraint({{u, 1.0}, {v, 2.0}}, Relation::LessEq, 3.0);
   }
-  const LpSolution revised = solve(p, revised_options());
-  const LpSolution dense = solve(p, dense_options());
+  const LpSolution revised = solve(p);
+  const LpSolution dense = solve_dense(p);
   ASSERT_TRUE(revised.optimal());
   ASSERT_TRUE(dense.optimal());
   EXPECT_NEAR(revised.objective, dense.objective, 1e-9);

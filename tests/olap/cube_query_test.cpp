@@ -2,21 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 
 namespace bohr::olap {
 namespace {
 
-// Sales cube: (year, store, product) -> revenue.
-OlapCube sales() {
+MemberId store_id(std::int64_t store) { return static_cast<MemberId>(store); }
+
+/// A store keyed the way CubeBuilder keys a text attribute: the hash of
+/// its name.
+MemberId store_name(std::int64_t store) {
+  return value_to_member(Value("store-" + std::to_string(store)));
+}
+
+// Sales cube: (year, store, product) -> revenue, with store members from
+// `store`.
+OlapCube sales(MemberId (*store)(std::int64_t) = store_id) {
   const Dimension year("year", {{"year", 1}, {"decade", 10}});
   OlapCube cube({year, Dimension("store"), Dimension("product")});
-  cube.insert({2021, 1, 100}, 10.0);
-  cube.insert({2021, 1, 100}, 20.0);
-  cube.insert({2021, 2, 100}, 5.0);
-  cube.insert({2022, 1, 101}, 50.0);
-  cube.insert({2022, 2, 101}, 25.0);
-  cube.insert({2022, 2, 102}, 1.0);
+  cube.insert({2021, store(1), 100}, 10.0);
+  cube.insert({2021, store(1), 100}, 20.0);
+  cube.insert({2021, store(2), 100}, 5.0);
+  cube.insert({2022, store(1), 101}, 50.0);
+  cube.insert({2022, store(2), 101}, 25.0);
+  cube.insert({2022, store(2), 102}, 1.0);
   return cube;
 }
 
@@ -45,13 +56,15 @@ TEST(CubeQueryTest, AscendingOrder) {
 }
 
 TEST(CubeQueryTest, FilterRestrictsGroups) {
-  CubeQuery q;
-  q.group_by = {2};
-  q.filters.push_back({1, {MemberId{1}}});  // store 1 only
-  const auto rows = execute(sales(), q);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].value, 50.0);  // product 101 at store 1
-  EXPECT_DOUBLE_EQ(rows[1].value, 30.0);  // product 100 at store 1
+  for (const auto store : {store_id, store_name}) {
+    CubeQuery q;
+    q.group_by = {2};
+    q.filters.push_back({1, {store(1)}});  // store 1 only
+    const auto rows = execute(sales(store), q);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_DOUBLE_EQ(rows[0].value, 50.0);  // product 101 at store 1
+    EXPECT_DOUBLE_EQ(rows[1].value, 30.0);  // product 100 at store 1
+  }
 }
 
 TEST(CubeQueryTest, ConjunctiveFilters) {

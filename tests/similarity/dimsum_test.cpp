@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "similarity/kmeans.h"
-#include "similarity/lsh.h"
 #include "similarity/metrics.h"
 
 namespace bohr::similarity {
@@ -112,41 +111,6 @@ TEST(DimsumTest, SinglePartitionTrivial) {
   const auto result = dimsum_jaccard(parts, DimsumParams{});
   EXPECT_EQ(result.matrix.size(), 1u);
   EXPECT_EQ(result.pairs_examined, 0u);
-}
-
-TEST(LshTest, SimilarItemsBecomeCandidates) {
-  LshIndex index(8, 4);  // 32-hash signatures
-  const auto base = iota_keys(0, 100);
-  auto near = base;
-  near[0] = 9999;  // ~99% similar
-  index.insert(1, MinHashSignature::of(base, 32));
-  index.insert(2, MinHashSignature::of(near, 32));
-  const auto pairs = index.candidate_pairs();
-  ASSERT_EQ(pairs.size(), 1u);
-  const std::pair<std::uint64_t, std::uint64_t> expected{1, 2};
-  EXPECT_EQ(pairs[0], expected);
-}
-
-TEST(LshTest, DissimilarItemsRarelyCandidates) {
-  LshIndex index(4, 8);
-  index.insert(1, MinHashSignature::of(iota_keys(0, 100), 32));
-  index.insert(2, MinHashSignature::of(iota_keys(10000, 100), 32));
-  EXPECT_TRUE(index.candidate_pairs().empty());
-}
-
-TEST(LshTest, CandidatesQueryWithoutInsert) {
-  LshIndex index(8, 4);
-  const auto keys = iota_keys(0, 50);
-  index.insert(7, MinHashSignature::of(keys, 32));
-  const auto cands = index.candidates(MinHashSignature::of(keys, 32));
-  ASSERT_EQ(cands.size(), 1u);
-  EXPECT_EQ(cands[0], 7u);
-}
-
-TEST(LshTest, SignatureLengthMismatchThrows) {
-  LshIndex index(4, 4);
-  EXPECT_THROW(index.insert(1, MinHashSignature(8)),
-               bohr::ContractViolation);
 }
 
 TEST(KMeansTest, SeparatesTwoObviousClusters) {

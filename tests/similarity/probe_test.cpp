@@ -4,7 +4,9 @@
 
 #include <string>
 
+#include "common/check.h"
 #include "common/parallel.h"
+#include "similarity/minhash.h"
 
 namespace bohr::similarity {
 namespace {
@@ -230,6 +232,50 @@ TEST(ProbeBudgetTest, EveryDatasetGetsAtLeastOne) {
   const std::vector<double> sizes{100.0, 0.001, 0.001};
   const auto alloc = allocate_probe_budget(sizes, 5);
   for (const auto a : alloc) EXPECT_GE(a, 1u);
+}
+
+TEST(BbitMinhashTest, CompressionPreservesEstimate) {
+  std::vector<std::uint64_t> xs;
+  std::vector<std::uint64_t> ys;
+  for (std::uint64_t i = 0; i < 300; ++i) xs.push_back(i);
+  for (std::uint64_t i = 150; i < 450; ++i) ys.push_back(i);
+  const auto full_x = MinHashSignature::of(xs, 512);
+  const auto full_y = MinHashSignature::of(ys, 512);
+  const double full_estimate = full_x.estimate_jaccard(full_y);
+
+  for (const std::size_t bits : {1u, 2u, 4u, 8u}) {
+    const auto bx = BbitSignature::of(full_x, bits);
+    const auto by = BbitSignature::of(full_y, bits);
+    EXPECT_NEAR(bx.estimate_jaccard(by), full_estimate, 0.12)
+        << bits << " bits";
+  }
+}
+
+TEST(BbitMinhashTest, IdenticalSetsEstimateOne) {
+  std::vector<std::uint64_t> keys{1, 2, 3, 4, 5};
+  const auto sig = MinHashSignature::of(keys, 128);
+  const auto b = BbitSignature::of(sig, 2);
+  EXPECT_DOUBLE_EQ(b.estimate_jaccard(b), 1.0);
+}
+
+TEST(BbitMinhashTest, WireBytesShrink) {
+  const auto sig =
+      MinHashSignature::of(std::vector<std::uint64_t>{1, 2, 3}, 128);
+  const auto b1 = BbitSignature::of(sig, 1);
+  const auto b8 = BbitSignature::of(sig, 8);
+  EXPECT_EQ(b1.wire_bytes(), 16u);   // 128 bits / 8
+  EXPECT_EQ(b8.wire_bytes(), 128u);  // 128 bytes
+  EXPECT_LT(b1.wire_bytes(), 128 * 8u);  // vs 1KiB for the full signature
+}
+
+TEST(BbitMinhashTest, MismatchedWidthsThrow) {
+  const auto sig =
+      MinHashSignature::of(std::vector<std::uint64_t>{1}, 16);
+  const auto b2 = BbitSignature::of(sig, 2);
+  const auto b4 = BbitSignature::of(sig, 4);
+  EXPECT_THROW(b2.estimate_jaccard(b4), bohr::ContractViolation);
+  EXPECT_THROW(BbitSignature::of(sig, 0), bohr::ContractViolation);
+  EXPECT_THROW(BbitSignature::of(sig, 17), bohr::ContractViolation);
 }
 
 }  // namespace
