@@ -155,11 +155,9 @@ int run_bench_main(int argc, char** argv,
   // any fields the bench registered via add_bench_json_field. The same
   // object also lands in BENCH_<name>.json so harnesses can collect
   // results without scraping stdout.
-  char threads_prefix[64];
-  std::snprintf(threads_prefix, sizeof(threads_prefix),
-                "{\"name\":\"%s\",\"threads\":%zu,\"phases\":",
-                name.c_str(), thread_count());
-  std::string json = threads_prefix + phase_json();
+  std::string json = "{\"name\":\"" + name + "\",\"threads\":" +
+                     std::to_string(thread_count()) +
+                     ",\"phases\":" + phase_json();
   for (const auto& [key, value] : extra_json_fields()) {
     json += ",\"" + key + "\":" + value;
   }

@@ -1,8 +1,10 @@
 // Property tests for the max-min fair flow allocator: feasibility,
-// bottleneck tightness, and water-filling fairness on random instances.
+// bottleneck tightness, and water-filling fairness on random instances,
+// small ones and the wide_wan benchmark's 64-site shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.h"
 #include "net/transfer.h"
@@ -15,8 +17,50 @@ struct Instance {
   std::vector<Flow> flows;
 };
 
-Instance random_instance(std::uint64_t seed) {
+/// Small random instances (3-8 sites, 2-13 flows), or the wide_wan
+/// benchmark's scale: 64 sites in three bandwidth tiers, with shuffle
+/// flows f_i * r_j all-to-all or into 19 receivers (an LP vertex
+/// placement).
+enum class Shape { kSmall, kWideAllToAll, kWideReceivers };
+constexpr Shape kShapes[] = {Shape::kSmall, Shape::kWideAllToAll,
+                             Shape::kWideReceivers};
+constexpr const char* kShapeNames[] = {"small", "64-site all-to-all",
+                                       "64-site 19 receivers"};
+
+/// Instances of `shape` a property runs on.
+std::uint64_t seeds_of(Shape shape, std::uint64_t small, std::uint64_t wide) {
+  return shape == Shape::kSmall ? small : wide;
+}
+
+Instance random_instance(std::uint64_t seed, Shape shape = Shape::kSmall) {
   Rng rng(seed);
+  if (shape != Shape::kSmall) {
+    constexpr std::size_t kSites = 64;
+    std::vector<Site> sites(kSites);
+    for (std::size_t s = 0; s < kSites; ++s) {
+      const double tier = s % 3 == 0 ? 5.0 : (s % 3 == 1 ? 2.0 : 1.0);
+      sites[s] = Site{std::to_string(s), tier * 125e6, tier * 250e6};
+    }
+    std::vector<SiteId> receivers(kSites);
+    for (SiteId s = 0; s < kSites; ++s) receivers[s] = s;
+    if (shape == Shape::kWideReceivers) {
+      rng.shuffle(receivers);
+      receivers.resize(19);
+    }
+    std::vector<double> fraction(kSites);
+    for (double& r : fraction) r = rng.uniform(0.5, 1.5);
+    std::vector<Flow> flows;
+    for (SiteId i = 0; i < kSites; ++i) {
+      const double shuffle_bytes = rng.uniform(1e7, 1e9);
+      for (const SiteId j : receivers) {
+        if (i == j) continue;
+        flows.push_back(Flow{i, j, shuffle_bytes * fraction[j] /
+                                       static_cast<double>(receivers.size()),
+                             0.0});
+      }
+    }
+    return {WanTopology(std::move(sites)), std::move(flows)};
+  }
   const std::size_t n_sites = 3 + rng.below(6);
   std::vector<Site> sites;
   for (std::size_t s = 0; s < n_sites; ++s) {
@@ -36,20 +80,23 @@ Instance random_instance(std::uint64_t seed) {
 }
 
 TEST(MaxMinPropertyTest, RatesAreFeasibleOnRandomInstances) {
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const Instance inst = random_instance(seed);
-    const auto rates = max_min_rates(inst.topo, inst.flows);
-    std::vector<double> up(inst.topo.site_count(), 0.0);
-    std::vector<double> down(inst.topo.site_count(), 0.0);
-    for (std::size_t f = 0; f < inst.flows.size(); ++f) {
-      EXPECT_GT(rates[f], 0.0) << "seed " << seed;
-      up[inst.flows[f].src] += rates[f];
-      down[inst.flows[f].dst] += rates[f];
-    }
-    for (SiteId s = 0; s < inst.topo.site_count(); ++s) {
-      EXPECT_LE(up[s], inst.topo.uplink(s) * (1 + 1e-9)) << "seed " << seed;
-      EXPECT_LE(down[s], inst.topo.downlink(s) * (1 + 1e-9))
-          << "seed " << seed;
+  for (const Shape shape : kShapes) {
+    for (std::uint64_t seed = 0; seed < seeds_of(shape, 40, 4); ++seed) {
+      SCOPED_TRACE(kShapeNames[static_cast<int>(shape)]);
+      const Instance inst = random_instance(seed, shape);
+      const auto rates = max_min_rates(inst.topo, inst.flows);
+      std::vector<double> up(inst.topo.site_count(), 0.0);
+      std::vector<double> down(inst.topo.site_count(), 0.0);
+      for (std::size_t f = 0; f < inst.flows.size(); ++f) {
+        EXPECT_GT(rates[f], 0.0) << "seed " << seed;
+        up[inst.flows[f].src] += rates[f];
+        down[inst.flows[f].dst] += rates[f];
+      }
+      for (SiteId s = 0; s < inst.topo.site_count(); ++s) {
+        EXPECT_LE(up[s], inst.topo.uplink(s) * (1 + 1e-9)) << "seed " << seed;
+        EXPECT_LE(down[s], inst.topo.downlink(s) * (1 + 1e-9))
+            << "seed " << seed;
+      }
     }
   }
 }
@@ -57,22 +104,25 @@ TEST(MaxMinPropertyTest, RatesAreFeasibleOnRandomInstances) {
 TEST(MaxMinPropertyTest, EveryFlowHasASaturatedLink) {
   // Max-min optimality: each flow crosses at least one link that is
   // fully utilized (otherwise its rate could grow).
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const Instance inst = random_instance(seed);
-    const auto rates = max_min_rates(inst.topo, inst.flows);
-    std::vector<double> up(inst.topo.site_count(), 0.0);
-    std::vector<double> down(inst.topo.site_count(), 0.0);
-    for (std::size_t f = 0; f < inst.flows.size(); ++f) {
-      up[inst.flows[f].src] += rates[f];
-      down[inst.flows[f].dst] += rates[f];
-    }
-    for (std::size_t f = 0; f < inst.flows.size(); ++f) {
-      const double up_util =
-          up[inst.flows[f].src] / inst.topo.uplink(inst.flows[f].src);
-      const double down_util =
-          down[inst.flows[f].dst] / inst.topo.downlink(inst.flows[f].dst);
-      EXPECT_GT(std::max(up_util, down_util), 1.0 - 1e-6)
-          << "seed " << seed << " flow " << f;
+  for (const Shape shape : kShapes) {
+    for (std::uint64_t seed = 0; seed < seeds_of(shape, 40, 4); ++seed) {
+      SCOPED_TRACE(kShapeNames[static_cast<int>(shape)]);
+      const Instance inst = random_instance(seed, shape);
+      const auto rates = max_min_rates(inst.topo, inst.flows);
+      std::vector<double> up(inst.topo.site_count(), 0.0);
+      std::vector<double> down(inst.topo.site_count(), 0.0);
+      for (std::size_t f = 0; f < inst.flows.size(); ++f) {
+        up[inst.flows[f].src] += rates[f];
+        down[inst.flows[f].dst] += rates[f];
+      }
+      for (std::size_t f = 0; f < inst.flows.size(); ++f) {
+        const double up_util =
+            up[inst.flows[f].src] / inst.topo.uplink(inst.flows[f].src);
+        const double down_util =
+            down[inst.flows[f].dst] / inst.topo.downlink(inst.flows[f].dst);
+        EXPECT_GT(std::max(up_util, down_util), 1.0 - 1e-6)
+            << "seed " << seed << " flow " << f;
+      }
     }
   }
 }
@@ -106,17 +156,22 @@ TEST(MaxMinPropertyTest, IncreasingOneRateRequiresDecreasingASmallerOne) {
 TEST(MaxMinPropertyTest, SimulationConservesBytes) {
   // Total bytes delivered equals total bytes requested: finish times
   // integrate the rate exactly.
-  for (std::uint64_t seed = 100; seed < 120; ++seed) {
-    const Instance inst = random_instance(seed);
-    const auto results = simulate_flows(inst.topo, inst.flows);
-    for (std::size_t f = 0; f < inst.flows.size(); ++f) {
-      ASSERT_GT(results[f].finish_time, 0.0);
-      // mean_rate * duration == bytes (by construction of mean_rate);
-      // sanity: duration at least bytes / min(cap).
-      const double cap = std::min(inst.topo.uplink(inst.flows[f].src),
-                                  inst.topo.downlink(inst.flows[f].dst));
-      EXPECT_GE(results[f].finish_time + 1e-9, inst.flows[f].bytes / cap)
-          << "seed " << seed;
+  for (const Shape shape : kShapes) {
+    // One wide instance each: all-to-all has ~4,000 completion events.
+    for (std::uint64_t seed = 100; seed < 100 + seeds_of(shape, 20, 1);
+         ++seed) {
+      SCOPED_TRACE(kShapeNames[static_cast<int>(shape)]);
+      const Instance inst = random_instance(seed, shape);
+      const auto results = simulate_flows(inst.topo, inst.flows);
+      for (std::size_t f = 0; f < inst.flows.size(); ++f) {
+        ASSERT_GT(results[f].finish_time, 0.0);
+        // mean_rate * duration == bytes (by construction of mean_rate);
+        // sanity: duration at least bytes / min(cap).
+        const double cap = std::min(inst.topo.uplink(inst.flows[f].src),
+                                    inst.topo.downlink(inst.flows[f].dst));
+        EXPECT_GE(results[f].finish_time + 1e-9, inst.flows[f].bytes / cap)
+            << "seed " << seed;
+      }
     }
   }
 }

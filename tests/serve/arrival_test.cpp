@@ -32,7 +32,9 @@ TEST(ArrivalTest, TraceIsSortedAndSequenced) {
     EXPECT_LT(trace[i].type_spec, types[trace[i].dataset]);
     EXPECT_GE(trace[i].work_scale, 1.0);
     EXPECT_LE(trace[i].work_scale, small_config().work_max);
-    if (i > 0) EXPECT_LE(trace[i - 1].time, trace[i].time);
+    if (i > 0) {
+      EXPECT_LE(trace[i - 1].time, trace[i].time);
+    }
   }
 }
 
