@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -53,9 +54,10 @@ class LatencyRecorder {
   std::uint32_t digest() const;
 
   /// Flat byte image (count + raw doubles) and its inverse; round-trips
-  /// digest() exactly. Used by the churn/serving checkpoint images.
+  /// digest() exactly. Used by the churn/serving checkpoint images. The
+  /// inverse throws ContractViolation on a malformed image.
   std::string serialize() const;
-  static LatencyRecorder deserialize(const std::string& image);
+  static LatencyRecorder deserialize(std::string_view image);
 
  private:
   std::vector<double> samples_;

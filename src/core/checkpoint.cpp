@@ -1,14 +1,14 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
-#include <bit>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/phase_timer.h"
@@ -20,7 +20,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kStateMagic[8] = {'B', 'O', 'H', 'R', 'C', 'K', 'P', 'T'};
+constexpr std::string_view kStateMagic = "BOHRCKPT";
 constexpr std::uint32_t kStateVersion = 1;
 constexpr const char* kStateFile = "state.bin";
 constexpr const char* kMigrationFile = "migration.bin";
@@ -35,73 +35,9 @@ class SnapshotRejected : public std::runtime_error {
       : std::runtime_error(why) {}
 };
 
-// ---- byte-image writer/reader -----------------------------------------
+using StateReader = ByteReader<SnapshotRejected>;
 
-struct ByteWriter {
-  std::string bytes;
-
-  void raw(const void* data, std::size_t size) {
-    bytes.append(static_cast<const char*>(data), size);
-  }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
-};
-
-struct ByteReader {
-  const char* p;
-  const char* end;
-
-  void raw(void* data, std::size_t size) {
-    if (static_cast<std::size_t>(end - p) < size) {
-      throw SnapshotRejected("state image truncated");
-    }
-    std::memcpy(data, p, size);
-    p += size;
-  }
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    raw(&v, 1);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  /// Reads an element count stored as a `Count` (u32 or u64) and rejects
-  /// it unless the remaining bytes could hold that many elements of at
-  /// least `min_element_bytes` each, so no container is ever sized from
-  /// a count the image cannot back.
-  template <typename Count>
-  std::size_t count(std::size_t min_element_bytes) {
-    Count n = 0;
-    raw(&n, sizeof(n));
-    if (n > static_cast<std::size_t>(end - p) / min_element_bytes) {
-      throw SnapshotRejected("state image count exceeds its bytes");
-    }
-    return static_cast<std::size_t>(n);
-  }
-  std::string str() {
-    std::string s(count<std::uint32_t>(1), '\0');
-    if (!s.empty()) raw(s.data(), s.size());
-    return s;
-  }
-  bool exhausted() const { return p == end; }
-};
-
-// Smallest encodings, for the minimum element sizes ByteReader::count
+// Smallest encodings, for the minimum element sizes StateReader::count
 // checks counts against.
 constexpr std::size_t kU8 = 1;
 constexpr std::size_t kU32 = 4;
@@ -115,7 +51,7 @@ void write_doubles(ByteWriter& w, const std::vector<double>& v) {
   for (const double d : v) w.f64(d);
 }
 
-std::vector<double> read_doubles(ByteReader& r) {
+std::vector<double> read_doubles(StateReader& r) {
   std::vector<double> v(r.count<std::uint32_t>(kF64));
   for (auto& d : v) d = r.f64();
   return v;
@@ -156,7 +92,7 @@ void write_report(ByteWriter& w, const PrepareReport& report) {
   w.f64(f.deadline_shortfall_bytes);
 }
 
-PrepareReport read_report(ByteReader& r) {
+PrepareReport read_report(StateReader& r) {
   PrepareReport report;
   report.similarity_seconds = r.f64();
   report.probe_bytes = r.f64();
@@ -210,7 +146,7 @@ void write_plans(ByteWriter& w, const std::vector<MovementPlan>& plans) {
   }
 }
 
-std::vector<MovementPlan> read_plans(ByteReader& r) {
+std::vector<MovementPlan> read_plans(StateReader& r) {
   // A plan is at least its flow count, planned bytes and planned rows; a
   // flow at least src, dst, bytes and its row-index count.
   std::vector<MovementPlan> plans(r.count<std::uint32_t>(kU32 + kF64 + kU64));
@@ -254,7 +190,7 @@ void write_similarity(ByteWriter& w,
   }
 }
 
-std::vector<DatasetSimilarity> read_similarity(ByteReader& r) {
+std::vector<DatasetSimilarity> read_similarity(StateReader& r) {
   // A dataset's entry is at least three u32 counts (self, pair, matched
   // keys) plus checking seconds, probe bytes and lost pairs; a key set is
   // at least its u64 count.
@@ -293,13 +229,13 @@ void write_rows(ByteWriter& w, const std::vector<olap::Row>& rows) {
         w.f64(*d);
       } else {
         w.u8(2);
-        w.str(std::get<std::string>(value));
+        w.str<std::uint32_t>(std::get<std::string>(value));
       }
     }
   }
 }
 
-std::vector<olap::Row> read_rows(ByteReader& r) {
+std::vector<olap::Row> read_rows(StateReader& r) {
   // A row is at least its u32 value count; a value at least its tag plus
   // an empty string's u32 length.
   std::vector<olap::Row> rows(r.count<std::uint64_t>(kU32));
@@ -314,10 +250,10 @@ std::vector<olap::Row> read_rows(ByteReader& r) {
           value = r.f64();
           break;
         case 2:
-          value = r.str();
+          value = r.str<std::uint32_t>();
           break;
         default:
-          throw SnapshotRejected("unknown value tag in row image");
+          r.fail("unknown value tag in row image");
       }
     }
   }
@@ -334,7 +270,7 @@ std::string build_state_image(
     const Controller& controller, const PrepareProgress& progress,
     const net::BandwidthEstimator* bandwidth) {
   ByteWriter w;
-  w.raw(kStateMagic, sizeof(kStateMagic));
+  w.raw(kStateMagic);
   w.u32(kStateVersion);
   w.u32(static_cast<std::uint32_t>(progress.completed_steps));
 
@@ -367,7 +303,7 @@ std::string build_state_image(
       write_rows(w, d.rows_at(s));
     }
   }
-  return std::move(w.bytes);
+  return w.take();
 }
 
 struct DecodedState {
@@ -380,21 +316,15 @@ struct DecodedState {
 };
 
 DecodedState decode_state_image(const std::string& image) {
-  ByteReader r{image.data(), image.data() + image.size()};
-  char magic[8];
-  r.raw(magic, sizeof(magic));
-  if (std::memcmp(magic, kStateMagic, sizeof(kStateMagic)) != 0) {
-    throw SnapshotRejected("state image has bad magic");
-  }
-  if (r.u32() != kStateVersion) {
-    throw SnapshotRejected("state image has unsupported version");
-  }
+  StateReader r(image, "state image");
+  r.magic(kStateMagic);
+  if (r.u32() != kStateVersion) r.fail("unsupported version");
 
   DecodedState state;
   state.progress.completed_steps = r.u32();
   if (state.progress.completed_steps == 0 ||
       state.progress.completed_steps > Controller::kPrepareStepCount) {
-    throw SnapshotRejected("state image has invalid step count");
+    r.fail("invalid step count");
   }
   for (auto& word : state.rng.words) word = r.u64();
   state.rng.spare = r.f64();
@@ -428,9 +358,7 @@ DecodedState decode_state_image(const std::string& image) {
       state.dataset_rows[a][s] = read_rows(r);
     }
   }
-  if (!r.exhausted()) {
-    throw SnapshotRejected("state image has trailing bytes");
-  }
+  r.expect_end();
   return state;
 }
 
@@ -462,6 +390,18 @@ struct ManifestEntry {
   std::string name;
 };
 
+/// The manifest's fixed-width hex checksum: all 8 digits must parse.
+std::uint32_t parse_hex32(std::string_view digits) {
+  std::uint32_t v = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, v, 16);
+  if (digits.size() != 8 || ec != std::errc() || ptr != end) {
+    throw SnapshotRejected("manifest checksum '" + std::string(digits) +
+                           "' is not 8 hex digits");
+  }
+  return v;
+}
+
 std::vector<ManifestEntry> parse_manifest(const std::string& text) {
   // Validate the self-checksum first: it covers everything before the
   // final "self " line.
@@ -469,9 +409,8 @@ std::vector<ManifestEntry> parse_manifest(const std::string& text) {
   if (self_pos == std::string::npos || self_pos + 13 > text.size()) {
     throw SnapshotRejected("manifest missing self line");
   }
-  const std::string stored_hex = text.substr(self_pos + 5, 8);
   const std::uint32_t stored =
-      static_cast<std::uint32_t>(std::stoul(stored_hex, nullptr, 16));
+      parse_hex32(std::string_view(text).substr(self_pos + 5, 8));
   if (stored != crc32(text.data(), self_pos)) {
     throw SnapshotRejected("manifest self-checksum mismatch");
   }
@@ -492,59 +431,24 @@ std::vector<ManifestEntry> parse_manifest(const std::string& text) {
         tag != "file") {
       throw SnapshotRejected("manifest line malformed: " + line);
     }
-    entry.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
+    entry.crc = parse_hex32(crc_hex);
     entries.push_back(std::move(entry));
   }
   if (entries.empty()) throw SnapshotRejected("manifest lists no files");
   return entries;
 }
 
-std::string read_whole_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    throw SnapshotRejected("cannot open " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw SnapshotRejected("read failed for " + path.string());
-  return std::move(buffer).str();
-}
-
-/// Commits `bytes` to `path` crash-atomically (temp + flush + rename).
-void atomic_write(const fs::path& path, const std::string& bytes) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      throw CheckpointError("cannot create " + tmp.string());
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw CheckpointError("write failed for " + tmp.string());
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("rename failed for " + path.string() + ": " +
-                          ec.message());
-  }
-}
-
-/// Sequence number of a snapshot directory name, or nullopt.
+/// Sequence number of a snapshot directory name, or nullopt — also for
+/// digits that do not fit a std::size_t.
 std::optional<std::size_t> snapshot_seq(const std::string& name) {
-  const std::string prefix = kSnapshotPrefix;
+  const std::string_view prefix = kSnapshotPrefix;
   if (name.rfind(prefix, 0) != 0) return std::nullopt;
-  const std::string digits = name.substr(prefix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  return static_cast<std::size_t>(std::stoull(digits));
+  const std::string_view digits = std::string_view(name).substr(prefix.size());
+  std::size_t seq = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, seq);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return seq;
 }
 
 std::vector<std::size_t> list_snapshot_seqs(const std::string& dir) {
@@ -578,7 +482,7 @@ std::string serialize_prepare_report(const PrepareReport& report) {
   canonical.decision.lp_seconds = 0.0;
   ByteWriter w;
   write_report(w, canonical);
-  return std::move(w.bytes);
+  return w.take();
 }
 
 // ---- CheckpointManager -------------------------------------------------
@@ -623,7 +527,7 @@ void CheckpointManager::write_file(const std::string& path,
     }
   }
   ++files_written_;
-  atomic_write(path, bytes);
+  write_file_atomically<CheckpointError>(path, bytes);
 }
 
 void CheckpointManager::snapshot(const Controller& controller,
@@ -654,9 +558,8 @@ void CheckpointManager::snapshot(const Controller& controller,
   for (std::size_t a = 0; a < datasets.size(); ++a) {
     if (!datasets[a].has_cubes()) continue;
     for (std::size_t s = 0; s < datasets[a].site_count(); ++s) {
-      std::ostringstream cube_bytes;
-      olap::write_cube(cube_bytes, datasets[a].cubes_at(s).base_cube());
-      files.emplace_back(cube_file_name(a, s), std::move(cube_bytes).str());
+      const olap::OlapCube& cube = datasets[a].cubes_at(s).base_cube();
+      files.emplace_back(cube_file_name(a, s), olap::encode_cube(cube));
     }
   }
 
@@ -705,7 +608,7 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
         fs::path(dir_) / (kSnapshotPrefix + std::to_string(seq));
     try {
       const std::string manifest_text =
-          read_whole_file(snap_dir / kManifestFile);
+          read_file<SnapshotRejected>((snap_dir / kManifestFile).string());
       const std::vector<ManifestEntry> entries =
           parse_manifest(manifest_text);
 
@@ -714,7 +617,8 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
       std::optional<std::string> migration_image;
       std::vector<std::pair<std::string, std::string>> cube_files;
       for (const ManifestEntry& entry : entries) {
-        std::string bytes = read_whole_file(snap_dir / entry.name);
+        std::string bytes =
+            read_file<SnapshotRejected>((snap_dir / entry.name).string());
         if (bytes.size() != entry.size) {
           throw SnapshotRejected(entry.name + " size mismatch");
         }
@@ -760,9 +664,8 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
             if (it == cube_files.end()) {
               throw SnapshotRejected("missing " + wanted);
             }
-            std::istringstream in(it->second);
             try {
-              cubes[a].push_back(olap::read_cube(in));
+              cubes[a].push_back(olap::decode_cube(it->second));
             } catch (const olap::CubeIoError& e) {
               throw SnapshotRejected(wanted + ": " + e.what());
             }

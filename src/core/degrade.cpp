@@ -1,8 +1,9 @@
 #include "core/degrade.h"
 
 #include <algorithm>
-#include <cstring>
+#include <string_view>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "olap/cube_algebra.h"
@@ -11,69 +12,10 @@ namespace bohr::core {
 
 namespace {
 
-constexpr char kMagic[4] = {'B', 'D', 'G', 'R'};
+constexpr std::string_view kMagic = "BDGR";
 constexpr std::uint32_t kVersion = 1;
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-struct Reader {
-  const std::string& bytes;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (pos + n > bytes.size()) {
-      throw ContractViolation("degraded report image truncated");
-    }
-  }
-  std::uint8_t take_u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes[pos++]);
-  }
-  std::uint32_t take_u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t take_u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  double take_f64() {
-    const std::uint64_t bits = take_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
+/// Encoded size of one DegradedAnswer: every field is fixed-width.
+constexpr std::size_t kAnswerBytes = 8 + 2 * 4 + 2 * 1 + 5 * 8 + 7 * 4 + 8;
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
@@ -150,85 +92,78 @@ void DegradedReport::append(const DegradedReport& other) {
 }
 
 std::string DegradedReport::serialize() const {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kVersion);
-  put_u64(out, queries_total);
-  put_u64(out, exact);
-  put_u64(out, partial);
-  put_u64(out, substituted);
-  put_u64(out, prior);
-  put_u64(out, escalations);
-  put_u64(out, retries);
-  put_u64(out, answers.size());
+  ByteWriter w;
+  w.raw(kMagic);
+  w.u32(kVersion);
+  w.u64(queries_total);
+  w.u64(exact);
+  w.u64(partial);
+  w.u64(substituted);
+  w.u64(prior);
+  w.u64(escalations);
+  w.u64(retries);
+  w.u64(answers.size());
   for (const DegradedAnswer& a : answers) {
-    put_u64(out, a.round);
-    put_u32(out, a.dataset);
-    put_u32(out, a.spec);
-    put_u8(out, static_cast<std::uint8_t>(a.mode));
-    put_u8(out, a.escalated_phase);
-    put_f64(out, a.value);
-    put_f64(out, a.exact_value);
-    put_f64(out, a.error_estimate);
-    put_f64(out, a.coverage);
-    put_f64(out, a.similarity);
-    put_u32(out, a.substitute_dataset);
-    put_u32(out, a.sites_usable);
-    put_u32(out, a.sites_lost);
-    put_u32(out, a.partitions_exact);
-    put_u32(out, a.partitions_substituted);
-    put_u32(out, a.partitions_dropped);
-    put_u32(out, a.retries);
-    put_f64(out, a.qct_seconds);
+    w.u64(a.round);
+    w.u32(a.dataset);
+    w.u32(a.spec);
+    w.u8(static_cast<std::uint8_t>(a.mode));
+    w.u8(a.escalated_phase);
+    w.f64(a.value);
+    w.f64(a.exact_value);
+    w.f64(a.error_estimate);
+    w.f64(a.coverage);
+    w.f64(a.similarity);
+    w.u32(a.substitute_dataset);
+    w.u32(a.sites_usable);
+    w.u32(a.sites_lost);
+    w.u32(a.partitions_exact);
+    w.u32(a.partitions_substituted);
+    w.u32(a.partitions_dropped);
+    w.u32(a.retries);
+    w.f64(a.qct_seconds);
   }
-  return out;
+  return w.take();
 }
 
-DegradedReport DegradedReport::deserialize(const std::string& bytes) {
-  Reader r{bytes};
-  r.need(sizeof(kMagic));
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw ContractViolation("degraded report image: bad magic");
-  }
-  r.pos = sizeof(kMagic);
-  if (r.take_u32() != kVersion) {
-    throw ContractViolation("degraded report image: unsupported version");
-  }
+DegradedReport DegradedReport::deserialize(std::string_view bytes) {
+  ByteReader<ContractViolation> r(bytes, "degraded report image");
+  r.magic(kMagic);
+  if (r.u32() != kVersion) r.fail("unsupported version");
   DegradedReport report;
-  report.queries_total = r.take_u64();
-  report.exact = r.take_u64();
-  report.partial = r.take_u64();
-  report.substituted = r.take_u64();
-  report.prior = r.take_u64();
-  report.escalations = r.take_u64();
-  report.retries = r.take_u64();
-  const std::uint64_t count = r.take_u64();
-  report.answers.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    DegradedAnswer a;
-    a.round = r.take_u64();
-    a.dataset = r.take_u32();
-    a.spec = r.take_u32();
-    a.mode = static_cast<AnswerMode>(r.take_u8());
-    a.escalated_phase = r.take_u8();
-    a.value = r.take_f64();
-    a.exact_value = r.take_f64();
-    a.error_estimate = r.take_f64();
-    a.coverage = r.take_f64();
-    a.similarity = r.take_f64();
-    a.substitute_dataset = r.take_u32();
-    a.sites_usable = r.take_u32();
-    a.sites_lost = r.take_u32();
-    a.partitions_exact = r.take_u32();
-    a.partitions_substituted = r.take_u32();
-    a.partitions_dropped = r.take_u32();
-    a.retries = r.take_u32();
-    a.qct_seconds = r.take_f64();
-    report.answers.push_back(a);
+  report.queries_total = r.u64();
+  report.exact = r.u64();
+  report.partial = r.u64();
+  report.substituted = r.u64();
+  report.prior = r.u64();
+  report.escalations = r.u64();
+  report.retries = r.u64();
+  report.answers.resize(r.count<std::uint64_t>(kAnswerBytes));
+  for (DegradedAnswer& a : report.answers) {
+    a.round = r.u64();
+    a.dataset = r.u32();
+    a.spec = r.u32();
+    const std::uint8_t mode = r.u8();
+    if (mode > static_cast<std::uint8_t>(AnswerMode::kPrior)) {
+      r.fail("unknown answer mode");
+    }
+    a.mode = static_cast<AnswerMode>(mode);
+    a.escalated_phase = r.u8();
+    a.value = r.f64();
+    a.exact_value = r.f64();
+    a.error_estimate = r.f64();
+    a.coverage = r.f64();
+    a.similarity = r.f64();
+    a.substitute_dataset = r.u32();
+    a.sites_usable = r.u32();
+    a.sites_lost = r.u32();
+    a.partitions_exact = r.u32();
+    a.partitions_substituted = r.u32();
+    a.partitions_dropped = r.u32();
+    a.retries = r.u32();
+    a.qct_seconds = r.f64();
   }
-  if (r.pos != bytes.size()) {
-    throw ContractViolation("degraded report image: trailing bytes");
-  }
+  r.expect_end();
   return report;
 }
 

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/deadline.h"
@@ -117,8 +118,8 @@ struct DegradedReport {
   void append(const DegradedReport& other);
 
   std::string serialize() const;
-  /// Throws ContractViolation on magic/version/truncation mismatch.
-  static DegradedReport deserialize(const std::string& bytes);
+  /// Throws ContractViolation on a malformed image.
+  static DegradedReport deserialize(std::string_view bytes);
   std::uint32_t digest() const;
 };
 

@@ -1,11 +1,11 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <optional>
+#include <string_view>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/stats.h"
@@ -422,124 +422,72 @@ namespace {
 
 // The churn image rides in the snapshot's migration.bin: round
 // bookkeeping first, then the MigrationController's own image.
-constexpr char kChurnMagic[4] = {'B', 'C', 'H', 'N'};
+constexpr std::string_view kChurnMagic = "BCHN";
 // v2: optional degradation section (DegradedReport + standalone health
 // monitor image) appended after the migration image.
 // v3: per-query LatencyRecorder image appended after round_qct_seconds
 // (percentile reporting survives crash/recovery).
 constexpr std::uint32_t kChurnVersion = 3;
 
-void churn_put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void churn_put_f64(std::string& out, double v) {
-  churn_put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t churn_take_u64(const std::string& in, std::size_t& at) {
-  BOHR_CHECK(at + 8 <= in.size());
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + at, 8);
-  at += 8;
-  return v;
-}
-
-double churn_take_f64(const std::string& in, std::size_t& at) {
-  return std::bit_cast<double>(churn_take_u64(in, at));
-}
-
 std::string encode_churn_image(const ChurnRunResult& out,
                                double qct_weighted_sum,
                                const MigrationController* migctl,
                                bool degrade,
                                const net::SiteHealthMonitor* own_health) {
-  std::string image(kChurnMagic, sizeof(kChurnMagic));
-  churn_put_u64(image, kChurnVersion);
-  churn_put_u64(image, out.rounds_run);
-  churn_put_u64(image, out.queries_run);
-  churn_put_f64(image, qct_weighted_sum);
-  churn_put_u64(image, out.speculations);
-  churn_put_f64(image, out.max_reduce_slowdown);
-  churn_put_u64(image, out.round_qct_seconds.size());
-  for (const double q : out.round_qct_seconds) churn_put_f64(image, q);
-  const std::string qct = out.qct.serialize();
-  churn_put_u64(image, qct.size());
-  image += qct;
-  churn_put_u64(image, migctl != nullptr ? 1 : 0);
-  if (migctl != nullptr) {
-    const std::string mig = migctl->serialize();
-    churn_put_u64(image, mig.size());
-    image += mig;
-  }
-  churn_put_u64(image, degrade ? 1 : 0);
+  ByteWriter w;
+  w.raw(kChurnMagic);
+  w.u64(kChurnVersion);
+  w.u64(out.rounds_run);
+  w.u64(out.queries_run);
+  w.f64(qct_weighted_sum);
+  w.u64(out.speculations);
+  w.f64(out.max_reduce_slowdown);
+  w.u64(out.round_qct_seconds.size());
+  for (const double q : out.round_qct_seconds) w.f64(q);
+  w.str<std::uint64_t>(out.qct.serialize());
+  w.u64(migctl != nullptr ? 1 : 0);
+  if (migctl != nullptr) w.str<std::uint64_t>(migctl->serialize());
+  w.u64(degrade ? 1 : 0);
   if (degrade) {
-    const std::string report = out.degraded.serialize();
-    churn_put_u64(image, report.size());
-    image += report;
-    churn_put_u64(image, own_health != nullptr ? 1 : 0);
-    if (own_health != nullptr) {
-      const std::string health = own_health->serialize();
-      churn_put_u64(image, health.size());
-      image += health;
-    }
+    w.str<std::uint64_t>(out.degraded.serialize());
+    w.u64(own_health != nullptr ? 1 : 0);
+    if (own_health != nullptr) w.str<std::uint64_t>(own_health->serialize());
   }
-  return image;
+  return w.take();
 }
 
 /// Inverse of encode_churn_image; restores `out` and (when present) the
-/// controller. Returns the resumed qct sum.
-double decode_churn_image(const std::string& image, ChurnRunResult& out,
+/// controller. Returns the resumed qct sum. Throws ContractViolation on a
+/// malformed image: the manifest CRC proves these are the bytes written,
+/// not that they are well formed.
+double decode_churn_image(std::string_view image, ChurnRunResult& out,
                           std::optional<MigrationController>& migctl,
                           bool degrade,
                           std::optional<net::SiteHealthMonitor>& own_health) {
-  std::size_t at = 0;
-  BOHR_CHECK(image.size() >= sizeof(kChurnMagic));
-  BOHR_CHECK(std::memcmp(image.data(), kChurnMagic, sizeof(kChurnMagic)) == 0);
-  at += sizeof(kChurnMagic);
-  BOHR_CHECK(churn_take_u64(image, at) == kChurnVersion);
-  out.rounds_run = churn_take_u64(image, at);
-  out.queries_run = churn_take_u64(image, at);
-  const double qct_weighted_sum = churn_take_f64(image, at);
-  out.speculations = churn_take_u64(image, at);
-  out.max_reduce_slowdown = churn_take_f64(image, at);
-  // Bound the count by the bytes left before allocating: the manifest CRC
-  // proves these are the bytes written, not that they are well formed.
-  const std::uint64_t rounds = churn_take_u64(image, at);
-  BOHR_CHECK(rounds <= (image.size() - at) / 8);
-  out.round_qct_seconds.resize(rounds);
-  for (double& q : out.round_qct_seconds) q = churn_take_f64(image, at);
-  const std::uint64_t qct_size = churn_take_u64(image, at);
-  BOHR_CHECK(at + qct_size <= image.size());
-  out.qct = LatencyRecorder::deserialize(image.substr(at, qct_size));
-  at += qct_size;
-  const bool has_migctl = churn_take_u64(image, at) != 0;
-  BOHR_CHECK(has_migctl == migctl.has_value());
-  if (has_migctl) {
-    const std::uint64_t size = churn_take_u64(image, at);
-    BOHR_CHECK(at + size <= image.size());
-    migctl->restore(image.substr(at, size));
-    at += size;
+  ByteReader<ContractViolation> r(image, "churn image");
+  r.magic(kChurnMagic);
+  if (r.u64() != kChurnVersion) r.fail("unsupported version");
+  out.rounds_run = r.u64();
+  out.queries_run = r.u64();
+  const double qct_weighted_sum = r.f64();
+  out.speculations = r.u64();
+  out.max_reduce_slowdown = r.f64();
+  out.round_qct_seconds.resize(r.count<std::uint64_t>(sizeof(double)));
+  for (double& q : out.round_qct_seconds) q = r.f64();
+  out.qct = LatencyRecorder::deserialize(r.bytes(r.u64()));
+  if ((r.u64() != 0) != migctl.has_value()) {
+    r.fail("migration controller presence mismatch");
   }
-  const bool has_degrade = churn_take_u64(image, at) != 0;
-  BOHR_CHECK(has_degrade == degrade);
-  if (has_degrade) {
-    const std::uint64_t report_size = churn_take_u64(image, at);
-    BOHR_CHECK(at + report_size <= image.size());
-    out.degraded = DegradedReport::deserialize(image.substr(at, report_size));
-    at += report_size;
-    const bool has_health = churn_take_u64(image, at) != 0;
-    BOHR_CHECK(has_health == own_health.has_value());
-    if (has_health) {
-      const std::uint64_t size = churn_take_u64(image, at);
-      BOHR_CHECK(at + size <= image.size());
-      own_health->restore(image.substr(at, size));
-      at += size;
+  if (migctl) migctl->restore(r.bytes(r.u64()));
+  if ((r.u64() != 0) != degrade) r.fail("degradation presence mismatch");
+  if (degrade) {
+    out.degraded = DegradedReport::deserialize(r.bytes(r.u64()));
+    if ((r.u64() != 0) != own_health.has_value()) {
+      r.fail("health monitor presence mismatch");
     }
+    if (own_health) own_health->restore(r.bytes(r.u64()));
   }
-  BOHR_CHECK(at == image.size());
+  r.expect_end();
   return qct_weighted_sum;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/faults.h"
@@ -75,9 +76,10 @@ class SiteHealthMonitor {
   std::string describe() const;
 
   /// Checkpointing: flat byte image of the monitor state, and its
-  /// inverse. Restore requires the same site count and options.
+  /// inverse. Restore requires the same site count and options, and
+  /// throws ContractViolation on a malformed image.
   std::string serialize() const;
-  void restore(const std::string& image);
+  void restore(std::string_view image);
 
   const HealthOptions& options() const { return options_; }
 

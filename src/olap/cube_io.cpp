@@ -1,420 +1,219 @@
 #include "olap/cube_io.h"
 
-#include <bit>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
-
-#include "common/check.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace bohr::olap {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'O', 'H', 'R', 'C', 'U', 'B', 'E'};
-constexpr char kEndMagic[8] = {'B', 'O', 'H', 'R', 'E', 'N', 'D', '!'};
+constexpr std::string_view kMagic = "BOHRCUBE";
+constexpr std::string_view kEndMagic = "BOHREND!";
 constexpr std::uint32_t kVersionV1 = 1;
 constexpr std::uint32_t kVersionV2 = 2;
-/// Hard ceiling on one section's framed length: catches a corrupted
-/// length prefix before it turns into a giant allocation.
-constexpr std::uint64_t kMaxSectionBytes = 1ull << 32;
 
-[[noreturn]] void corrupt(const std::string& why) {
-  throw CubeIoError("cube file corrupt: " + why);
-}
+using CubeReader = ByteReader<CubeIoError>;
+
+// Smallest encodings, for the minimum element sizes CubeReader::count
+// checks counts against: a dimension is at least its name length, hashed
+// flag and level count; a level at least its name length and granularity.
+constexpr std::size_t kMinDimensionBytes = 3 * 4;
+constexpr std::size_t kMinLevelBytes = 4 + 8;
 
 /// Checks Dimension's construction invariants up front so corrupted
 /// input surfaces as CubeIoError, never as a ContractViolation from
 /// inside the Dimension constructor.
-void validate_dimension(const std::string& name,
+void validate_dimension(const CubeReader& r, const std::string& name,
                         const std::vector<HierarchyLevel>& levels) {
-  if (name.empty()) corrupt("dimension with empty name");
-  if (levels.empty() || levels.front().granularity != 1) {
-    corrupt("dimension '" + name + "' missing granularity-1 base level");
+  if (name.empty()) r.fail("dimension with empty name");
+  if (levels.front().granularity != 1) {
+    r.fail("dimension '" + name + "' missing granularity-1 base level");
   }
   for (std::size_t i = 1; i < levels.size(); ++i) {
     if (levels[i].granularity <= levels[i - 1].granularity) {
-      corrupt("dimension '" + name + "' has non-increasing granularities");
+      r.fail("dimension '" + name + "' has non-increasing granularities");
     }
   }
 }
 
-// ---- stream writers (throw CubeIoError on a failing sink) -------------
+// ---- shared payloads (v1 is exactly these two, back to back) ----------
 
-void put_bytes(std::ostream& out, const void* data, std::size_t size) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  if (!out.good()) throw CubeIoError("write failed (stream went bad)");
-}
-
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, &v, 4); }
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, &v, 8); }
-void put_f64(std::ostream& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-void put_string(std::ostream& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  put_bytes(out, s.data(), s.size());
-}
-
-// ---- stream readers (throw CubeIoError on truncation) -----------------
-
-/// Counts every byte consumed so the footer's length seal can be
-/// verified without relying on tellg (which seekless streams lack).
-struct Reader {
-  std::istream& in;
-  std::uint64_t consumed = 0;
-
-  void bytes(void* data, std::size_t size) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (!in.good()) corrupt("truncated (wanted " + std::to_string(size) +
-                            " more bytes at offset " +
-                            std::to_string(consumed) + ")");
-    consumed += size;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-};
-
-/// Cursor over one decoded (checksum-verified) section payload; all
-/// overruns are corruption, not contract violations.
-struct SectionCursor {
-  const char* p;
-  const char* end;
-  const char* section;
-
-  void bytes(void* data, std::size_t size) {
-    if (static_cast<std::size_t>(end - p) < size) {
-      corrupt(std::string(section) + " section shorter than its contents");
-    }
-    std::memcpy(data, p, size);
-    p += size;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string string() {
-    const std::uint32_t size = u32();
-    if (size >= (1u << 20)) {
-      corrupt(std::string(section) + " section holds an implausible name (" +
-              std::to_string(size) + " bytes)");
-    }
-    std::string s(size, '\0');
-    if (size > 0) bytes(s.data(), size);
-    return s;
-  }
-  void expect_exhausted() {
-    if (p != end) corrupt(std::string(section) + " section has trailing bytes");
-  }
-};
-
-// ---- shared payload encoders ------------------------------------------
-
-void encode_dimensions(std::ostream& out, const OlapCube& cube) {
-  put_u32(out, static_cast<std::uint32_t>(cube.dimension_count()));
+void encode_dimensions(ByteWriter& w, const OlapCube& cube) {
+  w.u32(static_cast<std::uint32_t>(cube.dimension_count()));
   for (std::size_t d = 0; d < cube.dimension_count(); ++d) {
     const Dimension& dim = cube.dimension(d);
-    put_string(out, dim.name());
-    put_u32(out, dim.is_hashed() ? 1 : 0);
-    put_u32(out, static_cast<std::uint32_t>(dim.level_count()));
+    w.str<std::uint32_t>(dim.name());
+    w.u32(dim.is_hashed() ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(dim.level_count()));
     for (std::size_t l = 0; l < dim.level_count(); ++l) {
-      put_string(out, dim.level(l).name);
-      put_u64(out, dim.level(l).granularity);
+      w.str<std::uint32_t>(dim.level(l).name);
+      w.u64(dim.level(l).granularity);
     }
   }
 }
 
-void encode_cells(std::ostream& out, const OlapCube& cube) {
-  put_u64(out, cube.total_records());
-  put_u64(out, cube.cell_count());
+void encode_cells(ByteWriter& w, const OlapCube& cube) {
+  w.u64(cube.total_records());
+  w.u64(cube.cell_count());
   for (const auto& [coords, agg] : cube.cells()) {
-    for (const MemberId m : coords) put_u64(out, m);
-    put_u64(out, agg.count);
-    put_f64(out, agg.sum);
-    put_f64(out, agg.min);
-    put_f64(out, agg.max);
+    for (const MemberId m : coords) w.u64(m);
+    w.u64(agg.count);
+    w.f64(agg.sum);
+    w.f64(agg.min);
+    w.f64(agg.max);
   }
 }
 
-std::vector<Dimension> decode_dimensions(SectionCursor& cur) {
-  const std::uint32_t dim_count = cur.u32();
+std::vector<Dimension> decode_dimensions(CubeReader& r) {
+  const std::size_t dim_count = r.count<std::uint32_t>(kMinDimensionBytes);
   if (dim_count == 0 || dim_count >= 1024) {
-    corrupt("dimension count " + std::to_string(dim_count) +
-            " outside (0, 1024)");
+    r.fail("dimension count " + std::to_string(dim_count) +
+           " outside (0, 1024)");
   }
   std::vector<Dimension> dims;
   dims.reserve(dim_count);
-  for (std::uint32_t d = 0; d < dim_count; ++d) {
-    const std::string name = cur.string();
-    const bool hashed = cur.u32() != 0;
-    const std::uint32_t level_count = cur.u32();
+  for (std::size_t d = 0; d < dim_count; ++d) {
+    const std::string name = r.str<std::uint32_t>();
+    const bool hashed = r.u32() != 0;
+    const std::size_t level_count = r.count<std::uint32_t>(kMinLevelBytes);
     if (level_count == 0 || level_count >= 64) {
-      corrupt("level count " + std::to_string(level_count) +
-              " outside (0, 64)");
+      r.fail("level count " + std::to_string(level_count) +
+             " outside (0, 64)");
     }
-    std::vector<HierarchyLevel> levels;
-    levels.reserve(level_count);
-    for (std::uint32_t l = 0; l < level_count; ++l) {
-      HierarchyLevel level;
-      level.name = cur.string();
-      level.granularity = cur.u64();
-      levels.push_back(std::move(level));
+    std::vector<HierarchyLevel> levels(level_count);
+    for (HierarchyLevel& level : levels) {
+      level.name = r.str<std::uint32_t>();
+      level.granularity = r.u64();
     }
-    validate_dimension(name, levels);
+    validate_dimension(r, name, levels);
     dims.emplace_back(name, std::move(levels), hashed);
   }
   return dims;
 }
 
-OlapCube decode_cells(SectionCursor& cur, std::vector<Dimension> dims) {
+/// Decodes the cells payload, which must run to the reader's end.
+OlapCube decode_cells(CubeReader& r, std::vector<Dimension> dims) {
   const std::size_t dim_count = dims.size();
   OlapCube cube(std::move(dims));
-  const std::uint64_t total_records = cur.u64();
-  const std::uint64_t cell_count = cur.u64();
-  // Every cell is fixed-width, so the section length pins cell_count
-  // exactly — a corrupted count cannot over- or under-read silently.
-  const std::uint64_t cell_bytes = 8ull * dim_count + 8 + 3 * 8;
-  const auto remaining = static_cast<std::uint64_t>(cur.end - cur.p);
-  if (cell_count * cell_bytes != remaining) {
-    corrupt("cell count " + std::to_string(cell_count) +
-            " disagrees with section length");
+  const std::uint64_t total_records = r.u64();
+  // Every cell is fixed-width, so the bytes left pin cell_count exactly —
+  // a corrupted count cannot over- or under-read silently.
+  const std::size_t cell_bytes = 8 * dim_count + 8 + 3 * 8;
+  const std::size_t cell_count = r.count<std::uint64_t>(cell_bytes);
+  if (cell_count * cell_bytes != r.remaining()) {
+    r.fail("cell count " + std::to_string(cell_count) +
+           " disagrees with the bytes left");
   }
   cube.reserve_cells(cell_count);
-  for (std::uint64_t c = 0; c < cell_count; ++c) {
-    CellCoords coords(dim_count);
-    for (auto& m : coords) m = cur.u64();
+  CellCoords coords(dim_count);
+  for (std::size_t c = 0; c < cell_count; ++c) {
+    for (auto& m : coords) m = r.u64();
     CellAggregate agg;
-    agg.count = cur.u64();
-    agg.sum = cur.f64();
-    agg.min = cur.f64();
-    agg.max = cur.f64();
+    agg.count = r.u64();
+    agg.sum = r.f64();
+    agg.min = r.f64();
+    agg.max = r.f64();
     cube.insert_aggregate(coords, agg);
   }
   if (cube.total_records() != total_records) {
-    corrupt("recorded total_records disagrees with summed cell counts");
+    r.fail("recorded total_records disagrees with summed cell counts");
   }
   return cube;
 }
 
-/// Writes one framed section: u64 length | payload | u32 crc.
-void write_section(std::ostream& out, const std::string& payload) {
-  put_u64(out, payload.size());
-  put_bytes(out, payload.data(), payload.size());
-  put_u32(out, crc32(payload));
+// ---- v2 framing ---------------------------------------------------------
+
+/// One framed section: u64 length | payload | u32 crc.
+void write_section(ByteWriter& w, std::string_view payload) {
+  w.str<std::uint64_t>(payload);
+  w.u32(crc32(payload));
 }
 
 /// Reads one framed section and verifies its checksum.
-std::string read_section(Reader& reader, const char* name) {
-  const std::uint64_t length = reader.u64();
-  if (length > kMaxSectionBytes) {
-    corrupt(std::string(name) + " section length " + std::to_string(length) +
-            " is implausible");
-  }
-  std::string payload(static_cast<std::size_t>(length), '\0');
-  if (length > 0) reader.bytes(payload.data(), payload.size());
-  const std::uint32_t stored = reader.u32();
-  if (stored != crc32(payload)) {
-    corrupt(std::string(name) + " section checksum mismatch");
-  }
+std::string_view read_section(CubeReader& r, const std::string& name) {
+  const std::string_view payload = r.bytes(r.u64());
+  if (r.u32() != crc32(payload)) r.fail(name + " section checksum mismatch");
   return payload;
 }
 
-OlapCube read_cube_v2(Reader& reader) {
-  const std::string dims_payload = read_section(reader, "DIMS");
-  SectionCursor dims_cur{dims_payload.data(),
-                         dims_payload.data() + dims_payload.size(), "DIMS"};
-  std::vector<Dimension> dims = decode_dimensions(dims_cur);
-  dims_cur.expect_exhausted();
+OlapCube decode_v2(CubeReader& r, std::size_t image_size) {
+  CubeReader dims_reader(read_section(r, "DIMS"),
+                         "cube file corrupt: DIMS section");
+  std::vector<Dimension> dims = decode_dimensions(dims_reader);
+  dims_reader.expect_end();
 
-  const std::string cells_payload = read_section(reader, "CELLS");
-  SectionCursor cells_cur{cells_payload.data(),
-                          cells_payload.data() + cells_payload.size(),
-                          "CELLS"};
-  OlapCube cube = decode_cells(cells_cur, std::move(dims));
+  CubeReader cells_reader(read_section(r, "CELLS"),
+                          "cube file corrupt: CELLS section");
+  OlapCube cube = decode_cells(cells_reader, std::move(dims));
 
-  // Footer: the length seal must match every byte consumed before it.
-  const std::uint64_t body_bytes = reader.consumed;
-  const std::uint64_t stored_body = reader.u64();
-  const std::uint32_t stored_crc = reader.u32();
-  char end_magic[8];
-  reader.bytes(end_magic, sizeof(end_magic));
-  if (std::memcmp(end_magic, kEndMagic, sizeof(kEndMagic)) != 0) {
-    corrupt("footer end-magic missing");
-  }
+  // Footer: the length seal must match every byte before it.
+  const std::uint64_t body_bytes = image_size - r.remaining();
+  const std::uint64_t stored_body = r.u64();
+  const std::uint32_t stored_crc = r.u32();
+  r.magic(kEndMagic);
+  r.expect_end();
   if (stored_crc != crc32(&stored_body, sizeof(stored_body))) {
-    corrupt("footer checksum mismatch");
+    r.fail("footer checksum mismatch");
   }
   if (stored_body != body_bytes) {
-    corrupt("footer length seal " + std::to_string(stored_body) +
-            " != body bytes " + std::to_string(body_bytes));
-  }
-  return cube;
-}
-
-OlapCube read_cube_v1(Reader& reader) {
-  // The v1 layout had no framing: parse straight off the stream with
-  // the same bound checks, surfacing truncation as CubeIoError.
-  const std::uint32_t dim_count = reader.u32();
-  if (dim_count == 0 || dim_count >= 1024) {
-    corrupt("dimension count " + std::to_string(dim_count) +
-            " outside (0, 1024)");
-  }
-  std::vector<Dimension> dims;
-  dims.reserve(dim_count);
-  for (std::uint32_t d = 0; d < dim_count; ++d) {
-    std::string name;
-    {
-      const std::uint32_t size = reader.u32();
-      if (size >= (1u << 20)) corrupt("implausible dimension name length");
-      name.assign(size, '\0');
-      if (size > 0) reader.bytes(name.data(), size);
-    }
-    const bool hashed = reader.u32() != 0;
-    const std::uint32_t level_count = reader.u32();
-    if (level_count == 0 || level_count >= 64) {
-      corrupt("level count " + std::to_string(level_count) +
-              " outside (0, 64)");
-    }
-    std::vector<HierarchyLevel> levels;
-    levels.reserve(level_count);
-    for (std::uint32_t l = 0; l < level_count; ++l) {
-      HierarchyLevel level;
-      const std::uint32_t size = reader.u32();
-      if (size >= (1u << 20)) corrupt("implausible level name length");
-      level.name.assign(size, '\0');
-      if (size > 0) reader.bytes(level.name.data(), size);
-      level.granularity = reader.u64();
-      levels.push_back(std::move(level));
-    }
-    validate_dimension(name, levels);
-    dims.emplace_back(name, std::move(levels), hashed);
-  }
-
-  OlapCube cube(std::move(dims));
-  const std::uint64_t total_records = reader.u64();
-  const std::uint64_t cell_count = reader.u64();
-  if (cell_count < (1u << 24)) cube.reserve_cells(cell_count);
-  for (std::uint64_t c = 0; c < cell_count; ++c) {
-    CellCoords coords(dim_count);
-    for (auto& m : coords) m = reader.u64();
-    CellAggregate agg;
-    agg.count = reader.u64();
-    agg.sum = reader.f64();
-    agg.min = reader.f64();
-    agg.max = reader.f64();
-    cube.insert_aggregate(coords, agg);
-  }
-  if (cube.total_records() != total_records) {
-    corrupt("recorded total_records disagrees with summed cell counts");
+    r.fail("footer length seal " + std::to_string(stored_body) +
+           " != body bytes " + std::to_string(body_bytes));
   }
   return cube;
 }
 
 }  // namespace
 
-void write_cube(std::ostream& out, const OlapCube& cube) {
-  BOHR_EXPECTS(out.good());
-  put_bytes(out, kMagic, sizeof(kMagic));
-  put_u32(out, kVersionV2);
-
-  std::ostringstream dims;
+std::string encode_cube(const OlapCube& cube) {
+  ByteWriter dims;
   encode_dimensions(dims, cube);
-  write_section(out, dims.str());
-
-  std::ostringstream cells;
+  ByteWriter cells;
   encode_cells(cells, cube);
-  write_section(out, cells.str());
 
+  ByteWriter w;
+  w.raw(kMagic);
+  w.u32(kVersionV2);
+  write_section(w, dims.take());
+  write_section(w, cells.take());
   // Length-prefixed footer sealing everything written so far.
-  const std::uint64_t body_bytes =
-      sizeof(kMagic) + 4 +                         // magic + version
-      (8 + dims.str().size() + 4) +                // DIMS frame
-      (8 + cells.str().size() + 4);                // CELLS frame
-  put_u64(out, body_bytes);
-  put_u32(out, crc32(&body_bytes, sizeof(body_bytes)));
-  put_bytes(out, kEndMagic, sizeof(kEndMagic));
+  const std::uint64_t body_bytes = w.size();
+  w.u64(body_bytes);
+  w.u32(crc32(&body_bytes, sizeof(body_bytes)));
+  w.raw(kEndMagic);
+  return w.take();
 }
 
-void write_cube_v1(std::ostream& out, const OlapCube& cube) {
-  BOHR_EXPECTS(out.good());
-  put_bytes(out, kMagic, sizeof(kMagic));
-  put_u32(out, kVersionV1);
-  encode_dimensions(out, cube);
-  encode_cells(out, cube);
+std::string encode_cube_v1(const OlapCube& cube) {
+  ByteWriter w;
+  w.raw(kMagic);
+  w.u32(kVersionV1);
+  encode_dimensions(w, cube);
+  encode_cells(w, cube);
+  return w.take();
 }
 
-OlapCube read_cube(std::istream& in) {
-  BOHR_EXPECTS(in.good());
-  Reader reader{in};
-  char magic[8];
-  reader.bytes(magic, sizeof(magic));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    corrupt("bad magic (not a cube file)");
-  }
-  const std::uint32_t version = reader.u32();
+OlapCube decode_cube(std::string_view bytes) {
+  CubeReader r(bytes, "cube file corrupt");
+  r.magic(kMagic);
+  const std::uint32_t version = r.u32();
   switch (version) {
-    case kVersionV1:
-      return read_cube_v1(reader);
+    case kVersionV1: {
+      std::vector<Dimension> dims = decode_dimensions(r);
+      return decode_cells(r, std::move(dims));
+    }
     case kVersionV2:
-      return read_cube_v2(reader);
+      return decode_v2(r, bytes.size());
     default:
-      corrupt("unsupported format version " + std::to_string(version));
+      r.fail("unsupported format version " + std::to_string(version));
   }
 }
 
 void save_cube(const std::string& path, const OlapCube& cube) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    throw CubeIoError("save_cube: cannot create " + tmp);
-  }
-  try {
-    write_cube(out, cube);
-    // A short write on a full disk may only surface at flush time:
-    // verify the flush instead of silently leaving a truncated file.
-    out.flush();
-    if (!out.good()) throw CubeIoError("save_cube: flush failed for " + tmp);
-    out.close();
-    if (out.fail()) throw CubeIoError("save_cube: close failed for " + tmp);
-  } catch (...) {
-    out.close();
-    std::remove(tmp.c_str());
-    throw;
-  }
-  // Atomic publish: readers see either the old cube or the new one.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw CubeIoError("save_cube: rename to " + path + " failed");
-  }
+  write_file_atomically<CubeIoError>(path, encode_cube(cube));
 }
 
 OlapCube load_cube(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    throw CubeIoError("load_cube: cannot open " + path);
-  }
-  return read_cube(in);
+  return decode_cube(read_file<CubeIoError>(path));
 }
 
 }  // namespace bohr::olap

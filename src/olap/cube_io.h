@@ -3,7 +3,8 @@
 // Pre-processed cubes outlive the raw data (§8.5 notes raw data can go
 // to cold storage once cubes exist), so they need a durable on-disk
 // format that a process crash or a lying disk cannot silently break.
-// Format v2 (written by write_cube) is section-framed and checksummed:
+// encode_cube turns a cube into a byte string in format v2, which is
+// section-framed and checksummed:
 //
 //   magic "BOHRCUBE" | u32 version = 2
 //   DIMS  section: u64 length | payload | u32 crc32(payload)
@@ -16,17 +17,20 @@
 // (dim_count x u64 members | u64 count | f64 sum/min/max), and the
 // footer's body_bytes counts every byte before the footer — a
 // length-prefixed seal that catches truncation even at a section
-// boundary. All integers little-endian; doubles as IEEE-754 bit
-// patterns.
+// boundary. Fields go through common/bytes.h: little-endian integers,
+// doubles as IEEE-754 bit patterns, every count bounds-checked against
+// the bytes left before anything is allocated.
 //
-// Format v1 (the unchecksummed original: magic | version | dims |
-// totals | cells, no framing) is still readable; write_cube_v1 is kept
-// so migration coverage does not depend on archived binaries.
+// Format v1 (the unchecksummed original: magic | version | the DIMS and
+// CELLS payloads back to back, no framing) is still decodable, through
+// the same payload decoders; encode_cube_v1 is kept so migration
+// coverage does not depend on archived binaries. decode_cube reads
+// either. save_cube/load_cube are the file forms.
 #pragma once
 
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "olap/cube.h"
 
@@ -35,36 +39,33 @@ namespace bohr::olap {
 /// Recoverable cube-I/O failure: truncated or corrupted input, checksum
 /// or magic/version mismatch, bound-violating contents, or a failed
 /// write/flush/rename. Distinct from ContractViolation (programmer
-/// error, e.g. handing write_cube an unopened stream) so callers such
-/// as checkpoint recovery can catch corruption without masking bugs.
+/// error) so callers such as checkpoint recovery can catch corruption
+/// without masking bugs.
 class CubeIoError : public std::runtime_error {
  public:
   explicit CubeIoError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Serializes `cube` to a binary stream in format v2. Throws
-/// ContractViolation when handed a stream already in a failed state and
-/// CubeIoError when the stream fails mid-write.
-void write_cube(std::ostream& out, const OlapCube& cube);
+/// The format-v2 image of `cube`.
+std::string encode_cube(const OlapCube& cube);
 
-/// Legacy format-v1 writer, kept for migration tests and tooling.
-void write_cube_v1(std::ostream& out, const OlapCube& cube);
+/// Legacy format-v1 image, kept for migration tests and tooling.
+std::string encode_cube_v1(const OlapCube& cube);
 
-/// Reads a cube previously written by write_cube (v2) or write_cube_v1.
-/// Throws CubeIoError on truncated, corrupted, or bound-violating input
-/// and on version/magic mismatches; ContractViolation only for caller
-/// misuse (a stream already in a failed state).
-OlapCube read_cube(std::istream& in);
+/// Decodes an image produced by encode_cube (v2) or encode_cube_v1.
+/// Throws CubeIoError on truncated, corrupted, or bound-violating input,
+/// trailing bytes, and version/magic mismatches.
+OlapCube decode_cube(std::string_view bytes);
 
-/// Crash-atomic file save: writes to `path + ".tmp"`, flushes, verifies
-/// the stream, then renames over `path`. Readers never observe a
-/// partially-written cube at `path`; a crash leaves at worst a stale
-/// .tmp file. Throws CubeIoError when the file cannot be created, the
-/// flush fails (e.g. disk full), or the rename fails.
+/// Crash-atomic file save (common/bytes.h): writes `path + ".tmp"`,
+/// flushes and closes it, then renames it over `path`. Readers never
+/// observe a partially-written cube at `path`. Throws CubeIoError when
+/// the file cannot be created, the flush fails (e.g. disk full), or the
+/// rename fails.
 void save_cube(const std::string& path, const OlapCube& cube);
 
 /// Loads a cube saved by save_cube. Throws CubeIoError when the file
-/// cannot be opened or its contents fail read_cube's checks.
+/// cannot be opened or its contents fail decode_cube's checks.
 OlapCube load_cube(const std::string& path);
 
 }  // namespace bohr::olap

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -209,6 +211,26 @@ TEST(DegradedReportTest, TruncatedImageThrows) {
   std::string garbled = bytes;
   garbled[0] ^= 0x5A;  // break the magic
   EXPECT_THROW(DegradedReport::deserialize(garbled), bohr::ContractViolation);
+}
+
+TEST(DegradedReportTest, InflatedAnswerCountIsAContractViolation) {
+  // Magic and version (8 bytes), then seven u64 counters (56): the u64
+  // answer count is at 64. A count no image could back must be rejected
+  // before it reserves the answer list.
+  constexpr std::size_t kAnswerCount = 64;
+  DegradedReport report;
+  report.add(sample_answer(0, AnswerMode::kPartial));
+  const std::string bytes = report.serialize();
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + kAnswerCount, sizeof(stored));
+  ASSERT_EQ(stored, 1u);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string inflated = bytes;
+    std::memcpy(inflated.data() + kAnswerCount, &count, sizeof(count));
+    EXPECT_THROW(DegradedReport::deserialize(inflated),
+                 bohr::ContractViolation);
+  }
 }
 
 TEST(DegradedReportTest, AppendFoldsCountersAndAnswers) {

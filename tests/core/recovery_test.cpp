@@ -7,23 +7,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "net/bandwidth_estimator.h"
+#include "snapshot_files.h"
+#include "../olap/cube_image.h"
 
 namespace bohr::core {
 namespace {
 
 namespace fs = std::filesystem;
+using snapshot_files::read_bytes;
+using snapshot_files::reseal_manifest;
+using snapshot_files::write_bytes;
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
@@ -165,36 +166,6 @@ TEST(RecoveryTest, CorruptNewestSnapshotFallsBackToOlderIntactOne) {
   EXPECT_EQ(details.snapshots_rejected, 1u);
 }
 
-std::string hex32(std::uint32_t v) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
-
-/// Rewrites a snapshot's manifest over its files as they now are on
-/// disk, so an edited file passes every size and checksum test and only
-/// the decoder can catch the edit.
-void reseal_manifest(const fs::path& snapshot) {
-  std::ifstream in(snapshot / "MANIFEST");
-  std::string line;
-  std::getline(in, line);
-  std::string text = line + "\n";
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string tag, size, crc, name;
-    if (!(fields >> tag >> size >> crc >> name) || tag != "file") continue;
-    std::ifstream file(snapshot / name, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(file)),
-                            std::istreambuf_iterator<char>());
-    text += "file " + std::to_string(bytes.size()) + " " +
-            hex32(crc32(bytes)) + " " + name + "\n";
-  }
-  text += "self " + hex32(crc32(text)) + "\n";
-  in.close();
-  std::ofstream(snapshot / "MANIFEST", std::ios::binary | std::ios::trunc)
-      << text;
-}
-
 TEST(RecoveryTest, InflatedCountIsRejectedAndFallsBackToOlderSnapshot) {
   const ExperimentConfig cfg = small_config();
   const std::string expected = plain_prepare_image(cfg);
@@ -255,6 +226,67 @@ TEST(RecoveryTest, InflatedChurnRoundCountIsAContractViolation) {
   churn.crash_after_round = 0;
   churn.recover = true;
   EXPECT_THROW(run_churn_experiment(cfg, churn), ContractViolation);
+}
+
+TEST(RecoveryTest, InflatedCubeCellCountIsRejectedAndFallsBackToOlderSnapshot) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-inflated-cube");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+
+  // A cell count 2^61 too high, under a resealed CELLS checksum and a
+  // resealed manifest: only the cube decoder's bounds check can see it.
+  const fs::path snapshot = fs::path(dir) / "snapshot-2";
+  const fs::path cube = snapshot / "cube-0-0.cube";
+  ASSERT_TRUE(fs::exists(cube));
+  std::string bytes = read_bytes(cube);
+  olap::cube_image::add_to_cell_count(bytes, std::uint64_t{1} << 61);
+  write_bytes(cube, bytes);
+  reseal_manifest(snapshot);
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
+}
+
+TEST(RecoveryTest, BitFlipInManifestChecksumDigitIsRejected) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-manifest-digit");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+
+  // Bit 0x40 turns any hex digit into a non-hex character: the damage a
+  // bit-flip storage fault does to the self line's first digit.
+  const fs::path manifest = fs::path(dir) / "snapshot-2" / "MANIFEST";
+  std::string text = read_bytes(manifest);
+  const std::size_t digit = text.rfind("self ") + 5;
+  text[digit] = static_cast<char>(text[digit] ^ 0x40);
+  write_bytes(manifest, text);
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
+}
+
+TEST(RecoveryTest, SnapshotNumberBeyondSizeTIsIgnored) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-huge-seq");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+  fs::create_directories(fs::path(dir) / "snapshot-99999999999999999999999");
+
+  EXPECT_NO_THROW(CheckpointManager checkpoints(dir));
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 2u);
+  EXPECT_EQ(details.snapshots_rejected, 0u);
+  // Numbering continued from snapshot 2, as if the directory were absent.
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "snapshot-4" / "MANIFEST"));
 }
 
 TEST(RecoveryTest, InjectedBitFlipRejectsSnapshotAndFallsBackToScratch) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/check.h"
@@ -167,6 +169,25 @@ TEST(SiteHealthTest, RestoreRejectsWrongShape) {
   SiteHealthMonitor truncated(3);
   EXPECT_THROW(truncated.restore(image.substr(0, image.size() - 1)),
                bohr::ContractViolation);
+}
+
+TEST(SiteHealthTest, InflatedFlapCountIsAContractViolation) {
+  // The site count and last-observed time (16 bytes), then site 0's
+  // health, misses and three times (40): its u64 flap count is at 56. A
+  // count no image could back must be rejected before it sizes the flap
+  // list — 2^40 doubles would be 8 TiB, and 2^64 - 1 exceeds max_size.
+  constexpr std::size_t kFlapCount = 56;
+  const std::string image = SiteHealthMonitor(2).serialize();
+  std::uint64_t stored = 1;
+  std::memcpy(&stored, image.data() + kFlapCount, sizeof(stored));
+  ASSERT_EQ(stored, 0u);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string inflated = image;
+    std::memcpy(inflated.data() + kFlapCount, &count, sizeof(count));
+    SiteHealthMonitor restored(2);
+    EXPECT_THROW(restored.restore(inflated), bohr::ContractViolation);
+  }
 }
 
 TEST(SiteHealthLongHorizonTest, BackoffSaturatesOverThousandsOfRounds) {
