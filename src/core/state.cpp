@@ -182,12 +182,25 @@ void DatasetState::move_rows_multi(std::size_t src,
   }
   version_ = fresh_version();
 
-  // Extract in one descending pass so indices stay valid throughout.
+  // Take the moved rows in descending source-index order (each
+  // destination appends them in that order), then close the gaps in one
+  // stable pass: O(rows), where erasing each row was O(rows x moved).
   std::vector<std::vector<olap::Row>> moved(site_count());
   for (auto it = tagged.rbegin(); it != tagged.rend(); ++it) {
     moved[it->second].push_back(std::move(src_rows[it->first]));
-    src_rows.erase(src_rows.begin() + static_cast<std::ptrdiff_t>(it->first));
   }
+  std::size_t kept = 0;
+  auto next_moved = tagged.begin();
+  for (std::size_t r = 0; r < src_rows.size(); ++r) {
+    if (next_moved != tagged.end() && next_moved->first == r) {
+      ++next_moved;
+      continue;
+    }
+    if (kept != r) src_rows[kept] = std::move(src_rows[r]);
+    ++kept;
+  }
+  src_rows.erase(src_rows.begin() + static_cast<std::ptrdiff_t>(kept),
+                 src_rows.end());
 
   for (std::size_t dst = 0; dst < site_count(); ++dst) {
     if (moved[dst].empty()) continue;

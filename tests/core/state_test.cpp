@@ -98,6 +98,33 @@ TEST(DatasetStateTest, MoveRowsMultiDisjointDestinations) {
   EXPECT_EQ(state.cubes_at(2).base_cube().total_records(), before2 + 2);
 }
 
+TEST(DatasetStateTest, MoveRowsMultiPinsResultOrder) {
+  // Unsorted indices interleaved over two destinations: the survivors
+  // keep their order, and each destination appends its rows in
+  // descending source-index order.
+  DatasetState state = make_state(true);
+  const std::vector<olap::Row> src = state.rows_at(0);
+  const std::vector<olap::Row> dst1 = state.rows_at(1);
+  const std::vector<olap::Row> dst2 = state.rows_at(2);
+  state.move_rows_multi(0, {{1, {9, 2, 14, 5}}, {2, {11, 0, 7}}});
+
+  std::vector<olap::Row> want_src;
+  for (std::size_t r = 0; r < src.size(); ++r) {
+    if (r != 0 && r != 2 && r != 5 && r != 7 && r != 9 && r != 11 &&
+        r != 14) {
+      want_src.push_back(src[r]);
+    }
+  }
+  std::vector<olap::Row> want1 = dst1;
+  for (const std::size_t r : {14, 9, 5, 2}) want1.push_back(src[r]);
+  std::vector<olap::Row> want2 = dst2;
+  for (const std::size_t r : {11, 7, 0}) want2.push_back(src[r]);
+  EXPECT_EQ(state.rows_at(0), want_src);
+  EXPECT_EQ(state.rows_at(1), want1);
+  EXPECT_EQ(state.rows_at(2), want2);
+  EXPECT_EQ(state.cubes_at(0).base_cube().total_records(), want_src.size());
+}
+
 TEST(DatasetStateTest, MoveRowsDuplicateIndexThrows) {
   DatasetState state = make_state(true);
   EXPECT_THROW(state.move_rows_multi(0, {{1, {0, 1}}, {2, {1}}}),
