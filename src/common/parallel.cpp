@@ -26,7 +26,9 @@ struct Job {
   std::function<void(std::size_t)> fn;
   std::size_t chunks = 0;
   std::atomic<std::size_t> next{0};
-  std::exception_ptr error;  // guarded by Pool::mu_
+  /// The lowest chunk that threw and its exception (guarded by Pool::mu_).
+  std::size_t error_chunk = 0;
+  std::exception_ptr error;
 };
 
 /// Lazily-started fixed-size worker pool. Workers claim chunk indices
@@ -57,7 +59,7 @@ class Pool {
   }
 
   /// Executes fn(0) .. fn(n_chunks - 1) across the pool. Blocks until
-  /// every chunk has finished; rethrows the first body exception.
+  /// every chunk has finished; rethrows the lowest chunk's exception.
   void run(std::size_t n_chunks, const std::function<void(std::size_t)>& fn) {
     auto job = std::make_shared<Job>();
     job->fn = fn;  // copy: a stale worker may hold the job past run()
@@ -113,7 +115,10 @@ class Pool {
         job.fn(chunk);
       } catch (...) {
         std::lock_guard lock(mu_);
-        if (!job.error) job.error = std::current_exception();
+        if (!job.error || chunk < job.error_chunk) {
+          job.error = std::current_exception();
+          job.error_chunk = chunk;
+        }
       }
     }
     --t_parallel_depth;

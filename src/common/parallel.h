@@ -66,9 +66,11 @@ inline Rng chunk_rng(std::uint64_t task_seed, std::size_t chunk_index) {
 
 /// Runs body(i) for every i in [0, n). Bodies must write only to
 /// per-index (or per-chunk) state; any shared accumulation belongs in
-/// parallel_reduce or a serial fold after the loop. Exceptions thrown by
-/// a body are rethrown on the caller (first one wins). Nested calls from
-/// inside a parallel region run inline serially.
+/// parallel_reduce or a serial fold after the loop. When bodies throw,
+/// the caller gets the exception of the lowest index that threw — the one
+/// the serial loop throws — at every thread count: a chunk stops at its
+/// first throwing index, and the lowest chunk's error is kept. Nested
+/// calls from inside a parallel region run inline serially.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);
 

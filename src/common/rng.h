@@ -147,6 +147,8 @@ class Rng {
     std::uint64_t words[4] = {};
     double spare = 0.0;
     bool has_spare = false;
+
+    bool operator==(const State&) const = default;
   };
 
   State state() const {

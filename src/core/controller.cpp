@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "engine/partitioner.h"
 
 namespace bohr::core {
@@ -395,27 +396,46 @@ DatasetState& Controller::mutable_dataset(std::size_t idx) {
 
 namespace {
 
-/// Calls `run(a, t, exec)` once per (dataset, query type) that recurs in
-/// its dataset's mix, in dataset-then-type order — the order in which
-/// batch and churn runs draw from the controller's RNG.
+/// Calls `run(a, t, exec, rng)` once per (dataset, query type) that
+/// recurs in its dataset's mix and returns the executions in
+/// dataset-then-type order.
+///
+/// A run that draws from the RNG goes through the serial loop on `rng`
+/// itself, so its draws happen in that order. A `pure` run (the engine
+/// draws nothing, see engine::consumes_rng) runs its jobs in one
+/// parallel_for, each on its own copy of `rng`; each body writes only its
+/// own execution, and a copy that comes back changed fails loudly rather
+/// than letting a later engine change race on `rng`.
 template <typename Run>
 std::vector<QueryExecution> run_mix(const std::vector<DatasetState>& datasets,
-                                    const Run& run) {
+                                    bool pure, Rng& rng, const Run& run) {
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;
   std::vector<QueryExecution> executions;
   for (std::size_t a = 0; a < datasets.size(); ++a) {
     const DatasetState& d = datasets[a];
     for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
       const std::size_t recurrences = d.mix().counts[t];
       if (recurrences == 0) continue;
-      QueryExecution exec;
+      QueryExecution& exec = executions.emplace_back();
       exec.dataset_id = d.dataset_id();
       exec.query_type_spec = t;
       exec.kind = d.bundle().query_types[t].kind;
       exec.recurrences = recurrences;
-      run(a, t, exec);
-      executions.push_back(std::move(exec));
+      jobs.emplace_back(a, t);
     }
   }
+  if (!pure) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      run(jobs[j].first, jobs[j].second, executions[j], rng);
+    }
+    return executions;
+  }
+  const Rng::State start = rng.state();
+  parallel_for(jobs.size(), [&](std::size_t j) {
+    Rng own = rng;
+    run(jobs[j].first, jobs[j].second, executions[j], own);
+    BOHR_CHECK(own.state() == start);
+  });
   return executions;
 }
 
@@ -461,10 +481,9 @@ std::vector<QueryExecution> Controller::run_all_queries() {
   // Query-phase faults hit the shuffle; the runner takes the pristine
   // path when the projection has no WAN events.
   job.faults = &query_faults_;
-  return run_mix(datasets_, [&](std::size_t a, std::size_t t,
-                                QueryExecution& exec) {
-    exec.result = execute(a, t, job, rng_);
-  });
+  return run_mix(datasets_, !engine::consumes_rng(job), rng_,
+                 [&](std::size_t a, std::size_t t, QueryExecution& exec,
+                     Rng& rng) { exec.result = execute(a, t, job, rng); });
 }
 
 std::vector<QueryExecution> Controller::run_query_round(
@@ -475,14 +494,18 @@ std::vector<QueryExecution> Controller::run_query_round(
   job.reduce_buckets = round.reduce_buckets;
   job.bucket_speculation = round.bucket_speculation;
   job.bucket_speculation_cap = round.bucket_speculation_cap;
-  return run_mix(datasets_, [&](std::size_t a, std::size_t t,
-                                QueryExecution& exec) {
-    if (round.degrade == nullptr) {
-      exec.result = execute(a, t, job, rng_);
-    } else {
-      run_degraded_query(round, a, t, job, exec);
-    }
-  });
+  // The degradation ladder stays serial: its retries re-run the engine
+  // on rng_ directly.
+  const bool pure = round.degrade == nullptr && !engine::consumes_rng(job);
+  return run_mix(datasets_, pure, rng_,
+                 [&](std::size_t a, std::size_t t, QueryExecution& exec,
+                     Rng& rng) {
+                   if (round.degrade == nullptr) {
+                     exec.result = execute(a, t, job, rng);
+                   } else {
+                     run_degraded_query(round, a, t, job, exec);
+                   }
+                 });
 }
 
 engine::JobResult Controller::run_single_query(
@@ -495,14 +518,11 @@ engine::JobResult Controller::run_single_query(
 
   engine::JobConfig job = job_config();
   job.reduce_buckets = reduce_buckets;
-  // Purity guard: a run is a function of prepared state alone only when
-  // the engine takes nothing from `rng`. Round-robin assignment shuffles
-  // partitions with it and stragglers draw per executor, so those runs
-  // skip the cache and consume `rng` exactly as before.
-  const bool pure = job.executor_assignment ==
-                        engine::ExecutorAssignment::SimilarityKMeans &&
-                    job.machine.straggler_probability == 0.0;
-  if (!pure) return execute(dataset, type_spec, std::move(job), rng);
+  // Only a run that takes nothing from `rng` is a function of prepared
+  // state alone; any other skips the cache and consumes `rng` as before.
+  if (engine::consumes_rng(job)) {
+    return execute(dataset, type_spec, std::move(job), rng);
+  }
   return plan_cache_->get(dataset, type_spec, reduce_buckets, d.version(), [&] {
     return execute(dataset, type_spec, job, rng);
   });

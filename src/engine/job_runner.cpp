@@ -15,6 +15,11 @@ double JobResult::total_shuffle_bytes() const {
   return total;
 }
 
+bool consumes_rng(const JobConfig& config) {
+  return config.executor_assignment != ExecutorAssignment::SimilarityKMeans ||
+         config.machine.straggler_probability != 0.0;
+}
+
 JobResult run_job(const net::WanTopology& topo,
                   const std::vector<RecordStream>& site_inputs,
                   const std::vector<double>& reduce_fractions,

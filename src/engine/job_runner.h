@@ -95,6 +95,12 @@ struct JobResult {
   double reduce_dropped_fraction = 0.0;
 };
 
+/// Whether run_job draws from its `rng` under `config`. Round-robin
+/// executor assignment shuffles partitions with it and stragglers draw
+/// per executor; any other run is a function of its inputs alone, so
+/// callers may cache its result or run it beside other jobs.
+bool consumes_rng(const JobConfig& config);
+
 /// `site_inputs[i]` holds the already-mapped key/value stream at site i
 /// (selectivity applied by the caller). `reduce_fractions` must sum to 1.
 JobResult run_job(const net::WanTopology& topo,

@@ -45,10 +45,7 @@ OlapCube::OlapCube(const OlapCube& other)
       cells_(other.cells_),
       total_records_(other.total_records_) {
   // The snapshot is an immutable view of identical cell state — share it.
-  if (auto snap = other.columns_cache_.load()) {
-    columns_cache_.store(std::move(snap));
-    columns_valid_.store(true, std::memory_order_relaxed);
-  }
+  set_cached_columns(other.cached_columns());
 }
 
 OlapCube& OlapCube::operator=(const OlapCube& other) {
@@ -56,9 +53,7 @@ OlapCube& OlapCube::operator=(const OlapCube& other) {
   dims_ = other.dims_;
   cells_ = other.cells_;
   total_records_ = other.total_records_;
-  auto snap = other.columns_cache_.load();
-  columns_valid_.store(snap != nullptr, std::memory_order_relaxed);
-  columns_cache_.store(std::move(snap));
+  set_cached_columns(other.cached_columns());
   return *this;
 }
 
@@ -66,12 +61,9 @@ OlapCube::OlapCube(OlapCube&& other) noexcept
     : dims_(std::move(other.dims_)),
       cells_(std::move(other.cells_)),
       total_records_(other.total_records_) {
-  columns_cache_.store(other.columns_cache_.load());
-  columns_valid_.store(other.columns_cache_.load() != nullptr,
-                       std::memory_order_relaxed);
+  set_cached_columns(other.cached_columns());
   other.total_records_ = 0;
-  other.columns_cache_.store(nullptr);
-  other.columns_valid_.store(false, std::memory_order_relaxed);
+  other.set_cached_columns(nullptr);
 }
 
 OlapCube& OlapCube::operator=(OlapCube&& other) noexcept {
@@ -79,12 +71,9 @@ OlapCube& OlapCube::operator=(OlapCube&& other) noexcept {
   dims_ = std::move(other.dims_);
   cells_ = std::move(other.cells_);
   total_records_ = other.total_records_;
-  columns_cache_.store(other.columns_cache_.load());
-  columns_valid_.store(other.columns_cache_.load() != nullptr,
-                       std::memory_order_relaxed);
+  set_cached_columns(other.cached_columns());
   other.total_records_ = 0;
-  other.columns_cache_.store(nullptr);
-  other.columns_valid_.store(false, std::memory_order_relaxed);
+  other.set_cached_columns(nullptr);
   return *this;
 }
 
@@ -320,16 +309,16 @@ OlapCube OlapCube::project(const std::vector<std::size_t>& dims) const {
 }
 
 std::shared_ptr<const CubeColumns> OlapCube::columns() const {
-  if (auto snap = columns_cache_.load()) return snap;
+  if (auto snap = cached_columns()) return snap;
+  // Build outside the lock; if a concurrent reader installed first, its
+  // equivalent snapshot wins and this one is dropped.
   auto built = std::make_shared<const CubeColumns>(*this);
-  std::shared_ptr<const CubeColumns> expected;
-  if (columns_cache_.compare_exchange_strong(expected, built)) {
+  std::lock_guard lock(columns_mu_);
+  if (!columns_cache_) {
+    columns_cache_ = std::move(built);
     columns_valid_.store(true, std::memory_order_relaxed);
-    return built;
   }
-  // A concurrent reader won the install race; both snapshots are
-  // equivalent, use the winner's.
-  return expected ? expected : built;
+  return columns_cache_;
 }
 
 std::vector<Cell> OlapCube::top_cells(std::size_t k) const {
@@ -364,13 +353,6 @@ std::vector<Cell> OlapCube::top_cells(std::size_t k) const {
 
 double OlapCube::combine_effectiveness() const {
   if (total_records_ == 0) return 0.0;
-  // Served from the columnar snapshot when one is warm; otherwise from
-  // the map directly. The two are the same cells, so the value is
-  // identical either way — an O(1) stat must not force a snapshot build.
-  if (const auto cols = columns_cache_.load()) {
-    return 1.0 - static_cast<double>(cols->num_rows()) /
-                     static_cast<double>(cols->total_records());
-  }
   return 1.0 - static_cast<double>(cells_.size()) /
                    static_cast<double>(total_records_);
 }

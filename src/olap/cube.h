@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -57,9 +58,9 @@ class OlapCube {
   OlapCube() = default;
   explicit OlapCube(std::vector<Dimension> dimensions);
 
-  // The columnar-snapshot cache member is atomic (concurrent readers may
-  // race to build it), so copy/move are user-provided: copies share the
-  // still-valid snapshot, moves steal it.
+  // The columnar-snapshot cache is guarded by a mutex (concurrent readers
+  // may race to build it), so copy/move are user-provided: copies share
+  // the still-valid snapshot, moves steal it.
   OlapCube(const OlapCube& other);
   OlapCube& operator=(const OlapCube& other);
   OlapCube(OlapCube&& other) noexcept;
@@ -141,7 +142,8 @@ class OlapCube {
   /// cached until the next mutation. The hot read paths — top-cell
   /// ranking, probe scoring, cube queries — stream the snapshot instead
   /// of chasing map nodes. Safe to call from concurrent readers: racing
-  /// builders install via compare-exchange and agree on one snapshot.
+  /// builders build outside the lock, the first install wins, and every
+  /// racer returns that one snapshot.
   std::shared_ptr<const CubeColumns> columns() const;
 
   /// Iteration support for tests and serialization.
@@ -156,16 +158,28 @@ class OlapCube {
   /// cheap load.
   void invalidate_columns() {
     if (columns_valid_.load(std::memory_order_relaxed)) {
-      columns_cache_.store(nullptr);
-      columns_valid_.store(false, std::memory_order_relaxed);
+      set_cached_columns(nullptr);
     }
+  }
+
+  std::shared_ptr<const CubeColumns> cached_columns() const {
+    std::lock_guard lock(columns_mu_);
+    return columns_cache_;
+  }
+
+  void set_cached_columns(std::shared_ptr<const CubeColumns> snap) {
+    std::lock_guard lock(columns_mu_);
+    columns_valid_.store(snap != nullptr, std::memory_order_relaxed);
+    columns_cache_ = std::move(snap);
   }
 
   std::vector<Dimension> dims_;
   std::unordered_map<CellCoords, CellAggregate, CellCoordsHash> cells_;
   std::uint64_t total_records_ = 0;
   mutable std::atomic<bool> columns_valid_{false};
-  mutable std::atomic<std::shared_ptr<const CubeColumns>> columns_cache_;
+  mutable std::mutex columns_mu_;
+  /// Guarded by columns_mu_.
+  mutable std::shared_ptr<const CubeColumns> columns_cache_;
 };
 
 }  // namespace bohr::olap

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace bohr {
@@ -110,14 +112,22 @@ TEST_F(ParallelTest, NestedCallsRunInline) {
 }
 
 TEST_F(ParallelTest, BodyExceptionPropagates) {
-  for (const std::size_t threads : {1UL, 4UL}) {
+  for (const std::size_t threads : {1UL, 4UL, 8UL}) {
     set_thread_count(threads);
-    EXPECT_THROW(
-        parallel_for(100,
-                     [&](std::size_t i) {
-                       if (i == 37) throw std::runtime_error("boom");
-                     }),
-        std::runtime_error);
+    // Two indices throw and the lower one throws last in time: the caller
+    // still gets the lower index's error, the one the serial loop throws.
+    try {
+      parallel_for(100, [&](std::size_t i) {
+        if (i == 37) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("index 37");
+        }
+        if (i == 80) throw std::runtime_error("index 80");
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 37") << threads << " threads";
+    }
     // The pool must stay usable after a failed loop.
     std::atomic<int> count{0};
     parallel_for(10, [&](std::size_t) { ++count; });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "workload/query_mix.h"
 
 namespace bohr::core {
@@ -69,6 +70,54 @@ TEST(ControllerTest, RunsOneExecutionPerActiveQueryType) {
     EXPECT_GT(exec.recurrences, 0u);
     EXPECT_GT(exec.result.qct_seconds, 0.0);
   }
+}
+
+/// A controller whose sites hold several partitions each, so round-robin
+/// assignment has partitions to shuffle.
+Controller partitioned_controller(Strategy s) {
+  ControllerOptions options;
+  options.strategy = s;
+  options.lag_seconds = 60.0;
+  options.seed = 5;
+  options.job.partition_records = 24;
+  return Controller(net::make_paper_topology(125e6),
+                    make_states(3, traits_of(s).cubes), options);
+}
+
+TEST(ControllerTest, PureBatchLeavesTheRngUntouched) {
+  // Bohr draws nothing from the controller's RNG once prepared, so its
+  // batch and churn queries run job-parallel on copies of it.
+  const std::size_t threads_before = thread_count();
+  for (const std::size_t threads : {1UL, 8UL}) {
+    set_thread_count(threads);
+    Controller c = partitioned_controller(Strategy::Bohr);
+    c.prepare();
+    const Rng::State before = c.rng_state();
+    c.run_all_queries();
+    EXPECT_EQ(c.rng_state(), before) << threads << " threads";
+    c.run_query_round(Controller::QueryRound{});
+    EXPECT_EQ(c.rng_state(), before) << threads << " threads";
+  }
+  set_thread_count(threads_before);
+}
+
+TEST(ControllerTest, ImpureBatchDrawsTheSameAtAnyThreadCount) {
+  // Iridium-C's round-robin assignment draws from the controller's RNG,
+  // so its batch runs serially and leaves the RNG in one state at any
+  // thread count.
+  const std::size_t threads_before = thread_count();
+  std::vector<Rng::State> after;
+  for (const std::size_t threads : {1UL, 8UL}) {
+    set_thread_count(threads);
+    Controller c = partitioned_controller(Strategy::IridiumC);
+    c.prepare();
+    const Rng::State before = c.rng_state();
+    c.run_all_queries();
+    EXPECT_NE(c.rng_state(), before) << threads << " threads";
+    after.push_back(c.rng_state());
+  }
+  set_thread_count(threads_before);
+  EXPECT_EQ(after[0], after[1]);
 }
 
 TEST(ControllerTest, LpTimeIsAmortizedIntoQct) {

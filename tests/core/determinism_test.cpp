@@ -16,6 +16,7 @@
 #include "similarity/dimsum.h"
 #include "similarity/kmeans.h"
 #include "workload/query_mix.h"
+#include "job_results.h"
 
 namespace bohr::core {
 namespace {
@@ -173,6 +174,67 @@ TEST_F(DeterminismTest, EndToEndUnderFaultPlanBitIdentical) {
       [&] { return run_workload(cfg, {Strategy::Bohr}); });
   for (std::size_t r = 1; r < runs.size(); ++r) {
     expect_payloads_equal(runs[r], runs[0], Strategy::Bohr);
+  }
+}
+
+/// Every JobResult of one batch run, then of one ladder-free churn round
+/// over a migrated bucket map, as words. `round_faults` is the round's
+/// query-phase plan (null = fault-free).
+std::vector<std::vector<std::uint64_t>> batch_words(
+    const ExperimentConfig& cfg, Strategy strategy,
+    const net::FaultPlan* round_faults) {
+  Controller c = make_controller(cfg, strategy);
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const QueryExecution& exec : c.run_all_queries()) {
+    out.push_back(words(exec.result));
+  }
+  const engine::ReduceBucketMap map = migrated_buckets(c);
+  Controller::QueryRound round;
+  round.faults = round_faults;
+  round.reduce_buckets = &map;
+  for (const QueryExecution& exec : c.run_query_round(round)) {
+    out.push_back(words(exec.result));
+  }
+  return out;
+}
+
+TEST_F(DeterminismTest, BatchJobResultsBitIdentical) {
+  // Bohr takes the job-parallel branch; round-robin assignment
+  // (Iridium-C) and stragglers draw from the controller's RNG and take
+  // the serial loop. Each runs with and without a query-phase fault plan.
+  struct BatchCase {
+    const char* name;
+    Strategy strategy;
+    double straggler_probability;
+  };
+  const BatchCase cases[] = {{"bohr", Strategy::Bohr, 0.0},
+                             {"iridium-c", Strategy::IridiumC, 0.0},
+                             {"bohr+stragglers", Strategy::Bohr, 0.3}};
+  const net::FaultPlan query_faults = net::parse_fault_plan(
+      "outage:site=6,start=0,end=15,phases=query;"
+      "slow-site:site=2,start=0,end=60,factor=4,phases=query");
+  for (const BatchCase& bc : cases) {
+    std::vector<std::vector<std::uint64_t>> clean;
+    for (const bool faulted : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << bc.name << (faulted ? " faulted" : " fault-free"));
+      ExperimentConfig cfg = e2e_config();
+      cfg.n_datasets = 2;
+      cfg.job.machine.straggler_probability = bc.straggler_probability;
+      if (faulted) cfg.faults = query_faults;
+      const auto runs = results_per_thread_count([&] {
+        return batch_words(cfg, bc.strategy,
+                           faulted ? &query_faults : nullptr);
+      });
+      for (std::size_t r = 1; r < runs.size(); ++r) {
+        EXPECT_EQ(runs[r], runs[0]) << kThreadCounts[r] << " threads";
+      }
+      if (faulted) {
+        EXPECT_NE(runs[0], clean);  // the plan reaches the query phase
+      } else {
+        clean = runs[0];
+      }
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include "common/phase_timer.h"
 #include "common/rng.h"
 #include "core/experiment.h"
+#include "job_results.h"
 
 namespace bohr::core {
 namespace {
@@ -77,27 +78,6 @@ engine::JobResult reference(const Controller& c, std::size_t a,
                          job, rng);
 }
 
-/// Every field of a JobResult as a word (doubles by bit pattern), so one
-/// EXPECT_EQ compares two results bit for bit.
-std::vector<std::uint64_t> words(const engine::JobResult& r) {
-  const auto b = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  std::vector<std::uint64_t> w = {
-      b(r.qct_seconds),       b(r.shuffle_seconds),
-      b(r.wan_shuffle_bytes), r.shuffle_interruptions,
-      r.shuffle_retries,      r.shuffle_flows_failed,
-      r.reduce_speculations,  b(r.max_reduce_slowdown),
-      r.reduce_partial,       r.reduce_buckets_dropped,
-      b(r.reduce_dropped_fraction)};
-  for (const engine::SiteJobMetrics& s : r.sites) {
-    w.insert(w.end(), {s.input_records, s.shuffle_records,
-                       b(s.shuffle_bytes), b(s.map_finish_seconds),
-                       b(s.shuffle_finish_seconds),
-                       b(s.reduce_finish_seconds), s.exchanged_records,
-                       b(s.rdd_check_seconds)});
-  }
-  return w;
-}
-
 std::vector<std::uint64_t> rng_words(const Rng& rng) {
   const Rng::State s = rng.state();
   return {s.words[0], s.words[1], s.words[2], s.words[3],
@@ -111,15 +91,6 @@ std::uint64_t dimsum_runs() {
     if (p.name == "dimsum.signatures") return p.samples;
   }
   return 0;
-}
-
-/// The prepared placement quantized into buckets, with one bucket
-/// relocated the way the migration controller moves them.
-engine::ReduceBucketMap migrated_buckets(const Controller& c) {
-  engine::ReduceBucketMap map = engine::ReduceBucketMap::from_fractions(
-      c.prepare_report().decision.reduce_fractions, 64);
-  map.relocate(0, (map.owner[0] + 1) % map.site_count);
-  return map;
 }
 
 TEST(PlanCacheTest, ColdAndWarmAnswersMatchTheEngineBitForBit) {
