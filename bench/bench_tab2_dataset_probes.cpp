@@ -4,7 +4,6 @@
 // allocation.
 #include "bench_common.h"
 
-#include "common/timer.h"
 #include "core/similarity_service.h"
 #include "similarity/probe.h"
 #include "workload/query_mix.h"
@@ -63,12 +62,13 @@ void BM_Tab2(benchmark::State& state) {
       core::DatasetState ds = make_sample(kSamples[d]);
       core::SimilarityOptions options;
       options.probe_k = std::max<std::size_t>(alloc[d], 1);
-      const WallTimer timer;
+      // checking_seconds, as in Table 3: the probe exchange without the
+      // cube formatting check_similarity does before its timer starts.
       const auto sim = core::check_similarity(ds, options);
       g_rows.push_back(Row{kSamples[d].id,
                            ds.bundle().cube_spec.dimensions.size(),
                            kSamples[d].size_gb, alloc[d],
-                           timer.elapsed_seconds()});
+                           sim.checking_seconds});
       benchmark::DoNotOptimize(sim.probe_bytes);
     }
   }

@@ -12,7 +12,8 @@ namespace bohr::core {
 std::vector<std::size_t> select_rows_for_move(
     const DatasetState& state, std::size_t src, std::size_t dst,
     std::size_t max_rows, const DatasetSimilarity* similarity,
-    bool similarity_aware, std::vector<bool>& taken, Rng& rng) {
+    bool similarity_aware, std::span<const std::uint64_t> src_keys,
+    std::vector<bool>& taken, Rng& rng) {
   const auto& rows = state.rows_at(src);
   BOHR_EXPECTS(taken.size() == rows.size());
   std::vector<std::size_t> available;
@@ -26,6 +27,8 @@ std::vector<std::size_t> select_rows_for_move(
   chosen.reserve(want);
 
   if (similarity_aware && similarity != nullptr) {
+    const std::size_t specs = state.bundle().query_types.size();
+    BOHR_EXPECTS(src_keys.size() == rows.size() * specs);
     const auto& matched = similarity->matched_keys[src][dst];
     // The dimension cube clusters identical records (§4.1), so movement
     // operates on whole clusters. Ordering:
@@ -40,18 +43,11 @@ std::vector<std::size_t> select_rows_for_move(
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_cluster;
     std::vector<std::size_t> unguided;
     for (const std::size_t i : available) {
-      std::uint64_t hit_key = 0;
-      bool hit = false;
-      for (std::size_t t = 0; t < state.bundle().query_types.size(); ++t) {
-        const std::uint64_t key = state.key_of(rows[i], t);
-        if (matched.contains(key)) {
-          hit_key = key;
-          hit = true;
-          break;
-        }
-      }
-      if (hit) {
-        by_cluster[hit_key].push_back(i);
+      const auto keys = src_keys.subspan(i * specs, specs);
+      const auto hit = std::ranges::find_if(
+          keys, [&](std::uint64_t key) { return matched.contains(key); });
+      if (hit != keys.end()) {
+        by_cluster[*hit].push_back(i);
       } else {
         unguided.push_back(i);
       }
@@ -95,9 +91,11 @@ MovementPlan plan_movement(const DatasetState& state,
   const std::size_t n = state.site_count();
   BOHR_EXPECTS(move_bytes.size() == n);
 
+  const bool keyed = similarity_aware && similarity != nullptr;
   MovementPlan plan;
   for (std::size_t src = 0; src < n; ++src) {
     std::vector<bool> taken(state.rows_at(src).size(), false);
+    std::vector<std::uint64_t> keys;  // row_keys(src), once src ships
     // Serve destinations in decreasing byte order so the best-matched
     // clusters go where the LP wants the most data.
     std::vector<std::size_t> dsts;
@@ -111,8 +109,10 @@ MovementPlan plan_movement(const DatasetState& state,
       const auto want = static_cast<std::size_t>(
           std::llround(move_bytes[src][dst] / state.bundle().bytes_per_row));
       if (want == 0) continue;
-      std::vector<std::size_t> indices = select_rows_for_move(
-          state, src, dst, want, similarity, similarity_aware, taken, rng);
+      if (keyed && keys.empty()) keys = state.row_keys(src);
+      std::vector<std::size_t> indices =
+          select_rows_for_move(state, src, dst, want, similarity,
+                               similarity_aware, keys, taken, rng);
       if (indices.empty()) continue;
       const double bytes = static_cast<double>(indices.size()) *
                            state.bundle().bytes_per_row;

@@ -9,6 +9,8 @@
 // prefix when the lag deadline cuts a transfer short.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/similarity_service.h"
@@ -62,12 +64,14 @@ struct MovementReport {
 /// first (largest clusters first — they combine best at the receiver);
 /// similarity-agnostic selection picks uniformly at random (prior work's
 /// behaviour, §1). Returns row indices into state.rows_at(src); at most
-/// `max_rows` and never more rows than the site holds. `taken` marks
-/// indices already promised to other destinations and is updated.
+/// `max_rows` and never more rows than the site holds. `src_keys` is
+/// state.row_keys(src) (only the similarity-aware path reads it). `taken`
+/// marks indices already promised to other destinations and is updated.
 std::vector<std::size_t> select_rows_for_move(
     const DatasetState& state, std::size_t src, std::size_t dst,
     std::size_t max_rows, const DatasetSimilarity* similarity,
-    bool similarity_aware, std::vector<bool>& taken, Rng& rng);
+    bool similarity_aware, std::span<const std::uint64_t> src_keys,
+    std::vector<bool>& taken, Rng& rng);
 
 /// Plans one dataset's movement matrix (move_bytes[src][dst]) without
 /// touching the state: which rows would leave each site, and the WAN

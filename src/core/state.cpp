@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/parallel.h"
 
 namespace bohr::core {
 
@@ -18,10 +19,20 @@ std::uint64_t fresh_version() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+constexpr std::uint64_t kEngineKeySeed = 0x5EEDBEEFULL;
+
+/// engine_key of `full` projected onto `positions`, without the copy.
+std::uint64_t projected_key(const olap::CellCoords& full,
+                            const std::vector<std::size_t>& positions) {
+  std::uint64_t h = kEngineKeySeed;
+  for (const std::size_t p : positions) h = hash_combine(h, full[p]);
+  return h;
+}
+
 }  // namespace
 
 std::uint64_t engine_key(const olap::CellCoords& projected_coords) {
-  std::uint64_t h = 0x5EEDBEEFULL;
+  std::uint64_t h = kEngineKeySeed;
   for (const olap::MemberId m : projected_coords) h = hash_combine(h, m);
   return h;
 }
@@ -30,14 +41,14 @@ DatasetState::DatasetState(workload::DatasetBundle bundle,
                            workload::DatasetQueryMix mix, bool with_cubes)
     : bundle_(std::move(bundle)),
       mix_(std::move(mix)),
+      builder_(bundle_.cube_spec),
       version_(fresh_version()) {
   BOHR_EXPECTS(!bundle_.site_rows.empty());
   BOHR_EXPECTS(mix_.counts.size() == bundle_.query_types.size());
   if (with_cubes) {
-    const olap::CubeBuilder builder(bundle_.cube_spec);
     cubes_.reserve(site_count());
     for (std::size_t s = 0; s < site_count(); ++s) {
-      cubes_.emplace_back(builder);
+      cubes_.emplace_back(builder_);
     }
     for (const auto& qt : bundle_.query_types) {
       // Registration is idempotent per attribute subset; every site must
@@ -114,16 +125,17 @@ std::vector<similarity::QueryTypeWeight> DatasetState::cube_type_weights()
   return out;
 }
 
-std::uint64_t DatasetState::key_of(const olap::Row& row, std::size_t t) const {
-  BOHR_EXPECTS(t < bundle_.query_types.size());
-  const olap::CubeBuilder builder(bundle_.cube_spec);
-  const olap::CellCoords full = builder.coords_for(row);
-  olap::CellCoords projected;
-  projected.reserve(bundle_.query_types[t].dim_positions.size());
-  for (const std::size_t p : bundle_.query_types[t].dim_positions) {
-    projected.push_back(full[p]);
-  }
-  return engine_key(projected);
+std::vector<std::uint64_t> DatasetState::row_keys(std::size_t site) const {
+  const std::vector<olap::Row>& rows = rows_at(site);
+  const auto& specs = bundle_.query_types;
+  std::vector<std::uint64_t> keys(rows.size() * specs.size());
+  parallel_for(rows.size(), [&](std::size_t r) {
+    const olap::CellCoords full = builder_.coords_for(rows[r]);
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+      keys[r * specs.size() + t] = projected_key(full, specs[t].dim_positions);
+    }
+  }, /*grain=*/1024);
+  return keys;
 }
 
 engine::RecordStream DatasetState::map_rows(std::size_t site, std::size_t t,
@@ -132,31 +144,22 @@ engine::RecordStream DatasetState::map_rows(std::size_t site, std::size_t t,
   BOHR_EXPECTS(site < site_count());
   BOHR_EXPECTS(t < bundle_.query_types.size());
   BOHR_EXPECTS(selectivity > 0.0 && selectivity <= 1.0);
-  const olap::CubeBuilder builder(bundle_.cube_spec);
   const auto& positions = bundle_.query_types[t].dim_positions;
   engine::RecordStream out;
   out.reserve(rows_at(site).size());
   const auto threshold = static_cast<std::uint64_t>(
       selectivity * 18446744073709551615.0);  // 2^64 - 1
   for (const olap::Row& row : rows_at(site)) {
-    const olap::CellCoords full = builder.coords_for(row);
-    olap::CellCoords projected;
-    projected.reserve(positions.size());
-    for (const std::size_t p : positions) projected.push_back(full[p]);
-    const std::uint64_t key = engine_key(projected);
+    const std::uint64_t key =
+        projected_key(builder_.coords_for(row), positions);
     if (selectivity < 1.0 && mix64(key ^ query_salt) > threshold) continue;
-    out.push_back(engine::KeyValue{key, builder.measure_for(row)});
+    out.push_back(engine::KeyValue{key, builder_.measure_for(row)});
   }
   return out;
 }
 
 std::uint64_t DatasetState::query_salt(std::size_t t) const {
   return hash_combine(dataset_id(), hash_combine(t, 0xABCD));
-}
-
-void DatasetState::move_rows(std::size_t src, std::size_t dst,
-                             std::vector<std::size_t> row_indices) {
-  move_rows_multi(src, {MoveTarget{dst, std::move(row_indices)}});
 }
 
 void DatasetState::move_rows_multi(std::size_t src,
@@ -253,8 +256,7 @@ void DatasetState::restore_sites(std::vector<std::vector<olap::Row>> site_rows,
 }
 
 void DatasetState::rebuild_cubes_at(std::size_t site) {
-  const olap::CubeBuilder builder(bundle_.cube_spec);
-  olap::DatasetCubes fresh(builder);
+  olap::DatasetCubes fresh(builder_);
   for (const auto& qt : bundle_.query_types) {
     fresh.register_query_type(qt.dim_positions);
   }

@@ -56,8 +56,10 @@ class DatasetState {
   /// share a dimension cube), for probe budgeting.
   std::vector<similarity::QueryTypeWeight> cube_type_weights() const;
 
-  /// Maps a row to its engine key under query-type spec `t`.
-  std::uint64_t key_of(const olap::Row& row, std::size_t t) const;
+  /// Every row's engine key at `site` under every query-type spec, one
+  /// coords_for per row: keys[r * specs + t] is what map_rows(site, t, 1.0,
+  /// ...) emits for row r, with specs = bundle().query_types.size().
+  std::vector<std::uint64_t> row_keys(std::size_t site) const;
 
   /// Builds the mapped input stream at `site` for query-type spec `t`:
   /// one KeyValue per row passing the selectivity filter. Filtering is a
@@ -70,21 +72,15 @@ class DatasetState {
   /// every run of a recurring query filters the same rows.
   std::uint64_t query_salt(std::size_t t) const;
 
-  /// Moves specific rows (by index into rows_at(src)) from src to dst,
-  /// updating rows and cubes on both sides. Indices must be unique and
-  /// valid; they are taken in descending order internally.
-  void move_rows(std::size_t src, std::size_t dst,
-                 std::vector<std::size_t> row_indices);
-
   /// One destination of a multi-way move out of a single source site.
   struct MoveTarget {
     std::size_t dst = 0;
     std::vector<std::size_t> row_indices;  // into rows_at(src), pre-move
   };
 
-  /// Moves rows from `src` to several destinations atomically. All
-  /// indices refer to rows_at(src) BEFORE any removal, must be valid,
-  /// and must not repeat across targets.
+  /// Moves rows and their cube cells from `src` to several destinations
+  /// atomically. All indices refer to rows_at(src) BEFORE any removal,
+  /// must be valid, and must not repeat across targets.
   void move_rows_multi(std::size_t src, std::vector<MoveTarget> targets);
 
   /// Appends new rows at a site (dynamic datasets, §8.6). When cubes are
@@ -104,6 +100,7 @@ class DatasetState {
 
   workload::DatasetBundle bundle_;
   workload::DatasetQueryMix mix_;
+  olap::CubeBuilder builder_;  // over bundle_.cube_spec
   std::vector<olap::DatasetCubes> cubes_;             // empty if !with_cubes
   std::vector<olap::QueryTypeId> spec_to_cube_type_;  // per query-type spec
   std::uint64_t version_;

@@ -150,10 +150,14 @@ StepOutcome revised_step(RevisedContext& ctx, const std::vector<double>& costs,
             ctx.scratch.emplace_back(d, static_cast<std::int32_t>(c));
           }
         }
+        // The `keep` smallest (reduced cost, column) pairs, ascending. They
+        // are unique by column, so select-then-sort-the-prefix is exact.
         const std::size_t keep =
             std::min<std::size_t>(ctx.opt.candidate_list_size, ctx.scratch.size());
-        std::partial_sort(ctx.scratch.begin(), ctx.scratch.begin() + keep,
-                          ctx.scratch.end());
+        const auto kept =
+            ctx.scratch.begin() + static_cast<std::ptrdiff_t>(keep);
+        std::nth_element(ctx.scratch.begin(), kept, ctx.scratch.end());
+        std::sort(ctx.scratch.begin(), kept);
         ctx.candidates.clear();
         for (std::size_t i = 0; i < keep; ++i) {
           ctx.candidates.push_back(ctx.scratch[i].second);

@@ -357,11 +357,4 @@ double OlapCube::combine_effectiveness() const {
                    static_cast<double>(total_records_);
 }
 
-std::uint64_t OlapCube::memory_bytes() const {
-  // Per cell: coordinates + aggregate + hash-table node overhead.
-  const std::uint64_t per_cell =
-      dims_.size() * sizeof(MemberId) + sizeof(CellAggregate) + 32;
-  return cells_.size() * per_cell + sizeof(OlapCube);
-}
-
 }  // namespace bohr::olap

@@ -135,9 +135,6 @@ class OlapCube {
   /// dimensions. 0 when every record is unique; -> 1 for heavy repetition.
   double combine_effectiveness() const;
 
-  /// Estimated in-memory footprint (for the storage-overhead study, Tab 6).
-  std::uint64_t memory_bytes() const;
-
   /// Columnar (struct-of-arrays) snapshot of the cells, lazily built and
   /// cached until the next mutation. The hot read paths — top-cell
   /// ranking, probe scoring, cube queries — stream the snapshot instead

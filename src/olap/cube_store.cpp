@@ -69,14 +69,6 @@ void DatasetCubes::add_rows(std::span<const Row> rows) {
   parallel_for(types_.size(), [&](std::size_t ty) {
     types_[ty].cube.insert_rows(full, measure, types_[ty].dim_positions);
   });
-  // Bulk ingest is pre-processing — the paper's model hides it in the
-  // update lag — so build the columnar snapshots here, off the query
-  // path, and the similarity exchange (top-cell ranking, probe lookups)
-  // starts against warm columns instead of paying the first-touch build
-  // inside its timed window.
-  parallel_for(types_.size() + 1, [&](std::size_t ty) {
-    (ty == 0 ? base_ : types_[ty - 1].cube).columns();
-  });
 }
 
 void DatasetCubes::buffer_rows(std::span<const Row> rows) {
@@ -124,11 +116,6 @@ const OlapCube& DatasetCubes::dimension_cube(QueryTypeId qt) const {
   return types_[qt].cube;
 }
 
-OlapCube DatasetCubes::rebuild_dimension_cube(QueryTypeId qt) const {
-  BOHR_EXPECTS(qt < types_.size());
-  return base_.project(types_[qt].dim_positions);
-}
-
 void DatasetCubes::restore_base(OlapCube base) {
   BOHR_EXPECTS(base.dimension_count() == builder_.spec().dimensions.size());
   base_ = std::move(base);
@@ -138,12 +125,6 @@ void DatasetCubes::restore_base(OlapCube base) {
     entry.cube = base_.project(entry.dim_positions);
     entry.applied = 0;
   }
-}
-
-std::uint64_t DatasetCubes::dimension_cubes_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& entry : types_) total += entry.cube.memory_bytes();
-  return total;
 }
 
 }  // namespace bohr::olap

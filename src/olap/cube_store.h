@@ -32,6 +32,7 @@ class DatasetCubes {
   const std::vector<std::size_t>& query_type_dims(QueryTypeId qt) const;
 
   /// Appends rows immediately (base cube and every dimension cube).
+  /// Builds no columnar snapshot; each cube builds its own on first read.
   void add_rows(std::span<const Row> rows);
 
   /// Buffers rows without touching any cube (used while a query runs).
@@ -49,20 +50,12 @@ class DatasetCubes {
   const OlapCube& base_cube() const { return base_; }
   const OlapCube& dimension_cube(QueryTypeId qt) const;
 
-  /// Drill-down support: re-derives the dimension cube of `qt` from the
-  /// base cube (used after a roll-up or to recover finer granularity).
-  OlapCube rebuild_dimension_cube(QueryTypeId qt) const;
-
   /// Checkpoint recovery: installs a deserialized base cube, re-derives
   /// every registered dimension cube from it, and clears the buffer.
   /// The cube's dimensionality must match the builder spec.
   void restore_base(OlapCube base);
 
   const CubeBuilder& builder() const { return builder_; }
-
-  /// Storage accounting for Table 6.
-  std::uint64_t base_cube_bytes() const { return base_.memory_bytes(); }
-  std::uint64_t dimension_cubes_bytes() const;
 
  private:
   struct TypeEntry {

@@ -120,18 +120,20 @@ TEST(MovementTest, SelectRowsPrefersMatchedClusters) {
   DatasetState state = make_state();
   const auto sim = check_similarity(state, SimilarityOptions{30});
   std::vector<bool> taken(state.rows_at(0).size(), false);
+  const std::vector<std::uint64_t> keys = state.row_keys(0);
   Rng rng(5);
   const auto chosen = select_rows_for_move(state, 0, 1, 10, &sim,
-                                           /*similarity_aware=*/true, taken,
-                                           rng);
+                                           /*similarity_aware=*/true, keys,
+                                           taken, rng);
   ASSERT_EQ(chosen.size(), 10u);
   // Every chosen row should belong to a matched cluster if enough exist.
   const auto& matched = sim.matched_keys[0][1];
+  const std::size_t specs = state.bundle().query_types.size();
   if (!matched.empty()) {
     std::size_t hits = 0;
     for (const auto idx : chosen) {
-      for (std::size_t t = 0; t < state.bundle().query_types.size(); ++t) {
-        if (matched.contains(state.key_of(state.rows_at(0)[idx], t))) {
+      for (std::size_t t = 0; t < specs; ++t) {
+        if (matched.contains(keys[idx * specs + t])) {
           ++hits;
           break;
         }
@@ -147,9 +149,9 @@ TEST(MovementTest, SelectRowsRespectsTakenMarks) {
   Rng rng(5);
   const std::size_t total = state.rows_at(0).size();
   const auto first =
-      select_rows_for_move(state, 0, 1, 50, nullptr, false, taken, rng);
+      select_rows_for_move(state, 0, 1, 50, nullptr, false, {}, taken, rng);
   const auto second =
-      select_rows_for_move(state, 0, 2, 50, nullptr, false, taken, rng);
+      select_rows_for_move(state, 0, 2, 50, nullptr, false, {}, taken, rng);
   EXPECT_EQ(first.size(), 50u);
   EXPECT_EQ(second.size(), total - 50);  // the rest of the site
   for (const auto idx : first) {
@@ -163,6 +165,7 @@ TEST(MovementTest, SelectRowsNeverDoubleTakesPremarkedRows) {
   // the similarity-aware or the agnostic path.
   DatasetState state = make_state();
   const auto sim = check_similarity(state, SimilarityOptions{30});
+  const std::vector<std::uint64_t> keys = state.row_keys(0);
   for (const bool aware : {false, true}) {
     SCOPED_TRACE(aware ? "similarity-aware" : "agnostic");
     std::vector<bool> taken(state.rows_at(0).size(), false);
@@ -172,8 +175,9 @@ TEST(MovementTest, SelectRowsNeverDoubleTakesPremarkedRows) {
       ++premarked;
     }
     Rng rng(11);
-    const auto chosen = select_rows_for_move(
-        state, 0, 1, /*max_rows=*/taken.size(), &sim, aware, taken, rng);
+    const auto chosen =
+        select_rows_for_move(state, 0, 1, /*max_rows=*/taken.size(), &sim,
+                             aware, keys, taken, rng);
     // Everything still free is selectable — and nothing more.
     EXPECT_EQ(chosen.size(), taken.size() - premarked);
     std::vector<bool> seen(taken.size(), false);

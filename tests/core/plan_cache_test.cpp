@@ -148,7 +148,7 @@ TEST(PlanCacheTest, RowChangesInvalidateTheDatasetsEntries) {
   // Enough rows that some pass the query's selectivity filter.
   std::vector<std::size_t> moved(20);
   std::iota(moved.begin(), moved.end(), 0);
-  c.mutable_dataset(a).move_rows(0, 2, moved);
+  c.mutable_dataset(a).move_rows_multi(0, {{2, moved}});
   const std::vector<std::uint64_t> after_move = query();
   EXPECT_EQ(after_move, fresh());
   EXPECT_NE(after_move, after_append);

@@ -1,0 +1,112 @@
+// Pins the modeled output of set-up: small TPC-DS and BigData Bohr
+// controllers go through prepare() and run_all_queries(), and three
+// fingerprints must equal constants recorded before set-up stopped
+// building cube snapshots on ingest and started computing movement keys
+// in one pass per source:
+//   - the crc32 of the serialized prepare report (placement, bytes and
+//     rows moved, LP iterations; wall-clock fields canonicalized);
+//   - a crc32 over every site's rows after movement, in row order, so a
+//     change to which rows move, or to their order, fails here;
+//   - the batch latency digest (every execution's QCT, repeated by its
+//     recurrence count, in execution order).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "common/bytes.h"
+#include "common/crc32.h"
+#include "common/latency.h"
+#include "core/checkpoint.h"
+#include "core/experiment.h"
+
+namespace bohr::core {
+namespace {
+
+ExperimentConfig golden_config(workload::WorkloadKind kind) {
+  ExperimentConfig cfg;
+  cfg.workload = kind;
+  cfg.n_datasets = 3;
+  cfg.generator.sites = 10;
+  cfg.generator.rows_per_site = 120;
+  cfg.generator.gb_per_site = 40.0 / 12.0;
+  cfg.base_bandwidth = 125e6;
+  cfg.lag_seconds = 60.0;
+  cfg.job.partition_records = 24;
+  cfg.job.machine.executors = 4;
+  cfg.seed = 29;
+  return cfg;
+}
+
+/// Every dataset's per-site rows, value by value with a type tag.
+std::uint32_t rows_crc(const Controller& controller) {
+  ByteWriter out;
+  for (const DatasetState& d : controller.datasets()) {
+    for (std::size_t s = 0; s < d.site_count(); ++s) {
+      out.u64(d.rows_at(s).size());
+      for (const olap::Row& row : d.rows_at(s)) {
+        for (const olap::Value& v : row) {
+          out.u8(static_cast<std::uint8_t>(v.index()));
+          if (const auto* i = std::get_if<std::int64_t>(&v)) {
+            out.u64(static_cast<std::uint64_t>(*i));
+          } else if (const auto* x = std::get_if<double>(&v)) {
+            out.f64(*x);
+          } else {
+            out.str<std::uint32_t>(std::get<std::string>(v));
+          }
+        }
+      }
+    }
+  }
+  return crc32(out.take());
+}
+
+struct SetupFingerprint {
+  std::uint32_t prepare_crc = 0;
+  std::uint32_t rows_crc = 0;
+  std::uint32_t qct_digest = 0;
+};
+
+SetupFingerprint run_setup(workload::WorkloadKind kind) {
+  Controller controller =
+      make_controller(golden_config(kind), Strategy::Bohr);
+  const PrepareReport& report = controller.prepare();
+  // The pin is only worth something if similarity-guided movement ran.
+  EXPECT_GT(report.rows_moved, 0u);
+  SetupFingerprint out;
+  out.prepare_crc = crc32(serialize_prepare_report(report));
+  out.rows_crc = rows_crc(controller);
+  LatencyRecorder qct;
+  for (const QueryExecution& exec : controller.run_all_queries()) {
+    for (std::size_t r = 0; r < exec.recurrences; ++r) {
+      qct.add(exec.result.qct_seconds);
+    }
+  }
+  out.qct_digest = qct.digest();
+  return out;
+}
+
+void expect_fingerprint(const SetupFingerprint& got,
+                        const SetupFingerprint& want) {
+  EXPECT_EQ(got.prepare_crc, want.prepare_crc)
+      << std::hex << "actual prepare crc32 0x" << got.prepare_crc;
+  EXPECT_EQ(got.rows_crc, want.rows_crc)
+      << std::hex << "actual rows crc32 0x" << got.rows_crc;
+  EXPECT_EQ(got.qct_digest, want.qct_digest)
+      << std::hex << "actual qct digest 0x" << got.qct_digest;
+}
+
+TEST(SetupGoldenTest, TpcDsBohr) {
+  expect_fingerprint(run_setup(workload::WorkloadKind::TpcDs),
+                     {0x2bc98c0au, 0xdd285554u, 0x8cd173b1u});
+}
+
+TEST(SetupGoldenTest, BigDataBohr) {
+  expect_fingerprint(run_setup(workload::WorkloadKind::BigData),
+                     {0x1c1948f2u, 0xae3c8727u, 0xba32a704u});
+}
+
+}  // namespace
+}  // namespace bohr::core

@@ -5,6 +5,9 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/parallel.h"
+#include "common/phase_timer.h"
+#include "common/timer.h"
 #include "core/similarity_service.h"
 
 namespace bohr::core {
@@ -19,13 +22,21 @@ workload::GeneratorConfig gen_config() {
   return cfg;
 }
 
-DatasetState make_state(bool with_cubes) {
+DatasetState make_state(bool with_cubes,
+                        const workload::GeneratorConfig& cfg = gen_config()) {
   auto bundle =
-      workload::generate_dataset(workload::WorkloadKind::BigData, 0,
-                                 gen_config());
+      workload::generate_dataset(workload::WorkloadKind::BigData, 0, cfg);
   Rng rng(3);
   auto mix = workload::sample_query_mix(bundle, rng);
   return DatasetState(std::move(bundle), std::move(mix), with_cubes);
+}
+
+/// Columnar snapshot builds so far: samples and summed wall seconds.
+PhaseTotal snapshot_builds() {
+  for (PhaseTotal& p : phase_snapshot()) {
+    if (p.name == "cube.columns_build") return p;
+  }
+  return PhaseTotal{};
 }
 
 TEST(DatasetStateTest, CubesTrackRows) {
@@ -70,17 +81,38 @@ TEST(DatasetStateTest, MapRowsSelectivityFilters) {
 
 TEST(DatasetStateTest, KeysMatchQueryTypeProjection) {
   const DatasetState state = make_state(true);
-  const auto& row = state.rows_at(0).front();
-  // Query types 0 and 1 (scan/udf) group by url; type 2 by region+date.
-  EXPECT_EQ(state.key_of(row, 0), state.key_of(row, 1));
-  EXPECT_NE(state.key_of(row, 0), state.key_of(row, 2));
+  const std::size_t specs = state.bundle().query_types.size();
+  ASSERT_GE(specs, 3u);
+  const std::vector<std::uint64_t> keys = state.row_keys(0);
+  // Row 0's keys. Query types 0 and 1 (scan/udf) group by url; type 2 by
+  // region+date.
+  EXPECT_EQ(keys[0], keys[1]);
+  EXPECT_NE(keys[0], keys[2]);
+}
+
+TEST(DatasetStateTest, RowKeysMatchMapRowsAtFullSelectivity) {
+  const DatasetState state = make_state(true);
+  const std::size_t specs = state.bundle().query_types.size();
+  for (std::size_t s = 0; s < state.site_count(); ++s) {
+    const std::vector<std::uint64_t> keys = state.row_keys(s);
+    ASSERT_EQ(keys.size(), state.rows_at(s).size() * specs);
+    for (std::size_t t = 0; t < specs; ++t) {
+      const engine::RecordStream mapped =
+          state.map_rows(s, t, 1.0, state.query_salt(t));
+      ASSERT_EQ(mapped.size(), state.rows_at(s).size());
+      for (std::size_t r = 0; r < mapped.size(); ++r) {
+        EXPECT_EQ(keys[r * specs + t], mapped[r].key)
+            << "site " << s << " row " << r << " spec " << t;
+      }
+    }
+  }
 }
 
 TEST(DatasetStateTest, MoveRowsUpdatesBothSides) {
   DatasetState state = make_state(true);
   const std::size_t before_src = state.rows_at(0).size();
   const std::size_t before_dst = state.rows_at(1).size();
-  state.move_rows(0, 1, {0, 5, 7});
+  state.move_rows_multi(0, {{1, {0, 5, 7}}});
   EXPECT_EQ(state.rows_at(0).size(), before_src - 3);
   EXPECT_EQ(state.rows_at(1).size(), before_dst + 3);
   EXPECT_EQ(state.cubes_at(0).base_cube().total_records(), before_src - 3);
@@ -134,7 +166,7 @@ TEST(DatasetStateTest, MoveRowsDuplicateIndexThrows) {
 TEST(DatasetStateTest, MovedRowsLandAtDestination) {
   DatasetState state = make_state(true);
   const olap::Row moved_row = state.rows_at(0)[4];
-  state.move_rows(0, 2, {4});
+  state.move_rows_multi(0, {{2, {4}}});
   EXPECT_EQ(state.rows_at(2).back(), moved_row);
 }
 
@@ -220,6 +252,55 @@ TEST(SimilarityServiceTest, LargerProbeFindsMoreMatches) {
     }
   }
   EXPECT_GE(large_total, small_total);
+}
+
+TEST(SimilarityServiceTest, BuildsSnapshotsOfWeightedDimensionCubesOnly) {
+  const DatasetState state = make_state(true);
+  std::vector<bool> weighted(state.cubes_at(0).query_type_count(), false);
+  std::size_t n_weighted = 0;
+  for (const auto& w : state.cube_type_weights()) {
+    if (w.weight > 0.0 && !weighted[w.query_type]) {
+      weighted[w.query_type] = true;
+      ++n_weighted;
+    }
+  }
+  const std::uint64_t start = snapshot_builds().samples;
+  check_similarity(state, SimilarityOptions{30});
+  EXPECT_EQ(snapshot_builds().samples,
+            start + state.site_count() * n_weighted);
+  // Reading a cube again builds a snapshot only if the exchange did not.
+  for (std::size_t s = 0; s < state.site_count(); ++s) {
+    const olap::DatasetCubes& cubes = state.cubes_at(s);
+    for (olap::QueryTypeId qt = 0; qt < cubes.query_type_count(); ++qt) {
+      const std::uint64_t before = snapshot_builds().samples;
+      cubes.dimension_cube(qt).columns();
+      EXPECT_EQ(snapshot_builds().samples, before + (weighted[qt] ? 0 : 1))
+          << "site " << s << " query type " << qt;
+    }
+    const std::uint64_t before = snapshot_builds().samples;
+    cubes.base_cube().columns();
+    EXPECT_EQ(snapshot_builds().samples, before + 1) << "site " << s;
+  }
+}
+
+TEST(SimilarityServiceTest, SnapshotBuildsStayOutOfCheckingSeconds) {
+  // At one thread the builds and the timed window are disjoint spans of
+  // the call, so their sum cannot exceed it. Had the builds run inside
+  // the window, they would count twice and overshoot.
+  workload::GeneratorConfig cfg = gen_config();
+  cfg.rows_per_site = 2000;
+  const DatasetState state = make_state(true, cfg);
+  const std::size_t threads = thread_count();
+  set_thread_count(1);
+  const PhaseTotal before = snapshot_builds();
+  const WallTimer call;
+  const DatasetSimilarity sim = check_similarity(state, SimilarityOptions{30});
+  const double call_seconds = call.elapsed_seconds();
+  const PhaseTotal after = snapshot_builds();
+  set_thread_count(threads);
+  const double build_seconds = after.seconds - before.seconds;
+  ASSERT_GT(after.samples, before.samples);
+  EXPECT_LE(sim.checking_seconds + build_seconds, call_seconds + 1e-9);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/phase_timer.h"
+#include "olap/cube_columns.h"
 
 namespace bohr::olap {
 namespace {
@@ -21,6 +23,14 @@ Row make_row(const std::string& url, std::int64_t region, std::int64_t date,
 
 DatasetCubes make_store() {
   return DatasetCubes(CubeBuilder(default_cube_spec(log_schema())));
+}
+
+/// Columnar snapshots built so far (each build records one sample).
+std::uint64_t snapshot_builds() {
+  for (const PhaseTotal& p : phase_snapshot()) {
+    if (p.name == "cube.columns_build") return p.samples;
+  }
+  return 0;
 }
 
 TEST(CubeBuilderTest, DefaultSpecUsesDimensionsAndMeasure) {
@@ -132,18 +142,29 @@ TEST(DatasetCubesTest, RebuildDimensionCubeMatchesIncremental) {
   store.add_rows(std::vector<Row>{make_row("a", 1, 10, 1.0),
                                   make_row("b", 1, 10, 2.0),
                                   make_row("c", 2, 11, 3.0)});
-  const OlapCube rebuilt = store.rebuild_dimension_cube(by_rd);
+  const OlapCube rebuilt =
+      store.base_cube().project(store.query_type_dims(by_rd));
   EXPECT_EQ(rebuilt.cell_count(), store.dimension_cube(by_rd).cell_count());
   EXPECT_EQ(rebuilt.total_records(),
             store.dimension_cube(by_rd).total_records());
 }
 
-TEST(DatasetCubesTest, StorageAccounting) {
+TEST(DatasetCubesTest, SnapshotsAreBuiltOnFirstReadNotOnIngest) {
   DatasetCubes store = make_store();
-  store.register_query_type({0});
-  store.add_rows(std::vector<Row>{make_row("a", 1, 10, 1.0)});
-  EXPECT_GT(store.base_cube_bytes(), 0u);
-  EXPECT_GT(store.dimension_cubes_bytes(), 0u);
+  const QueryTypeId by_url = store.register_query_type({0});
+  const std::uint64_t start = snapshot_builds();
+  store.add_rows(std::vector<Row>{make_row("a", 1, 10, 1.0),
+                                  make_row("b", 2, 11, 2.0)});
+  EXPECT_EQ(snapshot_builds(), start);
+  const auto first = store.dimension_cube(by_url).columns();
+  EXPECT_EQ(snapshot_builds(), start + 1);
+  EXPECT_EQ(store.dimension_cube(by_url).columns().get(), first.get());
+  EXPECT_EQ(snapshot_builds(), start + 1);
+  // A write drops the snapshot; the next read builds one more.
+  store.add_rows(std::vector<Row>{make_row("c", 3, 12, 3.0)});
+  EXPECT_EQ(snapshot_builds(), start + 1);
+  EXPECT_EQ(store.dimension_cube(by_url).columns()->num_rows(), 3u);
+  EXPECT_EQ(snapshot_builds(), start + 2);
 }
 
 TEST(DatasetCubesTest, InvalidQueryTypeThrows) {

@@ -156,13 +156,6 @@ TEST(CubeTest, MergeAddsCellwise) {
   EXPECT_DOUBLE_EQ(a.find({1})->sum, 3.0);
 }
 
-TEST(CubeTest, MemoryBytesGrowsWithCells) {
-  OlapCube cube({Dimension("k")});
-  const auto empty_bytes = cube.memory_bytes();
-  for (int i = 0; i < 100; ++i) cube.insert({static_cast<MemberId>(i)}, 1.0);
-  EXPECT_GT(cube.memory_bytes(), empty_bytes);
-}
-
 TEST(DimensionTest, HierarchyValidation) {
   EXPECT_THROW(Dimension("d", {{"base", 2}}), bohr::ContractViolation);
   EXPECT_THROW(Dimension("d", {{"base", 1}, {"l1", 1}}),
