@@ -29,7 +29,8 @@ int main() {
   std::printf("trace: %zu rows, header '%.40s...'\n",
               reference.total_rows(), csv.str().c_str());
 
-  // 2. Import it back (in a real deployment: load_csv(path, ...)).
+  // 2. Import it back (in a real deployment, read_csv reads the trace
+  //    file through an std::ifstream).
   const auto imported = workload::read_csv(csv, reference, gen.sites);
 
   // 3. Build one site's cube and poke at it: the three URLs with the

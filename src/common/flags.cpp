@@ -6,15 +6,28 @@
 
 namespace bohr {
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const std::string& why) {
+  throw FlagError("malformed flag --" + name + "=" + value + ": " + why);
+}
+
+}  // namespace
+
 Flags::Flags(int argc, const char* const* argv) {
   BOHR_EXPECTS(argc >= 1);
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    BOHR_EXPECTS(arg.rfind("--", 0) == 0);
+    if (arg.rfind("--", 0) != 0) {
+      throw FlagError("malformed argument '" + arg + "': expected --name");
+    }
     const std::string body = arg.substr(2);
-    BOHR_EXPECTS(!body.empty());
     const std::size_t eq = body.find('=');
+    if (body.empty() || eq == 0) {
+      throw FlagError("malformed argument '" + arg + "': empty flag name");
+    }
     if (eq != std::string::npos) {
       values_[body.substr(0, eq)] = body.substr(eq + 1);
     } else if (i + 1 < argc &&
@@ -46,7 +59,9 @@ std::int64_t Flags::get_int(const std::string& name,
   std::int64_t value = 0;
   const auto& s = it->second;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  BOHR_EXPECTS(ec == std::errc() && ptr == s.data() + s.size());
+  if (ec != std::errc() || ptr != s.data() + s.size()) {
+    bad_value(name, s, "not an integer in range");
+  }
   return value;
 }
 
@@ -55,8 +70,15 @@ double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::size_t consumed = 0;
-  const double value = std::stod(it->second, &consumed);
-  BOHR_EXPECTS(consumed == it->second.size());
+  double value = 0.0;
+  try {
+    value = std::stod(it->second, &consumed);
+  } catch (const std::exception&) {
+    bad_value(name, it->second, "not a number in range");
+  }
+  if (consumed != it->second.size()) {
+    bad_value(name, it->second, "trailing characters");
+  }
   return value;
 }
 
@@ -67,7 +89,7 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw ContractViolation("bad boolean flag --" + name + "=" + v);
+  bad_value(name, v, "not a boolean");
 }
 
 std::vector<std::string> Flags::unused() const {

@@ -6,20 +6,29 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace bohr {
 
+/// A malformed command-line argument or flag value. The message names the
+/// argument, or the flag and its value.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 class Flags {
  public:
-  /// Parses argv. Throws ContractViolation on a malformed flag (missing
-  /// '--' prefix, missing value for the "--name value" form).
+  /// Parses argv. Throws FlagError on a malformed argument (missing '--'
+  /// prefix or empty flag name).
   Flags(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
 
-  /// Typed getters with defaults. Throw on unparsable values.
+  /// Typed getters with defaults. Throw FlagError on a value that does
+  /// not parse whole as the type.
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;

@@ -29,11 +29,6 @@ void phase_add(std::string_view name, double seconds) {
   ++acc.samples;
 }
 
-void phase_reset() {
-  std::lock_guard lock(g_mu);
-  registry().clear();
-}
-
 std::vector<PhaseTotal> phase_snapshot() {
   std::lock_guard lock(g_mu);
   std::vector<PhaseTotal> out;

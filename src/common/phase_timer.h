@@ -21,9 +21,6 @@ namespace bohr {
 /// Adds `seconds` to the accumulator for `name` (thread-safe).
 void phase_add(std::string_view name, double seconds);
 
-/// Number of times `name` was recorded so far.
-void phase_reset();
-
 /// Sorted (name, total seconds, samples) snapshot.
 struct PhaseTotal {
   std::string name;

@@ -130,17 +130,6 @@ class Rng {
     }
   }
 
-  /// Picks one element uniformly. Requires non-empty.
-  template <typename T>
-  const T& pick(const std::vector<T>& items) {
-    BOHR_EXPECTS(!items.empty());
-    return items[below(items.size())];
-  }
-
-  /// Derives an independent child generator (for per-site / per-dataset
-  /// streams that must not interleave).
-  Rng fork() { return Rng(operator()()); }
-
   /// Complete generator state, exposed so checkpointing can persist a
   /// generator mid-stream and restore() can continue the exact sequence.
   struct State {

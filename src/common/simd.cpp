@@ -1,5 +1,5 @@
 // Kernel implementations. This translation unit is compiled with
-// -ffp-contract=off (see src/common/CMakeLists.txt): the float kernels'
+// -ffp-contract=off (see src/common/CMakeLists.txt): the float kernel's
 // scalar/AVX2 equivalence depends on multiply and add rounding separately
 // in both paths.
 #include "common/simd.h"
@@ -14,21 +14,7 @@
 
 namespace bohr::simd {
 
-bool avx2_enabled() {
-#if defined(BOHR_HAVE_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
 // ---- scalar references --------------------------------------------------
-
-void indexed_hash_batch_scalar(const std::uint64_t* keys, std::size_t n,
-                               std::uint64_t h, std::uint64_t* out) {
-  const std::uint64_t seed = mix64(h + 1);
-  for (std::size_t i = 0; i < n; ++i) out[i] = mix64(keys[i] ^ seed);
-}
 
 std::uint64_t indexed_hash_min_scalar(const std::uint64_t* keys,
                                       std::size_t n, std::uint64_t h) {
@@ -46,34 +32,6 @@ std::size_t count_equal_u64_scalar(const std::uint64_t* a,
   std::size_t agree = 0;
   for (std::size_t i = 0; i < n; ++i) agree += a[i] == b[i] ? 1 : 0;
   return agree;
-}
-
-std::size_t count_equal_u16_scalar(const std::uint16_t* a,
-                                   const std::uint16_t* b, std::size_t n) {
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < n; ++i) agree += a[i] == b[i] ? 1 : 0;
-  return agree;
-}
-
-std::size_t count_equal_u8_scalar(const std::uint8_t* a,
-                                  const std::uint8_t* b, std::size_t n) {
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < n; ++i) agree += a[i] == b[i] ? 1 : 0;
-  return agree;
-}
-
-double dot_scalar(const double* a, const double* b, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    l0 += a[i] * b[i];
-    l1 += a[i + 1] * b[i + 1];
-    l2 += a[i + 2] * b[i + 2];
-    l3 += a[i + 3] * b[i + 3];
-  }
-  double acc = (l0 + l1) + (l2 + l3);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 double squared_distance_scalar(const double* a, const double* b,
@@ -98,46 +56,9 @@ double squared_distance_scalar(const double* a, const double* b,
   return acc;
 }
 
-DotNorms dot_and_norms_scalar(const double* a, const double* b,
-                              std::size_t n) {
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  double x0 = 0.0, x1 = 0.0, x2 = 0.0, x3 = 0.0;
-  double y0 = 0.0, y1 = 0.0, y2 = 0.0, y3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    d0 += a[i] * b[i];
-    d1 += a[i + 1] * b[i + 1];
-    d2 += a[i + 2] * b[i + 2];
-    d3 += a[i + 3] * b[i + 3];
-    x0 += a[i] * a[i];
-    x1 += a[i + 1] * a[i + 1];
-    x2 += a[i + 2] * a[i + 2];
-    x3 += a[i + 3] * a[i + 3];
-    y0 += b[i] * b[i];
-    y1 += b[i + 1] * b[i + 1];
-    y2 += b[i + 2] * b[i + 2];
-    y3 += b[i + 3] * b[i + 3];
-  }
-  DotNorms out;
-  out.dot = (d0 + d1) + (d2 + d3);
-  out.norm_a = (x0 + x1) + (x2 + x3);
-  out.norm_b = (y0 + y1) + (y2 + y3);
-  for (; i < n; ++i) {
-    out.dot += a[i] * b[i];
-    out.norm_a += a[i] * a[i];
-    out.norm_b += b[i] * b[i];
-  }
-  return out;
-}
-
 #if !defined(BOHR_HAVE_AVX2)
 
 // ---- scalar dispatch ----------------------------------------------------
-
-void indexed_hash_batch(const std::uint64_t* keys, std::size_t n,
-                        std::uint64_t h, std::uint64_t* out) {
-  indexed_hash_batch_scalar(keys, n, h, out);
-}
 
 std::uint64_t indexed_hash_min(const std::uint64_t* keys, std::size_t n,
                                std::uint64_t h) {
@@ -149,26 +70,8 @@ std::size_t count_equal_u64(const std::uint64_t* a, const std::uint64_t* b,
   return count_equal_u64_scalar(a, b, n);
 }
 
-std::size_t count_equal_u16(const std::uint16_t* a, const std::uint16_t* b,
-                            std::size_t n) {
-  return count_equal_u16_scalar(a, b, n);
-}
-
-std::size_t count_equal_u8(const std::uint8_t* a, const std::uint8_t* b,
-                           std::size_t n) {
-  return count_equal_u8_scalar(a, b, n);
-}
-
-double dot(const double* a, const double* b, std::size_t n) {
-  return dot_scalar(a, b, n);
-}
-
 double squared_distance(const double* a, const double* b, std::size_t n) {
   return squared_distance_scalar(a, b, n);
-}
-
-DotNorms dot_and_norms(const double* a, const double* b, std::size_t n) {
-  return dot_and_norms_scalar(a, b, n);
 }
 
 #else  // BOHR_HAVE_AVX2
@@ -220,18 +123,6 @@ inline __m256i load4(const std::uint64_t* p) {
 
 // ---- AVX2 dispatch ------------------------------------------------------
 
-void indexed_hash_batch(const std::uint64_t* keys, std::size_t n,
-                        std::uint64_t h, std::uint64_t* out) {
-  const std::uint64_t seed = mix64(h + 1);
-  const __m256i seed4 = _mm256_set1_epi64x(static_cast<long long>(seed));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i hashed = mix64x4(_mm256_xor_si256(load4(keys + i), seed4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), hashed);
-  }
-  for (; i < n; ++i) out[i] = mix64(keys[i] ^ seed);
-}
-
 std::uint64_t indexed_hash_min(const std::uint64_t* keys, std::size_t n,
                                std::uint64_t h) {
   const std::uint64_t seed = mix64(h + 1);
@@ -271,40 +162,6 @@ std::size_t count_equal_u64(const std::uint64_t* a, const std::uint64_t* b,
   return agree;
 }
 
-std::size_t count_equal_u16(const std::uint16_t* a, const std::uint16_t* b,
-                            std::size_t n) {
-  std::size_t agree = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi16(va, vb)));
-    agree += static_cast<std::size_t>(__builtin_popcount(mask)) / 2;
-  }
-  for (; i < n; ++i) agree += a[i] == b[i] ? 1 : 0;
-  return agree;
-}
-
-std::size_t count_equal_u8(const std::uint8_t* a, const std::uint8_t* b,
-                           std::size_t n) {
-  std::size_t agree = 0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    agree += static_cast<std::size_t>(__builtin_popcount(mask));
-  }
-  for (; i < n; ++i) agree += a[i] == b[i] ? 1 : 0;
-  return agree;
-}
-
 namespace {
 
 /// Combines a 4-lane accumulator as (l0 + l1) + (l2 + l3) — the order the
@@ -316,18 +173,6 @@ inline double combine_lanes(__m256d acc) {
 }
 
 }  // namespace
-
-double dot(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  double out = combine_lanes(acc);
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
-}
 
 double squared_distance(const double* a, const double* b, std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
@@ -341,30 +186,6 @@ double squared_distance(const double* a, const double* b, std::size_t n) {
   for (; i < n; ++i) {
     const double d = a[i] - b[i];
     out += d * d;
-  }
-  return out;
-}
-
-DotNorms dot_and_norms(const double* a, const double* b, std::size_t n) {
-  __m256d acc_dot = _mm256_setzero_pd();
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    const __m256d vb = _mm256_loadu_pd(b + i);
-    acc_dot = _mm256_add_pd(acc_dot, _mm256_mul_pd(va, vb));
-    acc_a = _mm256_add_pd(acc_a, _mm256_mul_pd(va, va));
-    acc_b = _mm256_add_pd(acc_b, _mm256_mul_pd(vb, vb));
-  }
-  DotNorms out;
-  out.dot = combine_lanes(acc_dot);
-  out.norm_a = combine_lanes(acc_a);
-  out.norm_b = combine_lanes(acc_b);
-  for (; i < n; ++i) {
-    out.dot += a[i] * b[i];
-    out.norm_a += a[i] * a[i];
-    out.norm_b += b[i] * b[i];
   }
   return out;
 }

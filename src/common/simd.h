@@ -4,13 +4,13 @@
 //
 // Two contracts make the kernels safe inside a deterministic simulator:
 //
-//  1. *Integer kernels are exact.* Hashing, min-reduction, and packed
-//     equality counting produce bit-identical results in both
-//     implementations — the AVX2 path is pure integer math with the same
-//     operations in a different width.
-//  2. *Float kernels fix the summation order.* Dot products and squared
-//     distances accumulate into four independent lanes (element i goes to
-//     lane i % 4) and combine lanes as (l0 + l1) + (l2 + l3), then add the
+//  1. *Integer kernels are exact.* Hashing, min-reduction, and equality
+//     counting produce bit-identical results in both implementations —
+//     the AVX2 path is pure integer math with the same operations in a
+//     different width.
+//  2. *Float kernels fix the summation order.* Squared distances
+//     accumulate into four independent lanes (element i goes to lane
+//     i % 4) and combine lanes as (l0 + l1) + (l2 + l3), then add the
 //     scalar tail. The scalar reference implements exactly that order, so
 //     the AVX2 path (one register = the four lanes) rounds identically.
 //     The kernels live in simd.cpp, which is compiled with
@@ -27,19 +27,7 @@
 
 namespace bohr::simd {
 
-/// True when this binary dispatches to the AVX2 implementations (the
-/// kernels live in simd.cpp, the only TU compiled with -mavx2, so the
-/// answer is a property of the build, not of the including TU).
-bool avx2_enabled();
-
 // ---- integer kernels (exact; AVX2 == scalar bit-for-bit) ---------------
-
-/// out[i] = indexed_hash(keys[i], h) — one MinHash hash function applied
-/// across a key block.
-void indexed_hash_batch(const std::uint64_t* keys, std::size_t n,
-                        std::uint64_t h, std::uint64_t* out);
-void indexed_hash_batch_scalar(const std::uint64_t* keys, std::size_t n,
-                               std::uint64_t h, std::uint64_t* out);
 
 /// min over i of indexed_hash(keys[i], h) — the fused hash+min-reduce a
 /// MinHash slot needs. Returns UINT64_MAX for n == 0.
@@ -55,38 +43,11 @@ std::size_t count_equal_u64(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t count_equal_u64_scalar(const std::uint64_t* a,
                                    const std::uint64_t* b, std::size_t n);
 
-/// Packed 16-bit slot-agreement popcount (b-bit signatures, 8 < b <= 16).
-std::size_t count_equal_u16(const std::uint16_t* a, const std::uint16_t* b,
-                            std::size_t n);
-std::size_t count_equal_u16_scalar(const std::uint16_t* a,
-                                   const std::uint16_t* b, std::size_t n);
-
-/// Packed 8-bit slot-agreement popcount (b-bit signatures, b <= 8).
-std::size_t count_equal_u8(const std::uint8_t* a, const std::uint8_t* b,
-                           std::size_t n);
-std::size_t count_equal_u8_scalar(const std::uint8_t* a,
-                                  const std::uint8_t* b, std::size_t n);
-
-// ---- float kernels (4-lane blocked summation, see header comment) ------
-
-/// dot(a, b) over n elements.
-double dot(const double* a, const double* b, std::size_t n);
-double dot_scalar(const double* a, const double* b, std::size_t n);
+// ---- float kernel (4-lane blocked summation, see header comment) -------
 
 /// sum over i of (a[i] - b[i])^2 — the k-means assignment kernel.
 double squared_distance(const double* a, const double* b, std::size_t n);
 double squared_distance_scalar(const double* a, const double* b,
                                std::size_t n);
-
-/// Fused dot + both squared norms in one streaming pass — the cosine
-/// kernel (each of the three accumulators follows the 4-lane order).
-struct DotNorms {
-  double dot = 0.0;
-  double norm_a = 0.0;  ///< sum of a[i]^2
-  double norm_b = 0.0;  ///< sum of b[i]^2
-};
-DotNorms dot_and_norms(const double* a, const double* b, std::size_t n);
-DotNorms dot_and_norms_scalar(const double* a, const double* b,
-                              std::size_t n);
 
 }  // namespace bohr::simd

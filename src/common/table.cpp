@@ -66,29 +66,4 @@ std::string TablePrinter::to_csv() const {
   return out.str();
 }
 
-std::string format_bytes(double bytes) {
-  static constexpr const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  int unit = 0;
-  while (bytes >= 1024.0 && unit < 4) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(2) << bytes << ' ' << kUnits[unit];
-  return out.str();
-}
-
-std::string format_seconds(double seconds) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(2);
-  if (seconds < 1e-3) {
-    out << seconds * 1e6 << " us";
-  } else if (seconds < 1.0) {
-    out << seconds * 1e3 << " ms";
-  } else {
-    out << seconds << " s";
-  }
-  return out.str();
-}
-
 }  // namespace bohr

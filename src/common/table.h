@@ -32,10 +32,4 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a byte count with binary units ("1.50 GiB").
-std::string format_bytes(double bytes);
-
-/// Formats seconds adaptively ("12.3 ms", "4.56 s").
-std::string format_seconds(double seconds);
-
 }  // namespace bohr

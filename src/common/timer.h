@@ -6,12 +6,10 @@
 
 namespace bohr {
 
-/// Measures elapsed wall-clock seconds since construction or last reset.
+/// Measures elapsed wall-clock seconds since construction.
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
-
-  void reset() { start_ = Clock::now(); }
 
   double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();

@@ -7,7 +7,7 @@
 
 namespace bohr {
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) : skew_(s) {
+ZipfSampler::ZipfSampler(std::size_t n, double s) {
   BOHR_EXPECTS(n > 0);
   BOHR_EXPECTS(s >= 0.0);
   pmf_.resize(n);

@@ -23,7 +23,6 @@ class ZipfSampler {
   ZipfSampler(std::size_t n, double s);
 
   std::size_t universe() const { return cdf_.size(); }
-  double skew() const { return skew_; }
 
   /// Draws one rank in [0, universe()).
   std::size_t sample(Rng& rng) const;
@@ -34,7 +33,6 @@ class ZipfSampler {
  private:
   std::vector<double> pmf_;  // pmf_[r] = P(rank = r), from the raw weights
   std::vector<double> cdf_;  // cdf_[r] = P(rank <= r), for sampling only
-  double skew_ = 0.0;
 };
 
 }  // namespace bohr

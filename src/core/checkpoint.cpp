@@ -266,9 +266,8 @@ std::string cube_file_name(std::size_t dataset, std::size_t site) {
 }
 
 /// The full state image of one snapshot.
-std::string build_state_image(
-    const Controller& controller, const PrepareProgress& progress,
-    const net::BandwidthEstimator* bandwidth) {
+std::string build_state_image(const Controller& controller,
+                              const PrepareProgress& progress) {
   ByteWriter w;
   w.raw(kStateMagic);
   w.u32(kStateVersion);
@@ -279,16 +278,7 @@ std::string build_state_image(
   w.f64(rng.spare);
   w.u8(rng.has_spare ? 1 : 0);
 
-  w.u8(bandwidth != nullptr ? 1 : 0);
-  if (bandwidth != nullptr) {
-    const auto estimates = bandwidth->estimates();
-    w.u32(static_cast<std::uint32_t>(estimates.size()));
-    for (const auto& e : estimates) {
-      w.f64(e.up);
-      w.f64(e.down);
-      w.u8(e.seen ? 1 : 0);
-    }
-  }
+  w.u8(0);  // reserved
 
   write_report(w, progress.report);
   write_plans(w, progress.plans);
@@ -309,7 +299,6 @@ std::string build_state_image(
 struct DecodedState {
   PrepareProgress progress;
   Rng::State rng;
-  std::optional<std::vector<net::BandwidthEstimator::SiteEstimate>> bandwidth;
   std::vector<DatasetSimilarity> similarity;
   std::vector<std::vector<std::vector<olap::Row>>> dataset_rows;
   std::vector<bool> dataset_has_cubes;
@@ -330,16 +319,7 @@ DecodedState decode_state_image(const std::string& image) {
   state.rng.spare = r.f64();
   state.rng.has_spare = r.u8() != 0;
 
-  if (r.u8() != 0) {
-    std::vector<net::BandwidthEstimator::SiteEstimate> estimates(
-        r.count<std::uint32_t>(kF64 + kF64 + kU8));
-    for (auto& e : estimates) {
-      e.up = r.f64();
-      e.down = r.f64();
-      e.seen = r.u8() != 0;
-    }
-    state.bandwidth = std::move(estimates);
-  }
+  if (r.u8() != 0) r.fail("reserved byte is not 0");
 
   state.progress.report = read_report(r);
   state.progress.plans = read_plans(r);
@@ -532,7 +512,6 @@ void CheckpointManager::write_file(const std::string& path,
 
 void CheckpointManager::snapshot(const Controller& controller,
                                  const PrepareProgress& progress,
-                                 const net::BandwidthEstimator* bandwidth,
                                  const std::string* migration) {
   ScopedPhase phase("checkpoint.snapshot");
   BOHR_EXPECTS(progress.completed_steps >= 1);
@@ -549,8 +528,7 @@ void CheckpointManager::snapshot(const Controller& controller,
 
   // Serialize everything first so the manifest can seal intended bytes.
   std::vector<std::pair<std::string, std::string>> files;
-  files.emplace_back(kStateFile,
-                     build_state_image(controller, progress, bandwidth));
+  files.emplace_back(kStateFile, build_state_image(controller, progress));
   if (migration != nullptr) {
     files.emplace_back(kMigrationFile, *migration);
   }
@@ -685,7 +663,6 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
       result.recovered = true;
       result.snapshot_seq = seq;
       result.progress = std::move(state.progress);
-      result.bandwidth = std::move(state.bandwidth);
       result.migration_image = std::move(migration_image);
       return result;
     } catch (const SnapshotRejected&) {
@@ -701,8 +678,7 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
 namespace {
 
 void run_remaining_steps(Controller& controller, PrepareProgress& progress,
-                         CheckpointManager& checkpoints,
-                         const net::BandwidthEstimator* bandwidth) {
+                         CheckpointManager& checkpoints) {
   const std::string& crash_phase =
       controller.options().faults.crash_after_phase;
   const std::vector<std::string>& names = prepare_phase_names();
@@ -725,7 +701,7 @@ void run_remaining_steps(Controller& controller, PrepareProgress& progress,
         controller.step_execute_movement(progress);
         break;
     }
-    checkpoints.snapshot(controller, progress, bandwidth);
+    checkpoints.snapshot(controller, progress);
     // The crash fires after the snapshot commits: "crash after phase X"
     // tests recovery FROM X's snapshot. (A crash mid-snapshot is the
     // torn-write fault's job.)
@@ -738,19 +714,17 @@ void run_remaining_steps(Controller& controller, PrepareProgress& progress,
 
 }  // namespace
 
-const PrepareReport& checkpointed_prepare(
-    Controller& controller, CheckpointManager& checkpoints,
-    const net::BandwidthEstimator* bandwidth) {
+const PrepareReport& checkpointed_prepare(Controller& controller,
+                                          CheckpointManager& checkpoints) {
   PrepareProgress progress = controller.start_prepare();
-  run_remaining_steps(controller, progress, checkpoints, bandwidth);
+  run_remaining_steps(controller, progress, checkpoints);
   return controller.finish_prepare(std::move(progress));
 }
 
 const PrepareReport& resume_prepare(Controller& controller,
                                     PrepareProgress progress,
-                                    CheckpointManager& checkpoints,
-                                    const net::BandwidthEstimator* bandwidth) {
-  run_remaining_steps(controller, progress, checkpoints, bandwidth);
+                                    CheckpointManager& checkpoints) {
+  run_remaining_steps(controller, progress, checkpoints);
   return controller.finish_prepare(std::move(progress));
 }
 

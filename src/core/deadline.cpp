@@ -20,18 +20,6 @@ void require(bool ok, const char* field, const char* what) {
 }
 }  // namespace
 
-const char* to_string(QueryPhase phase) {
-  switch (phase) {
-    case QueryPhase::kProbe:
-      return "probe";
-    case QueryPhase::kShuffle:
-      return "shuffle";
-    case QueryPhase::kReduce:
-      return "reduce";
-  }
-  return "unknown";
-}
-
 void DeadlineOptions::validate() const {
   require(total_seconds > 0.0, "total_seconds", "must be > 0");
   require(probe_share >= 0.0, "probe_share", "must be >= 0");

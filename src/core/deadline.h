@@ -22,8 +22,6 @@ namespace bohr::core {
 enum class QueryPhase { kProbe = 0, kShuffle = 1, kReduce = 2 };
 inline constexpr std::size_t kQueryPhaseCount = 3;
 
-const char* to_string(QueryPhase phase);
-
 struct DeadlineOptions {
   /// Total QCT budget for one query, seconds of modeled time.
   double total_seconds = 60.0;

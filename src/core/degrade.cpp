@@ -80,17 +80,6 @@ void DegradedReport::add(const DegradedAnswer& answer) {
   retries += answer.retries;
 }
 
-void DegradedReport::append(const DegradedReport& other) {
-  answers.insert(answers.end(), other.answers.begin(), other.answers.end());
-  queries_total += other.queries_total;
-  exact += other.exact;
-  partial += other.partial;
-  substituted += other.substituted;
-  prior += other.prior;
-  escalations += other.escalations;
-  retries += other.retries;
-}
-
 std::string DegradedReport::serialize() const {
   ByteWriter w;
   w.raw(kMagic);

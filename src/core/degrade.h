@@ -114,8 +114,6 @@ struct DegradedReport {
   std::uint64_t retries = 0;
 
   void add(const DegradedAnswer& answer);
-  /// Folds `other` after this report's answers (checkpoint resume).
-  void append(const DegradedReport& other);
 
   std::string serialize() const;
   /// Throws ContractViolation on a malformed image.

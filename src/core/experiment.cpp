@@ -654,7 +654,7 @@ ChurnRunResult run_churn_experiment(const ExperimentConfig& config,
       const std::string image = encode_churn_image(
           out, qct_weighted_sum, migctl ? &*migctl : nullptr,
           churn.degrade, own_health ? &*own_health : nullptr);
-      ckpt->snapshot(controller, snapshot_progress, nullptr, &image);
+      ckpt->snapshot(controller, snapshot_progress, &image);
       ++out.snapshots_written;
     }
     if (churn.crash_after_round > 0 && r + 1 == churn.crash_after_round &&

@@ -84,12 +84,10 @@ class MigrationController {
 
   const engine::ReduceBucketMap& buckets() const { return buckets_; }
   const net::SiteHealthMonitor& health() const { return health_; }
-  const MigrationOptions& options() const { return options_; }
 
   std::size_t rounds() const { return rounds_; }
   std::size_t total_moves() const { return total_moves_; }
   std::size_t total_evacuations() const { return total_evacuations_; }
-  double total_delta_bytes() const { return total_delta_bytes_; }
 
   /// Deterministic decision log, one line per round; the byte-identity
   /// contract of the migration tests runs through this.

@@ -168,20 +168,18 @@ TaskPlacementResult solve_task_placement_impl(
   TaskLp local;
   TaskLp& tlp = cache != nullptr ? *cache : local;
   if (!tlp.built) {
-    tlp.t = tlp.p.add_variable("t", 1.0);
+    tlp.t = tlp.p.add_variable(1.0);
     tlp.r.resize(n);
-    for (std::size_t i = 0; i < n; ++i) tlp.r[i] = tlp.p.add_variable("r", 0.0);
+    for (std::size_t i = 0; i < n; ++i) tlp.r[i] = tlp.p.add_variable(0.0);
     tlp.up_row.resize(n);
     tlp.down_row.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      tlp.up_row[i] = tlp.p.add_constraint({}, lp::Relation::LessEq, 0.0,
-                                           "upload");
-      tlp.down_row[i] = tlp.p.add_constraint({}, lp::Relation::LessEq, 0.0,
-                                             "download");
+      tlp.up_row[i] = tlp.p.add_constraint({}, lp::Relation::LessEq, 0.0);
+      tlp.down_row[i] = tlp.p.add_constraint({}, lp::Relation::LessEq, 0.0);
     }
     std::vector<lp::Term> sum_r;
     for (std::size_t i = 0; i < n; ++i) sum_r.push_back({tlp.r[i], 1.0});
-    tlp.p.add_constraint(std::move(sum_r), lp::Relation::Equal, 1.0, "sum_r");
+    tlp.p.add_constraint(std::move(sum_r), lp::Relation::Equal, 1.0);
     tlp.built = true;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -476,7 +474,7 @@ XStepLp build_x_step_lp(const PlacementProblem& problem) {
   xlp.unit = unit;
 
   lp::LpProblem& p = xlp.p;
-  xlp.t = p.add_variable("t", 1.0);
+  xlp.t = p.add_variable(1.0);
 
   // The minimax objective alone is degenerate: when the binding
   // constraint at the fixed r is a download term, no x improves t and the
@@ -509,12 +507,12 @@ XStepLp build_x_step_lp(const PlacementProblem& problem) {
             kSecondaryEpsilon / upload_norm * unit *
             (rho_incoming(problem, a, i, j) / problem.topology.uplink(j) -
              rho_resident(problem, a, i) / problem.topology.uplink(i));
-        xlp.x[a][i][j] = p.add_variable("x", secondary);
+        xlp.x[a][i][j] = p.add_variable(secondary);
       }
     }
   }
   xlp.g.resize(n);
-  for (std::size_t i = 0; i < n; ++i) xlp.g[i] = p.add_variable("g", 0.0);
+  for (std::size_t i = 0; i < n; ++i) xlp.g[i] = p.add_variable(0.0);
 
   // g-definition rows: g_i = sum_a f^a_i(x)/unit, i.e.
   //   g_i + sum_a rho_i sum_j x^a_ij - sum_a sum_k rho_in(k,i) x^a_ki
@@ -531,7 +529,7 @@ XStepLp build_x_step_lp(const PlacementProblem& problem) {
         terms.push_back({xlp.x[a][j][i], -rho_incoming(problem, a, j, i)});
       }
     }
-    p.add_constraint(std::move(terms), lp::Relation::Equal, rhs, "fsum");
+    p.add_constraint(std::move(terms), lp::Relation::Equal, rhs);
   }
 
   // Constraints (3)-(4) over {t, g}; coefficients depend on r and are
@@ -539,8 +537,8 @@ XStepLp build_x_step_lp(const PlacementProblem& problem) {
   xlp.up_row.resize(n);
   xlp.down_row.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    xlp.up_row[i] = p.add_constraint({}, lp::Relation::LessEq, 0.0, "up");
-    xlp.down_row[i] = p.add_constraint({}, lp::Relation::LessEq, 0.0, "down");
+    xlp.up_row[i] = p.add_constraint({}, lp::Relation::LessEq, 0.0);
+    xlp.down_row[i] = p.add_constraint({}, lp::Relation::LessEq, 0.0);
   }
 
   // Constraints (5)-(6): movement must finish within the lag T.
@@ -555,11 +553,9 @@ XStepLp build_x_step_lp(const PlacementProblem& problem) {
       }
     }
     p.add_constraint(std::move(out_terms), lp::Relation::LessEq,
-                     problem.lag_seconds * problem.topology.uplink(i) / unit,
-                     "move_out");
+                     problem.lag_seconds * problem.topology.uplink(i) / unit);
     p.add_constraint(std::move(in_terms), lp::Relation::LessEq,
-                     problem.lag_seconds * problem.topology.downlink(i) / unit,
-                     "move_in");
+                     problem.lag_seconds * problem.topology.downlink(i) / unit);
   }
 
   // A site cannot ship more of a dataset than it stores.
@@ -570,7 +566,7 @@ XStepLp build_x_step_lp(const PlacementProblem& problem) {
         if (j != i) terms.push_back({xlp.x[a][i][j], 1.0});
       }
       p.add_constraint(std::move(terms), lp::Relation::LessEq,
-                       problem.datasets[a].input_bytes[i] / unit, "supply");
+                       problem.datasets[a].input_bytes[i] / unit);
     }
   }
   return xlp;
@@ -687,15 +683,6 @@ PlacementDecision alternate_from(const PlacementProblem& problem,
     candidate.move_bytes = std::move(x_step.move_bytes);
     candidate.reduce_fractions = r_step.reduce_fractions;
     const double t = predicted_shuffle_seconds(problem, candidate);
-#ifdef BOHR_DEBUG_ALTERNATION
-    std::fprintf(stderr,
-                 "[joint] round=%zu x_obj=%.4f r_obj=%.4f cand_t=%.4f "
-                 "best_t=%.4f moved=%.3e x_it=%zu%s r_it=%zu%s\n",
-                 round, x_step.objective, r_step.objective, t, best_t,
-                 candidate.moved_bytes_total(), x_step.iterations,
-                 x_step.warm_started ? "(warm)" : "", r_step.iterations,
-                 r_solve_stats.warm_started ? "(warm)" : "");
-#endif
     if (t < best_t - options.convergence_epsilon) {
       decision.move_bytes = std::move(candidate.move_bytes);
       decision.reduce_fractions = std::move(candidate.reduce_fractions);

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
-
-#include "common/check.h"
-#include "common/hash.h"
 
 namespace bohr::engine {
 
@@ -34,40 +30,6 @@ RecordStream combine(std::span<const KeyValue> records, AggregateOp op) {
   for (const auto& [key, value] : acc) out.push_back(KeyValue{key, value});
   std::sort(out.begin(), out.end(),
             [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-  return out;
-}
-
-std::size_t distinct_keys(std::span<const KeyValue> records) {
-  std::unordered_set<std::uint64_t> keys;
-  keys.reserve(records.size());
-  for (const KeyValue& kv : records) keys.insert(kv.key);
-  return keys.size();
-}
-
-std::size_t reduce_bucket_of(std::uint64_t key, std::size_t n_buckets) {
-  BOHR_EXPECTS(n_buckets > 0);
-  return static_cast<std::size_t>(mix64(key) %
-                                  static_cast<std::uint64_t>(n_buckets));
-}
-
-PartialCombine combine_alive_buckets(std::span<const KeyValue> records,
-                                     AggregateOp op,
-                                     const std::vector<bool>& bucket_alive) {
-  BOHR_EXPECTS(!bucket_alive.empty());
-  PartialCombine out;
-  RecordStream alive;
-  alive.reserve(records.size());
-  std::unordered_set<std::uint64_t> dropped_keys;
-  for (const KeyValue& kv : records) {
-    if (bucket_alive[reduce_bucket_of(kv.key, bucket_alive.size())]) {
-      alive.push_back(kv);
-    } else {
-      ++out.records_dropped;
-      dropped_keys.insert(kv.key);
-    }
-  }
-  out.keys_dropped = dropped_keys.size();
-  out.records = combine(alive, op);
   return out;
 }
 

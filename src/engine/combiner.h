@@ -14,29 +14,4 @@ enum class AggregateOp { Sum, Count, Max, Min };
 /// (deterministic). Count outputs the number of occurrences as the value.
 RecordStream combine(std::span<const KeyValue> records, AggregateOp op);
 
-/// Number of distinct keys in a stream (the combined output size).
-std::size_t distinct_keys(std::span<const KeyValue> records);
-
-/// Reduce bucket a key hashes into when the keyspace is split across
-/// `n_buckets` equal buckets (the ReduceBucketMap convention). Keys are
-/// already well-dispersed hashes; a bijective remix decorrelates the
-/// bucket from the key's low bits.
-std::size_t reduce_bucket_of(std::uint64_t key, std::size_t n_buckets);
-
-/// Output of a partial close-out: the combined survivors plus an exact
-/// account of what the dropped buckets took with them.
-struct PartialCombine {
-  RecordStream records;              ///< survivors, combined, key-sorted
-  std::size_t records_dropped = 0;   ///< input records in dead buckets
-  std::size_t keys_dropped = 0;      ///< distinct keys lost with them
-};
-
-/// Combines only the records whose reduce bucket is still alive —
-/// `bucket_alive[reduce_bucket_of(key, bucket_alive.size())]` — used
-/// when a reduce round closes at its deadline with a subset of buckets.
-/// Dropped work is counted, never silently discarded.
-PartialCombine combine_alive_buckets(std::span<const KeyValue> records,
-                                     AggregateOp op,
-                                     const std::vector<bool>& bucket_alive);
-
 }  // namespace bohr::engine

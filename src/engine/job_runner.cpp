@@ -9,12 +9,6 @@
 
 namespace bohr::engine {
 
-double JobResult::total_shuffle_bytes() const {
-  double total = 0.0;
-  for (const auto& s : sites) total += s.shuffle_bytes;
-  return total;
-}
-
 bool consumes_rng(const JobConfig& config) {
   return config.executor_assignment != ExecutorAssignment::SimilarityKMeans ||
          config.machine.straggler_probability != 0.0;

@@ -72,7 +72,6 @@ struct JobResult {
   double shuffle_seconds = 0.0;  ///< slowest shuffle minus slowest map
   std::vector<SiteJobMetrics> sites;
 
-  double total_shuffle_bytes() const;
   /// Bytes actually crossing the WAN given the reduce placement used.
   double wan_shuffle_bytes = 0.0;
   /// Fault accounting for the shuffle (0 on the pristine path).

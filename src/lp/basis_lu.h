@@ -26,7 +26,6 @@ class BasisLu {
   /// Discards any pending eta updates.
   bool factorize(const CscMatrix& a, const std::vector<std::size_t>& basis);
 
-  std::size_t size() const { return m_; }
   std::size_t eta_count() const { return etas_.size(); }
 
   /// Records the basis change "slot `p` now holds a column whose FTRAN

@@ -1,45 +1,29 @@
 #include "lp/problem.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace bohr::lp {
 
-VarId LpProblem::add_variable(std::string name, double objective_coeff) {
-  names_.push_back(std::move(name));
+VarId LpProblem::add_variable(double objective_coeff) {
   objective_.push_back(objective_coeff);
-  return names_.size() - 1;
-}
-
-void LpProblem::set_objective(VarId var, double coeff) {
-  BOHR_EXPECTS(var < objective_.size());
-  objective_[var] = coeff;
+  return objective_.size() - 1;
 }
 
 std::size_t LpProblem::add_constraint(std::vector<Term> terms,
-                                      Relation relation, double rhs,
-                                      std::string name) {
-  for (const Term& t : terms) BOHR_EXPECTS(t.var < names_.size());
-  rows_.push_back(
-      ConstraintRow{std::move(terms), relation, rhs, std::move(name)});
+                                      Relation relation, double rhs) {
+  for (const Term& t : terms) BOHR_EXPECTS(t.var < objective_.size());
+  rows_.push_back(ConstraintRow{std::move(terms), relation, rhs});
   return rows_.size() - 1;
 }
 
 void LpProblem::update_constraint(std::size_t row, std::vector<Term> terms,
                                   double rhs) {
   BOHR_EXPECTS(row < rows_.size());
-  for (const Term& t : terms) BOHR_EXPECTS(t.var < names_.size());
+  for (const Term& t : terms) BOHR_EXPECTS(t.var < objective_.size());
   rows_[row].terms = std::move(terms);
   rows_[row].rhs = rhs;
-}
-
-void LpProblem::set_rhs(std::size_t row, double rhs) {
-  BOHR_EXPECTS(row < rows_.size());
-  rows_[row].rhs = rhs;
-}
-
-const std::string& LpProblem::variable_name(VarId v) const {
-  BOHR_EXPECTS(v < names_.size());
-  return names_[v];
 }
 
 double LpProblem::objective_coeff(VarId v) const {

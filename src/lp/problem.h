@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace bohr::lp {
@@ -27,39 +25,30 @@ struct ConstraintRow {
   std::vector<Term> terms;
   Relation relation = Relation::LessEq;
   double rhs = 0.0;
-  std::string name;
 };
 
 class LpProblem {
  public:
   /// Adds a variable with the given objective coefficient; returns its id.
-  VarId add_variable(std::string name, double objective_coeff = 0.0);
-
-  /// Sets/updates the objective coefficient of an existing variable.
-  void set_objective(VarId var, double coeff);
+  VarId add_variable(double objective_coeff = 0.0);
 
   /// Adds a constraint. Terms may repeat a variable (coefficients sum).
-  /// Returns the row index (usable with update_constraint/set_rhs).
+  /// Returns the row index (usable with update_constraint).
   std::size_t add_constraint(std::vector<Term> terms, Relation relation,
-                             double rhs, std::string name = {});
+                             double rhs);
 
   /// Replaces the terms and right-hand side of an existing row in place
-  /// (relation and name are kept). This is the incremental-update hook
-  /// used by the alternating joint LP: per-round LPs share one structure
-  /// and only re-coefficient the rows that depend on the fixed block.
+  /// (the relation is kept). This is the incremental-update hook used by
+  /// the alternating joint LP: per-round LPs share one structure and only
+  /// re-coefficient the rows that depend on the fixed block.
   void update_constraint(std::size_t row, std::vector<Term> terms, double rhs);
 
-  /// Updates only the right-hand side of an existing row.
-  void set_rhs(std::size_t row, double rhs);
-
-  std::size_t variable_count() const { return names_.size(); }
+  std::size_t variable_count() const { return objective_.size(); }
   std::size_t constraint_count() const { return rows_.size(); }
-  const std::string& variable_name(VarId v) const;
   double objective_coeff(VarId v) const;
   const std::vector<ConstraintRow>& rows() const { return rows_; }
 
  private:
-  std::vector<std::string> names_;
   std::vector<double> objective_;
   std::vector<ConstraintRow> rows_;
 };

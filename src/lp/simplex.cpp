@@ -415,27 +415,9 @@ LpSolution solve_revised(const LpProblem& problem, const StandardForm& sf,
 
 }  // namespace
 
-LpSolution solve(const LpProblem& problem, const SimplexOptions& options) {
-  return solve(problem, options, nullptr);
-}
-
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options,
                  const Basis* warm_start) {
   return solve_revised(problem, standardize(problem), options, warm_start);
-}
-
-std::string to_string(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::Optimal:
-      return "optimal";
-    case SolveStatus::Infeasible:
-      return "infeasible";
-    case SolveStatus::Unbounded:
-      return "unbounded";
-    case SolveStatus::IterationLimit:
-      return "iteration-limit";
-  }
-  return "unknown";
 }
 
 }  // namespace bohr::lp

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "lp/problem.h"
@@ -76,15 +75,11 @@ struct SimplexOptions {
   std::size_t candidate_list_size = 512;
 };
 
-/// Solves `problem` (minimization, x >= 0). Deterministic.
-LpSolution solve(const LpProblem& problem, const SimplexOptions& options = {});
-
-/// Warm-started solve: `warm_start` (from a previous LpSolution::basis
-/// of a structurally identical problem) seeds the initial basis. Null or
-/// rejected warm starts fall back to a cold two-phase solve.
-LpSolution solve(const LpProblem& problem, const SimplexOptions& options,
-                 const Basis* warm_start);
-
-std::string to_string(SolveStatus status);
+/// Solves `problem` (minimization, x >= 0). Deterministic. `warm_start`
+/// (from a previous LpSolution::basis of a structurally identical
+/// problem) seeds the initial basis; a null or rejected warm start falls
+/// back to a cold two-phase solve.
+LpSolution solve(const LpProblem& problem, const SimplexOptions& options = {},
+                 const Basis* warm_start = nullptr);
 
 }  // namespace bohr::lp

@@ -26,7 +26,6 @@ struct CscMatrix {
   std::vector<std::int32_t> row_index;  // size nnz
   std::vector<double> value;            // size nnz
 
-  std::size_t nnz() const { return value.size(); }
   std::size_t bytes() const {
     return col_start.capacity() * sizeof(std::size_t) +
            row_index.capacity() * sizeof(std::int32_t) +

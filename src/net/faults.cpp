@@ -1,6 +1,7 @@
 #include "net/faults.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -220,6 +221,19 @@ double parse_num(const std::string& clause, const std::string& value) {
   }
 }
 
+/// A site index, seed, retry count, file index or bit: a whole unsigned
+/// number, digits only, that fits in 64 bits.
+std::uint64_t parse_whole(const std::string& clause,
+                          const std::string& value) {
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    bad_spec(clause, "not a whole number: '" + value + "'");
+  }
+  return v;
+}
+
 unsigned parse_phases(const std::string& clause, const std::string& value) {
   unsigned mask = 0;
   std::stringstream stream(value);
@@ -301,7 +315,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     ClauseArgs args = split_args(clause, body);
     if (head == "outage") {
       OutageWindow o;
-      o.site = static_cast<SiteId>(parse_num(clause, args.require("site")));
+      o.site = parse_whole(clause, args.require("site"));
       o.start = parse_num(clause, args.require("start"));
       o.end = parse_num(clause, args.require("end"));
       if (const auto* p = args.find("phases")) o.phases = parse_phases(clause, *p);
@@ -309,7 +323,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       plan.outages.push_back(o);
     } else if (head == "degrade") {
       LinkDegradation d;
-      d.site = static_cast<SiteId>(parse_num(clause, args.require("site")));
+      d.site = parse_whole(clause, args.require("site"));
       d.start = parse_num(clause, args.require("start"));
       d.end = parse_num(clause, args.require("end"));
       d.factor = parse_num(clause, args.require("factor"));
@@ -330,16 +344,16 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       FlowKill k;
       k.time = parse_num(clause, args.require("time"));
       if (const auto* s = args.find("src")) {
-        k.src = static_cast<SiteId>(parse_num(clause, *s));
+        k.src = parse_whole(clause, *s);
       }
       if (const auto* d = args.find("dst")) {
-        k.dst = static_cast<SiteId>(parse_num(clause, *d));
+        k.dst = parse_whole(clause, *d);
       }
       if (const auto* p = args.find("phases")) k.phases = parse_phases(clause, *p);
       plan.kills.push_back(k);
     } else if (head == "slow-site") {
       SiteSlowdown s;
-      s.site = static_cast<SiteId>(parse_num(clause, args.require("site")));
+      s.site = parse_whole(clause, args.require("site"));
       s.start = parse_num(clause, args.require("start"));
       s.end = parse_num(clause, args.require("end"));
       if (const auto* f = args.find("factor")) s.factor = parse_num(clause, *f);
@@ -350,7 +364,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     } else if (head == "probe-loss") {
       plan.probe_loss_probability = parse_num(clause, args.require("p"));
       if (const auto* s = args.find("seed")) {
-        plan.seed = static_cast<std::uint64_t>(parse_num(clause, *s));
+        plan.seed = parse_whole(clause, *s);
       }
       if (plan.probe_loss_probability < 0.0 ||
           plan.probe_loss_probability > 1.0) {
@@ -366,8 +380,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     } else if (head == "torn-write") {
       StorageFault s;
       s.kind = StorageFault::Kind::kTornWrite;
-      s.file_index =
-          static_cast<std::size_t>(parse_num(clause, args.require("file")));
+      s.file_index = parse_whole(clause, args.require("file"));
       if (const auto* f = args.find("fraction")) {
         s.fraction = parse_num(clause, *f);
       }
@@ -378,15 +391,11 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     } else if (head == "bit-flip") {
       StorageFault s;
       s.kind = StorageFault::Kind::kBitFlip;
-      s.file_index =
-          static_cast<std::size_t>(parse_num(clause, args.require("file")));
-      if (const auto* b = args.find("bit")) {
-        s.bit = static_cast<std::size_t>(parse_num(clause, *b));
-      }
+      s.file_index = parse_whole(clause, args.require("file"));
+      if (const auto* b = args.find("bit")) s.bit = parse_whole(clause, *b);
       plan.storage_faults.push_back(s);
     } else if (head == "retry") {
-      plan.retry.max_retries =
-          static_cast<std::size_t>(parse_num(clause, args.require("max")));
+      plan.retry.max_retries = parse_whole(clause, args.require("max"));
       plan.retry.backoff_base_seconds = parse_num(clause, args.require("base"));
       if (const auto* c = args.find("cap")) {
         plan.retry.backoff_cap_seconds = parse_num(clause, *c);

@@ -61,7 +61,6 @@ class SiteHealthMonitor {
   /// every due site against `plan` and advances the state machines.
   void observe(const FaultPlan& plan, double now);
 
-  std::size_t site_count() const { return sites_.size(); }
   SiteHealth health(SiteId site) const;
   /// A site the migration controller may place reduce buckets on.
   bool usable(SiteId site) const;
@@ -80,8 +79,6 @@ class SiteHealthMonitor {
   /// throws ContractViolation on a malformed image.
   std::string serialize() const;
   void restore(std::string_view image);
-
-  const HealthOptions& options() const { return options_; }
 
  private:
   struct SiteState {

@@ -18,17 +18,6 @@ const Site& WanTopology::site(SiteId id) const {
   return sites_[id];
 }
 
-SiteId WanTopology::min_uplink_site() const {
-  BOHR_EXPECTS(!sites_.empty());
-  SiteId best = 0;
-  for (SiteId i = 1; i < sites_.size(); ++i) {
-    if (sites_[i].uplink_bytes_per_sec < sites_[best].uplink_bytes_per_sec) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 double WanTopology::total_uplink() const {
   double total = 0.0;
   for (const auto& s : sites_) total += s.uplink_bytes_per_sec;

@@ -17,13 +17,9 @@ class WanTopology {
 
   std::size_t site_count() const { return sites_.size(); }
   const Site& site(SiteId id) const;
-  const std::vector<Site>& sites() const { return sites_; }
 
   double uplink(SiteId id) const { return site(id).uplink_bytes_per_sec; }
   double downlink(SiteId id) const { return site(id).downlink_bytes_per_sec; }
-
-  /// Site with the smallest uplink (used as a default bottleneck notion).
-  SiteId min_uplink_site() const;
 
   /// Sum of all uplink capacities.
   double total_uplink() const;

@@ -397,13 +397,4 @@ std::vector<FlowResult> simulate_flows(const WanTopology& topo,
   return results;
 }
 
-double single_flow_seconds(const WanTopology& topo, SiteId src, SiteId dst,
-                           double bytes) {
-  BOHR_EXPECTS(bytes >= 0.0);
-  if (src == dst || bytes == 0.0) return 0.0;
-  const double rate = std::min(topo.uplink(src), topo.downlink(dst));
-  BOHR_EXPECTS(rate > 0.0);
-  return bytes / rate;
-}
-
 }  // namespace bohr::net

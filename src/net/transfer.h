@@ -42,8 +42,4 @@ std::vector<double> max_min_rates(const WanTopology& topo,
 std::vector<FlowResult> simulate_flows(const WanTopology& topo,
                                        std::vector<Flow> flows);
 
-/// Time for `bytes` to cross src->dst alone on an idle network.
-double single_flow_seconds(const WanTopology& topo, SiteId src, SiteId dst,
-                           double bytes);
-
 }  // namespace bohr::net

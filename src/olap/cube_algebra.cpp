@@ -22,20 +22,6 @@ bool dims_compatible(const OlapCube& a, const OlapCube& b) {
   return true;
 }
 
-double cell_containment(const OlapCube& a, const OlapCube& b) {
-  if (!dims_compatible(a, b) || a.total_records() == 0) return 0.0;
-  const auto cols = a.columns();
-  const auto counts = cols->counts();
-  CellCoords coords;
-  std::uint64_t covered = 0;
-  for (std::size_t row = 0; row < cols->num_rows(); ++row) {
-    coords = cols->coords_of(row);
-    if (b.find(coords) != nullptr) covered += counts[row];
-  }
-  return static_cast<double>(covered) /
-         static_cast<double>(a.total_records());
-}
-
 CubeRelation relate(const OlapCube& a, const OlapCube& b) {
   CubeRelation rel;
   if (!dims_compatible(a, b) || (a.empty() && b.empty())) return rel;

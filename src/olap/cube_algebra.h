@@ -34,10 +34,6 @@ struct CubeRelation {
 /// substituted — member ids are meaningless across incompatible spaces.
 bool dims_compatible(const OlapCube& a, const OlapCube& b);
 
-/// Record-weighted containment of `a` in `b` (see CubeRelation). Returns
-/// 0 when the cubes are incompatible or `a` is empty.
-double cell_containment(const OlapCube& a, const OlapCube& b);
-
 /// Full relation between two cubes. Incompatible or empty pairs yield
 /// the zero relation (distance 1). Iterates canonical columnar
 /// snapshots, so results are bit-stable across runs and thread counts.

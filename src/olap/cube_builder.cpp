@@ -8,18 +8,6 @@
 
 namespace bohr::olap {
 
-CubeSpec default_cube_spec(const Schema& schema) {
-  CubeSpec spec;
-  spec.schema = schema;
-  for (const std::size_t idx : schema.dimension_indices()) {
-    spec.dim_attrs.push_back(idx);
-    spec.dimensions.emplace_back(schema.attribute(idx).name);
-  }
-  const auto measures = schema.measure_indices();
-  if (!measures.empty()) spec.measure_attr = measures.front();
-  return spec;
-}
-
 CubeBuilder::CubeBuilder(CubeSpec spec) : spec_(std::move(spec)) {
   BOHR_EXPECTS(!spec_.dim_attrs.empty());
   BOHR_EXPECTS(spec_.dim_attrs.size() == spec_.dimensions.size());

@@ -21,10 +21,6 @@ struct CubeSpec {
   std::optional<std::size_t> measure_attr;
 };
 
-/// Derives a default spec: every non-measure attribute becomes a flat
-/// dimension; the first measure attribute (if any) is the cube measure.
-CubeSpec default_cube_spec(const Schema& schema);
-
 class CubeBuilder {
  public:
   explicit CubeBuilder(CubeSpec spec);

@@ -8,8 +8,7 @@ namespace bohr::olap {
 
 CubeColumns::CubeColumns(const OlapCube& cube)
     : num_rows_(cube.cell_count()),
-      num_dims_(cube.dimension_count()),
-      total_records_(cube.total_records()) {
+      num_dims_(cube.dimension_count()) {
   ScopedPhase phase("cube.columns_build");
   // Canonical row order: sort cell pointers by ascending coordinates so
   // the snapshot is independent of the map's bucket layout and insertion

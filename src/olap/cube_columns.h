@@ -31,21 +31,13 @@ class CubeColumns {
   explicit CubeColumns(const OlapCube& cube);
 
   std::size_t num_rows() const { return num_rows_; }
-  std::size_t num_dims() const { return num_dims_; }
-  std::uint64_t total_records() const { return total_records_; }
 
-  /// Dimension `dim`'s member column, one entry per row.
-  std::span<const MemberId> column(std::size_t dim) const {
-    return {members_.data() + dim * num_rows_, num_rows_};
-  }
   MemberId member(std::size_t row, std::size_t dim) const {
     return members_[dim * num_rows_ + row];
   }
 
   std::span<const std::uint64_t> counts() const { return counts_; }
   std::span<const double> sums() const { return sums_; }
-  std::span<const double> mins() const { return mins_; }
-  std::span<const double> maxs() const { return maxs_; }
 
   /// Materializes row `row`'s coordinates (allocates).
   CellCoords coords_of(std::size_t row) const;
@@ -80,14 +72,9 @@ class CubeColumns {
     return npos;
   }
 
-  bool contains(const CellCoords& coords) const {
-    return find_hashed(CellCoordsHash{}(coords), coords) != npos;
-  }
-
  private:
   std::size_t num_rows_ = 0;
   std::size_t num_dims_ = 0;
-  std::uint64_t total_records_ = 0;
   // Arena holding all dimension columns back to back, column-major:
   // members_[dim * num_rows_ + row].
   std::vector<MemberId> members_;

@@ -49,7 +49,8 @@ class CubeIoError : public std::runtime_error {
 /// The format-v2 image of `cube`.
 std::string encode_cube(const OlapCube& cube);
 
-/// Legacy format-v1 image, kept for migration tests and tooling.
+/// Legacy format-v1 image. Only the decoder tests call it, to write v1
+/// images instead of keeping archived binaries (DESIGN §3).
 std::string encode_cube_v1(const OlapCube& cube);
 
 /// Decodes an image produced by encode_cube (v2) or encode_cube_v1.

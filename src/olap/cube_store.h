@@ -55,8 +55,6 @@ class DatasetCubes {
   /// The cube's dimensionality must match the builder spec.
   void restore_base(OlapCube base);
 
-  const CubeBuilder& builder() const { return builder_; }
-
  private:
   struct TypeEntry {
     std::vector<std::size_t> dim_positions;

@@ -22,27 +22,4 @@ const AttributeDef& Schema::attribute(std::size_t index) const {
   return attributes_[index];
 }
 
-std::optional<std::size_t> Schema::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i].name == name) return i;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::size_t> Schema::dimension_indices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < attributes_.size(); ++i) {
-    if (!attributes_[i].is_measure) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> Schema::measure_indices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i].is_measure) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace bohr::olap

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,16 +25,6 @@ class Schema {
 
   std::size_t attribute_count() const { return attributes_.size(); }
   const AttributeDef& attribute(std::size_t index) const;
-  const std::vector<AttributeDef>& attributes() const { return attributes_; }
-
-  /// Index of the attribute with this name, if present.
-  std::optional<std::size_t> index_of(const std::string& name) const;
-
-  /// Indices of all dimension (non-measure) attributes.
-  std::vector<std::size_t> dimension_indices() const;
-
-  /// Indices of all measure attributes.
-  std::vector<std::size_t> measure_indices() const;
 
  private:
   std::vector<AttributeDef> attributes_;

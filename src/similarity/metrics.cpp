@@ -1,28 +1,6 @@
 #include "similarity/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-#include <unordered_set>
-
-#include "common/check.h"
-#include "common/simd.h"
-
 namespace bohr::similarity {
-
-double jaccard(std::span<const std::uint64_t> xs,
-               std::span<const std::uint64_t> ys) {
-  std::unordered_set<std::uint64_t> x(xs.begin(), xs.end());
-  std::unordered_set<std::uint64_t> y(ys.begin(), ys.end());
-  if (x.empty() && y.empty()) return 0.0;
-  std::size_t inter = 0;
-  const auto& small = x.size() <= y.size() ? x : y;
-  const auto& large = x.size() <= y.size() ? y : x;
-  for (const auto k : small) {
-    if (large.contains(k)) ++inter;
-  }
-  const std::size_t uni = x.size() + y.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
 
 double jaccard_sorted(std::span<const std::uint64_t> xs,
                       std::span<const std::uint64_t> ys) {
@@ -43,46 +21,6 @@ double jaccard_sorted(std::span<const std::uint64_t> xs,
   }
   const std::size_t uni = xs.size() + ys.size() - inter;
   return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double weighted_jaccard(
-    const std::unordered_map<std::uint64_t, std::uint64_t>& xs,
-    const std::unordered_map<std::uint64_t, std::uint64_t>& ys) {
-  if (xs.empty() && ys.empty()) return 0.0;
-  double min_sum = 0.0;
-  double max_sum = 0.0;
-  for (const auto& [k, cx] : xs) {
-    const auto it = ys.find(k);
-    const std::uint64_t cy = it == ys.end() ? 0 : it->second;
-    min_sum += static_cast<double>(std::min(cx, cy));
-    max_sum += static_cast<double>(std::max(cx, cy));
-  }
-  for (const auto& [k, cy] : ys) {
-    if (!xs.contains(k)) max_sum += static_cast<double>(cy);
-  }
-  return max_sum > 0.0 ? min_sum / max_sum : 0.0;
-}
-
-double cosine(std::span<const double> xs, std::span<const double> ys) {
-  BOHR_EXPECTS(xs.size() == ys.size());
-  const simd::DotNorms dn = simd::dot_and_norms(xs.data(), ys.data(),
-                                                xs.size());
-  if (dn.norm_a == 0.0 || dn.norm_b == 0.0) return 0.0;
-  return dn.dot / (std::sqrt(dn.norm_a) * std::sqrt(dn.norm_b));
-}
-
-double overlap_coefficient(std::span<const std::uint64_t> xs,
-                           std::span<const std::uint64_t> ys) {
-  std::unordered_set<std::uint64_t> x(xs.begin(), xs.end());
-  std::unordered_set<std::uint64_t> y(ys.begin(), ys.end());
-  if (x.empty() || y.empty()) return 0.0;
-  std::size_t inter = 0;
-  const auto& small = x.size() <= y.size() ? x : y;
-  const auto& large = x.size() <= y.size() ? y : x;
-  for (const auto k : small) {
-    if (large.contains(k)) ++inter;
-  }
-  return static_cast<double>(inter) / static_cast<double>(small.size());
 }
 
 }  // namespace bohr::similarity

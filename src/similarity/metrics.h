@@ -1,36 +1,15 @@
-// Set / vector similarity metrics.
+// Exact set similarity over sorted keys.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 namespace bohr::similarity {
 
-/// Exact Jaccard |X ∩ Y| / |X ∪ Y| over key sets. Inputs may contain
-/// duplicates; they are treated as sets. Empty ∪ empty -> 0.
-double jaccard(std::span<const std::uint64_t> xs,
-               std::span<const std::uint64_t> ys);
-
-/// Exact Jaccard over PRE-SORTED, DEDUPLICATED key spans: a single linear
-/// merge with no hashing or allocation. Same value as jaccard() on the
-/// equivalent sets — the fast path for callers that already hold sorted
-/// unique keys (e.g. DIMSUM's all-pairs scoring).
+/// Exact Jaccard |X ∩ Y| / |X ∪ Y| over PRE-SORTED, DEDUPLICATED key
+/// spans: a single linear merge with no hashing or allocation (DIMSUM's
+/// all-pairs scoring holds sorted unique keys). Empty ∪ empty -> 0.
 double jaccard_sorted(std::span<const std::uint64_t> xs,
                       std::span<const std::uint64_t> ys);
-
-/// Weighted (multiset) Jaccard over histograms: sum(min) / sum(max).
-double weighted_jaccard(
-    const std::unordered_map<std::uint64_t, std::uint64_t>& xs,
-    const std::unordered_map<std::uint64_t, std::uint64_t>& ys);
-
-/// Cosine similarity of two dense vectors (0 if either is all-zero).
-/// Sizes must match.
-double cosine(std::span<const double> xs, std::span<const double> ys);
-
-/// Overlap coefficient |X ∩ Y| / min(|X|, |Y|) over key sets.
-double overlap_coefficient(std::span<const std::uint64_t> xs,
-                           std::span<const std::uint64_t> ys);
 
 }  // namespace bohr::similarity

@@ -1,17 +1,9 @@
 #include "similarity/minhash.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <numbers>
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/rng.h"
 #include "common/simd.h"
 
 namespace bohr::similarity {
@@ -55,119 +47,6 @@ double MinHashSignature::estimate_jaccard(
   const std::size_t agree =
       simd::count_equal_u64(mins_.data(), other.mins_.data(), mins_.size());
   return static_cast<double>(agree) / static_cast<double>(mins_.size());
-}
-
-BbitSignature BbitSignature::of(const MinHashSignature& sig,
-                                std::size_t bits) {
-  BOHR_EXPECTS(bits >= 1 && bits <= 16);
-  BbitSignature out;
-  out.bits_ = bits;
-  out.num_hashes_ = sig.num_hashes();
-  const std::uint64_t mask = (1ULL << bits) - 1;
-  if (bits <= 8) {
-    out.slots8_.reserve(sig.num_hashes());
-    for (std::size_t h = 0; h < sig.num_hashes(); ++h) {
-      out.slots8_.push_back(static_cast<std::uint8_t>(sig.min_at(h) & mask));
-    }
-  } else {
-    out.slots16_.reserve(sig.num_hashes());
-    for (std::size_t h = 0; h < sig.num_hashes(); ++h) {
-      out.slots16_.push_back(
-          static_cast<std::uint16_t>(sig.min_at(h) & mask));
-    }
-  }
-  return out;
-}
-
-double BbitSignature::estimate_jaccard(const BbitSignature& other) const {
-  BOHR_EXPECTS(num_hashes_ == other.num_hashes_);
-  BOHR_EXPECTS(bits_ == other.bits_);
-  BOHR_EXPECTS(num_hashes_ > 0);
-  const std::size_t agree =
-      bits_ <= 8 ? simd::count_equal_u8(slots8_.data(), other.slots8_.data(),
-                                        num_hashes_)
-                 : simd::count_equal_u16(slots16_.data(),
-                                         other.slots16_.data(), num_hashes_);
-  const double c =
-      static_cast<double>(agree) / static_cast<double>(num_hashes_);
-  const double r = 1.0 / static_cast<double>(1ULL << bits_);
-  const double j = (c - r) / (1.0 - r);
-  return std::clamp(j, 0.0, 1.0);
-}
-
-std::size_t BbitSignature::wire_bytes() const {
-  return (num_hashes_ * bits_ + 7) / 8;
-}
-
-namespace {
-
-/// Hyperplane matrices keyed by (seed, bits, dimension): row b holds the
-/// `dim` normal draws of Rng(hash_combine(seed, b)) in draw order — the
-/// exact sequence the per-call reseeding loop used to consume, hoisted
-/// out so each simhash() call pays only the dot products. Bounded: the
-/// workload touches a handful of (seed, bits, dim) combinations; if a
-/// pathological caller exceeds the cap the cache resets (correctness is
-/// unaffected, entries are pure functions of their key).
-class HyperplaneCache {
- public:
-  std::shared_ptr<const std::vector<double>> get(std::uint64_t seed,
-                                                 std::size_t bits,
-                                                 std::size_t dim) {
-    const Key key{seed, bits, dim};
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = planes_.find(key);
-    if (it != planes_.end()) return it->second;
-    auto matrix = std::make_shared<std::vector<double>>(bits * dim);
-    for (std::size_t b = 0; b < bits; ++b) {
-      Rng rng(hash_combine(seed, b));
-      for (std::size_t i = 0; i < dim; ++i) {
-        (*matrix)[b * dim + i] = rng.normal();
-      }
-    }
-    if (planes_.size() >= kMaxEntries) planes_.clear();
-    planes_.emplace(key, matrix);
-    return matrix;
-  }
-
- private:
-  using Key = std::tuple<std::uint64_t, std::size_t, std::size_t>;
-  static constexpr std::size_t kMaxEntries = 64;
-
-  std::mutex mu_;
-  std::map<Key, std::shared_ptr<const std::vector<double>>> planes_;
-};
-
-HyperplaneCache& hyperplane_cache() {
-  static HyperplaneCache cache;
-  return cache;
-}
-
-}  // namespace
-
-std::uint64_t simhash(std::span<const double> vec, std::size_t bits,
-                      std::uint64_t seed) {
-  BOHR_EXPECTS(bits > 0 && bits <= 64);
-  BOHR_EXPECTS(!vec.empty());
-  const auto planes = hyperplane_cache().get(seed, bits, vec.size());
-  std::uint64_t sig = 0;
-  for (std::size_t b = 0; b < bits; ++b) {
-    const double dot =
-        simd::dot(vec.data(), planes->data() + b * vec.size(), vec.size());
-    if (dot >= 0.0) sig |= (1ULL << b);
-  }
-  return sig;
-}
-
-double simhash_cosine_estimate(std::uint64_t a, std::uint64_t b,
-                               std::size_t bits) {
-  BOHR_EXPECTS(bits > 0 && bits <= 64);
-  const std::uint64_t mask =
-      bits == 64 ? ~0ULL : ((1ULL << bits) - 1);
-  const auto hamming =
-      static_cast<std::size_t>(std::popcount((a ^ b) & mask));
-  const double theta = std::numbers::pi * static_cast<double>(hamming) /
-                       static_cast<double>(bits);
-  return std::cos(theta);
 }
 
 }  // namespace bohr::similarity

@@ -1,12 +1,12 @@
-// MinHash signatures for fast Jaccard estimation (Broder '97), plus
-// SimHash (random-hyperplane LSH) for high-dimensional feature vectors —
-// the paper uses LSH to handle image feature vectors (§4.2).
+// MinHash signatures for fast Jaccard estimation (Broder '97).
 //
 // Signature construction is batched: `of()` runs each hash function
 // across the whole key block in one pass (a fused hash+min-reduce kernel,
 // src/common/simd.h) instead of evaluating every hash function per key.
 // Bit-identical to the streaming `add()` path — the per-slot minimum is
-// order-independent and the hashing is exact integer math.
+// order-independent and the hashing is exact integer math. `add()` and
+// `min_at()` stay as the tests' references for `of()` and
+// `estimate_jaccard()`.
 #pragma once
 
 #include <cstdint>
@@ -44,50 +44,5 @@ class MinHashSignature {
   std::vector<std::uint64_t> mins_;
   bool empty_ = true;
 };
-
-/// b-bit MinHash (Li & Koenig, WWW'10): keep only the lowest `bits` of
-/// every MinHash slot. Signatures shrink 64/bits-fold — what makes
-/// shipping probes for very wide signatures cheap — at the cost of
-/// accidental collisions, which the estimator corrects for.
-///
-/// Slots are packed at construction: one byte per slot when bits <= 8
-/// (halving comparison memory traffic), two bytes otherwise. Comparison
-/// is a packed equality popcount either way.
-class BbitSignature {
- public:
-  /// Compresses a full MinHash signature down to `bits` in [1, 16].
-  static BbitSignature of(const MinHashSignature& sig, std::size_t bits);
-
-  std::size_t num_hashes() const { return num_hashes_; }
-  std::size_t bits() const { return bits_; }
-
-  /// Collision-corrected Jaccard estimate:
-  ///   P(slot match) = J + (1 - J) / 2^b  =>  J = (c - 2^-b)/(1 - 2^-b),
-  /// clamped to [0, 1]. Signatures must agree in length and bit width.
-  double estimate_jaccard(const BbitSignature& other) const;
-
-  /// Bytes on the wire (packed).
-  std::size_t wire_bytes() const;
-
- private:
-  std::vector<std::uint8_t> slots8_;    // populated when bits <= 8
-  std::vector<std::uint16_t> slots16_;  // populated when bits > 8
-  std::size_t num_hashes_ = 0;
-  std::size_t bits_ = 1;
-};
-
-/// SimHash: projects a dense vector onto `bits` random hyperplanes
-/// (seeded, deterministic) and packs the signs into a 64-bit signature.
-/// Requires bits <= 64. Hamming-similar signatures <=> cosine-similar
-/// vectors. The hyperplane matrix is precomputed once per
-/// (seed, bits, dimension) and cached, so repeated calls pay only the
-/// `bits` dot products.
-std::uint64_t simhash(std::span<const double> vec, std::size_t bits,
-                      std::uint64_t seed);
-
-/// Cosine estimate from two SimHash signatures:
-/// cos(pi * hamming/bits). `bits` must match the value used to build them.
-double simhash_cosine_estimate(std::uint64_t a, std::uint64_t b,
-                               std::size_t bits);
 
 }  // namespace bohr::similarity

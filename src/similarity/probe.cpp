@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "olap/cube_columns.h"
 
@@ -169,18 +168,6 @@ ProbeEvaluation evaluate_probe(const Probe& probe,
   }
   eval.similarity = total_weight > 0.0 ? matched_weight / total_weight : 0.0;
   return eval;
-}
-
-std::vector<ProbeEvaluation> evaluate_probe_at_sites(
-    const Probe& probe,
-    std::span<const olap::DatasetCubes* const> receivers) {
-  std::vector<ProbeEvaluation> evals(receivers.size());
-  // Receivers are only read; each slot is written by exactly one index.
-  parallel_for(receivers.size(), [&](std::size_t r) {
-    BOHR_EXPECTS(receivers[r] != nullptr);
-    evals[r] = evaluate_probe(probe, *receivers[r]);
-  });
-  return evals;
 }
 
 double self_similarity(const olap::DatasetCubes& cubes,

@@ -76,13 +76,6 @@ Probe build_probe_random(std::size_t dataset_id,
 ProbeEvaluation evaluate_probe(const Probe& probe,
                                const olap::DatasetCubes& receiver);
 
-/// Scores one probe against many receiving sites concurrently (one
-/// evaluation per receiver, receivers are only read). Entry order matches
-/// `receivers`; each evaluation is bit-identical to evaluate_probe.
-std::vector<ProbeEvaluation> evaluate_probe_at_sites(
-    const Probe& probe,
-    std::span<const olap::DatasetCubes* const> receivers);
-
 /// Self-similarity S^a_i of a site's own data (Eq. 1 input): the
 /// query-weighted combiner effectiveness of the site's dimension cubes.
 double self_similarity(const olap::DatasetCubes& cubes,

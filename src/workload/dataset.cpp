@@ -22,10 +22,6 @@ std::string to_string(WorkloadKind kind) {
   return "unknown";
 }
 
-std::string to_string(InitialPlacement placement) {
-  return placement == InitialPlacement::Random ? "random" : "locality-aware";
-}
-
 std::size_t DatasetBundle::total_rows() const {
   std::size_t total = 0;
   for (const auto& rows : site_rows) total += rows.size();
@@ -34,11 +30,6 @@ std::size_t DatasetBundle::total_rows() const {
 
 double DatasetBundle::total_bytes() const {
   return static_cast<double>(total_rows()) * bytes_per_row;
-}
-
-double DatasetBundle::site_bytes(std::size_t site) const {
-  BOHR_EXPECTS(site < site_rows.size());
-  return static_cast<double>(site_rows[site].size()) * bytes_per_row;
 }
 
 namespace {

@@ -24,8 +24,6 @@ std::string to_string(WorkloadKind kind);
 /// inherent locality of data procurement.
 enum class InitialPlacement { Random, LocalityAware };
 
-std::string to_string(InitialPlacement placement);
-
 /// One query type over a dataset: the attribute subset it groups by
 /// (positions within the cube spec's dimension list), its share of the
 /// dataset's queries, and the execution profile of its queries.
@@ -49,7 +47,6 @@ struct DatasetBundle {
 
   std::size_t total_rows() const;
   double total_bytes() const;
-  double site_bytes(std::size_t site) const;
 };
 
 struct GeneratorConfig {

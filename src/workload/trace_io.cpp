@@ -1,7 +1,6 @@
 #include "workload/trace_io.h"
 
 #include <charconv>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -187,15 +186,21 @@ DatasetBundle read_csv(std::istream& in, const DatasetBundle& reference,
           std::to_string(fields.size()) + " fields, expected " +
           std::to_string(schema.attribute_count() + 1));
     }
+    const std::string& site_field = fields[0];
+    const char* site_end = site_field.data() + site_field.size();
     std::size_t site = 0;
-    try {
-      site = static_cast<std::size_t>(std::stoull(fields[0]));
-    } catch (const std::exception&) {
+    const auto [ptr, ec] = std::from_chars(site_field.data(), site_end, site);
+    if (ec != std::errc() || ptr != site_end) {
       throw ContractViolation("malformed trace record " +
                               std::to_string(record) +
-                              ": bad site index '" + fields[0] + "'");
+                              ": bad site index '" + site_field + "'");
     }
-    BOHR_CHECK(site < sites);
+    if (site >= sites) {
+      throw ContractViolation("malformed trace record " +
+                              std::to_string(record) + ": site index " +
+                              site_field + " is not below " +
+                              std::to_string(sites));
+    }
     Row row;
     row.reserve(schema.attribute_count());
     for (std::size_t a = 0; a < schema.attribute_count(); ++a) {
@@ -206,19 +211,6 @@ DatasetBundle read_csv(std::istream& in, const DatasetBundle& reference,
     ++record;
   }
   return bundle;
-}
-
-void save_csv(const std::string& path, const DatasetBundle& bundle) {
-  std::ofstream out(path);
-  BOHR_EXPECTS(out.is_open());
-  write_csv(out, bundle);
-}
-
-DatasetBundle load_csv(const std::string& path,
-                       const DatasetBundle& reference, std::size_t sites) {
-  std::ifstream in(path);
-  BOHR_EXPECTS(in.is_open());
-  return read_csv(in, reference, sites);
 }
 
 }  // namespace bohr::workload

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "workload/dataset.h"
 
@@ -28,10 +27,5 @@ void write_csv(std::ostream& out, const DatasetBundle& bundle);
 /// from `reference` (data volume semantics cannot be inferred from CSV).
 DatasetBundle read_csv(std::istream& in, const DatasetBundle& reference,
                        std::size_t sites);
-
-/// File wrappers.
-void save_csv(const std::string& path, const DatasetBundle& bundle);
-DatasetBundle load_csv(const std::string& path,
-                       const DatasetBundle& reference, std::size_t sites);
 
 }  // namespace bohr::workload

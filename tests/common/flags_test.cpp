@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
+#include <functional>
+#include <string>
 
 namespace bohr {
 namespace {
@@ -55,12 +56,56 @@ TEST(FlagsTest, UnusedDetectsTypos) {
 }
 
 TEST(FlagsTest, MalformedInputsThrow) {
-  EXPECT_THROW(make({"notaflag"}), ContractViolation);
-  EXPECT_THROW(make({"--"}), ContractViolation);
+  EXPECT_THROW(make({"notaflag"}), FlagError);
+  EXPECT_THROW(make({"--"}), FlagError);
   const Flags f = make({"--n=abc"});
-  EXPECT_THROW(f.get_int("n", 0), ContractViolation);
+  EXPECT_THROW(f.get_int("n", 0), FlagError);
   const Flags g = make({"--b=maybe"});
-  EXPECT_THROW(g.get_bool("b", false), ContractViolation);
+  EXPECT_THROW(g.get_bool("b", false), FlagError);
+}
+
+/// The message of the FlagError that parsing `args` and then `read`
+/// throws, or "" when both parse.
+std::string flag_error(std::initializer_list<const char*> args,
+                       const std::function<void(const Flags&)>& read) {
+  try {
+    read(make(args));
+  } catch (const FlagError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FlagsTest, EveryMalformedArgumentOrValueNamesItself) {
+  const auto as_int = [](const Flags& f) { f.get_int("datasets", 0); };
+  const auto as_double = [](const Flags& f) { f.get_double("lag", 0.0); };
+  const auto as_bool = [](const Flags& f) { f.get_bool("csv", false); };
+  const auto nothing = [](const Flags&) {};
+  EXPECT_EQ(flag_error({"--lag=abc"}, as_double),
+            "malformed flag --lag=abc: not a number in range");
+  EXPECT_EQ(flag_error({"--lag=1e999"}, as_double),
+            "malformed flag --lag=1e999: not a number in range");
+  EXPECT_EQ(flag_error({"--lag=2s"}, as_double),
+            "malformed flag --lag=2s: trailing characters");
+  EXPECT_EQ(flag_error({"--datasets=abc"}, as_int),
+            "malformed flag --datasets=abc: not an integer in range");
+  EXPECT_EQ(flag_error({"--datasets=99999999999999999999"}, as_int),
+            "malformed flag --datasets=99999999999999999999: not an "
+            "integer in range");
+  EXPECT_EQ(flag_error({"--csv=maybe"}, as_bool),
+            "malformed flag --csv=maybe: not a boolean");
+  EXPECT_EQ(flag_error({"foo"}, nothing),
+            "malformed argument 'foo': expected --name");
+  EXPECT_EQ(flag_error({"--=1"}, nothing),
+            "malformed argument '--=1': empty flag name");
+  // Well-formed values still parse.
+  EXPECT_EQ(flag_error({"--lag=2.5", "--datasets=-3", "--csv=yes"},
+                       [&](const Flags& f) {
+                         as_double(f);
+                         as_int(f);
+                         as_bool(f);
+                       }),
+            "");
 }
 
 TEST(FlagsTest, ProgramNameCaptured) {

@@ -65,42 +65,6 @@ TEST_F(ParallelTest, ParallelForVisitsEveryIndexOnce) {
   }
 }
 
-TEST_F(ParallelTest, ReduceMatchesSerialFoldBitwise) {
-  // Determinism rule 2: chunk partials combine in chunk order, so the
-  // floating-point result is independent of the thread count.
-  const std::size_t n = 1000;
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = 1.0 / static_cast<double>(i + 3);
-  }
-  const auto sum_at = [&](std::size_t threads) {
-    set_thread_count(threads);
-    return parallel_reduce(
-        n, std::size_t{1}, 0.0,
-        [&](const ChunkRange& range) {
-          double partial = 0.0;
-          for (std::size_t i = range.begin; i < range.end; ++i) {
-            partial += values[i];
-          }
-          return partial;
-        },
-        [](double acc, double partial) { return acc + partial; });
-  };
-  const double at1 = sum_at(1);
-  EXPECT_EQ(at1, sum_at(2));
-  EXPECT_EQ(at1, sum_at(8));
-}
-
-TEST_F(ParallelTest, ChunkRngIndependentOfThreadCount) {
-  set_thread_count(1);
-  Rng a = chunk_rng(42, 7);
-  set_thread_count(8);
-  Rng b = chunk_rng(42, 7);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(a(), b());
-  // Distinct chunks get distinct streams.
-  EXPECT_NE(chunk_rng(42, 7)(), chunk_rng(42, 8)());
-}
-
 TEST_F(ParallelTest, NestedCallsRunInline) {
   set_thread_count(4);
   std::vector<std::atomic<int>> visits(64);

@@ -105,23 +105,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(a, b);
 }
 
-TEST(RngTest, ForkIsIndependent) {
-  Rng parent(99);
-  Rng child = parent.fork();
-  // Child stream differs from parent continuation.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent() == child()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
-TEST(RngTest, PickFromEmptyThrows) {
-  Rng rng(1);
-  const std::vector<int> empty;
-  EXPECT_THROW(rng.pick(empty), ContractViolation);
-}
-
 TEST(RngTest, BernoulliProbability) {
   Rng rng(21);
   int hits = 0;

@@ -35,18 +35,6 @@ TEST(TableTest, NumFormatsFixed) {
   EXPECT_EQ(TablePrinter::num(2.0, 0), "2");
 }
 
-TEST(FormatTest, Bytes) {
-  EXPECT_EQ(format_bytes(512), "512.00 B");
-  EXPECT_EQ(format_bytes(1536), "1.50 KiB");
-  EXPECT_EQ(format_bytes(3.0 * 1024 * 1024 * 1024), "3.00 GiB");
-}
-
-TEST(FormatTest, Seconds) {
-  EXPECT_EQ(format_seconds(2.5), "2.50 s");
-  EXPECT_EQ(format_seconds(0.012), "12.00 ms");
-  EXPECT_EQ(format_seconds(3e-6), "3.00 us");
-}
-
 TEST(HashTest, Fnv1aKnownValue) {
   // FNV-1a 64-bit of empty string is the offset basis.
   EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ULL);

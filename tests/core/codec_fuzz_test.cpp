@@ -461,7 +461,7 @@ StateLayout state_layout(const std::string& image) {
   section();
   at += 4 * 8 + 8 + 1;  // RNG words, spare, has-spare
   section();
-  if (image[at++] != 0) at += (8 + 8 + 1) * count(4);  // bandwidth
+  at += 1;              // reserved, always 0
   section();            // the prepare report
   at += 8 + 8;          // similarity seconds, probe bytes
   for (auto a = count(4); a > 0; --a) {

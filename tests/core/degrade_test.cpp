@@ -233,21 +233,6 @@ TEST(DegradedReportTest, InflatedAnswerCountIsAContractViolation) {
   }
 }
 
-TEST(DegradedReportTest, AppendFoldsCountersAndAnswers) {
-  DegradedReport a;
-  a.add(sample_answer(0, AnswerMode::kExact));
-  DegradedReport b;
-  b.add(sample_answer(1, AnswerMode::kSubstituted));
-  b.add(sample_answer(1, AnswerMode::kPartial));
-  a.append(b);
-  EXPECT_EQ(a.queries_total, 3u);
-  EXPECT_EQ(a.exact, 1u);
-  EXPECT_EQ(a.substituted, 1u);
-  EXPECT_EQ(a.partial, 1u);
-  ASSERT_EQ(a.answers.size(), 3u);
-  EXPECT_EQ(a.answers[1].mode, AnswerMode::kSubstituted);
-}
-
 ChurnOptions degrade_churn(std::size_t rounds) {
   ChurnOptions churn;
   churn.rounds = rounds;

@@ -14,7 +14,6 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
-#include "net/bandwidth_estimator.h"
 #include "snapshot_files.h"
 #include "../olap/cube_image.h"
 
@@ -76,7 +75,6 @@ std::string recover_and_finish(const ExperimentConfig& cfg,
     details->recovered = found.recovered;
     details->snapshot_seq = found.snapshot_seq;
     details->snapshots_rejected = found.snapshots_rejected;
-    details->bandwidth = found.bandwidth;
   }
   CheckpointManager checkpoints(dir, 2, &controller.options().faults);
   const PrepareReport& report =
@@ -173,7 +171,7 @@ TEST(RecoveryTest, InflatedCountIsRejectedAndFallsBackToOlderSnapshot) {
   crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
 
   // The state image opens with magic (8), version (4), step count (4),
-  // RNG state (4 x 8 + 8 + 1), bandwidth flag (1) and two report doubles
+  // RNG state (4 x 8 + 8 + 1), a reserved byte (1) and two report doubles
   // (16); the u32 at offset 74 counts the placement's per-dataset
   // movement matrices. Claim four billion of them.
   constexpr std::streamoff kMatrixCount = 74;
@@ -353,32 +351,44 @@ TEST(RecoveryTest, PruningKeepsOnlyTheNewestSnapshots) {
   EXPECT_TRUE(fs::exists(fs::path(dir) / "snapshot-4" / "MANIFEST"));
 }
 
-TEST(RecoveryTest, BandwidthEstimatesRideAlongAndRoundTrip) {
+TEST(RecoveryTest, ReservedStateByteIsZeroAndNonZeroIsRejected) {
+  // The state image opens with magic (8), version (4), step count (4)
+  // and RNG state (4 x 8 + 8 + 1); the byte at offset 57 is reserved.
+  constexpr std::size_t kReserved = 57;
   const ExperimentConfig cfg = small_config();
-  const std::string dir = fresh_dir("ck-bandwidth");
-  Controller crashing = make_controller(cfg, Strategy::Bohr);
-  net::BandwidthEstimator estimator(crashing.topology().site_count());
-  for (std::size_t s = 0; s < crashing.topology().site_count(); ++s) {
-    estimator.observe(s, 1e6 * static_cast<double>(s + 1),
-                      2e6 * static_cast<double>(s + 1));
-  }
-  CheckpointManager checkpoints(dir);
-  PrepareProgress progress = crashing.start_prepare();
-  crashing.step_similarity(progress);
-  checkpoints.snapshot(crashing, progress, &estimator);
 
-  Controller restored = make_controller(cfg, Strategy::Bohr);
-  RecoveryManager recovery(dir);
-  RecoveryResult found = recovery.recover(restored);
-  ASSERT_TRUE(found.recovered);
-  ASSERT_TRUE(found.bandwidth.has_value());
-  net::BandwidthEstimator rebuilt(restored.topology().site_count());
-  rebuilt.restore(*found.bandwidth);
-  for (std::size_t s = 0; s < restored.topology().site_count(); ++s) {
-    EXPECT_TRUE(rebuilt.has_estimate(s));
-    EXPECT_EQ(rebuilt.uplink_estimate(s), estimator.uplink_estimate(s));
-    EXPECT_EQ(rebuilt.downlink_estimate(s), estimator.downlink_estimate(s));
+  // Every snapshot of a full prepare writes it as 0.
+  const std::string all_dir = fresh_dir("ck-reserved-all");
+  {
+    Controller controller = make_controller(cfg, Strategy::Bohr);
+    CheckpointManager checkpoints(all_dir, Controller::kPrepareStepCount,
+                                  &controller.options().faults);
+    checkpointed_prepare(controller, checkpoints);
   }
+  for (std::size_t seq = 1; seq <= Controller::kPrepareStepCount; ++seq) {
+    const std::string image = read_bytes(
+        fs::path(all_dir) / ("snapshot-" + std::to_string(seq)) / "state.bin");
+    ASSERT_GT(image.size(), kReserved);
+    EXPECT_EQ(image[kReserved], 0) << "snapshot " << seq;
+  }
+
+  // Set to 1 under a resealed manifest, it rejects the newest snapshot,
+  // and the run resumes from the older one to the same report.
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-reserved");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+  const fs::path snapshot = fs::path(dir) / "snapshot-2";
+  std::string image = read_bytes(snapshot / "state.bin");
+  ASSERT_EQ(image[kReserved], 0);
+  image[kReserved] = 1;
+  write_bytes(snapshot / "state.bin", image);
+  reseal_manifest(snapshot);
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
 }
 
 TEST(RecoveryTest, EmptyDirectoryRecoversNothing) {

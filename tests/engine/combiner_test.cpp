@@ -34,7 +34,6 @@ TEST(CombinerTest, MaxAndMin) {
 
 TEST(CombinerTest, EmptyInput) {
   EXPECT_TRUE(combine({}, AggregateOp::Sum).empty());
-  EXPECT_EQ(distinct_keys({}), 0u);
 }
 
 TEST(CombinerTest, OutputSortedByKey) {
@@ -43,11 +42,6 @@ TEST(CombinerTest, OutputSortedByKey) {
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_LT(out[i - 1].key, out[i].key);
   }
-}
-
-TEST(CombinerTest, DistinctKeys) {
-  const RecordStream in{{1, 0}, {1, 0}, {2, 0}, {3, 0}, {3, 0}};
-  EXPECT_EQ(distinct_keys(in), 3u);
 }
 
 TEST(PartitionerTest, RespectsPartitionSize) {
@@ -82,79 +76,16 @@ TEST(PartitionerTest, CubeSortedClustersKeys) {
   }
   const auto sorted = make_partitions(records, 4, PartitionPolicy::CubeSorted);
   ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(distinct_keys(sorted[0]), 1u);
-  EXPECT_EQ(distinct_keys(sorted[1]), 1u);
+  EXPECT_EQ(combine(sorted[0], AggregateOp::Count).size(), 1u);
+  EXPECT_EQ(combine(sorted[1], AggregateOp::Count).size(), 1u);
   const auto arrival =
       make_partitions(records, 4, PartitionPolicy::ArrivalOrder);
-  EXPECT_EQ(distinct_keys(arrival[0]), 2u);
+  EXPECT_EQ(combine(arrival[0], AggregateOp::Count).size(), 2u);
 }
 
 TEST(PartitionerTest, ZeroPartitionSizeThrows) {
   EXPECT_THROW(make_partitions({}, 0, PartitionPolicy::CubeSorted),
                bohr::ContractViolation);
-}
-
-TEST(CombinerTest, ReduceBucketOfIsStableAndInRange) {
-  for (std::uint64_t key = 0; key < 200; ++key) {
-    const std::size_t b = reduce_bucket_of(key, 8);
-    EXPECT_LT(b, 8u);
-    EXPECT_EQ(b, reduce_bucket_of(key, 8));  // deterministic
-  }
-  EXPECT_THROW(reduce_bucket_of(1, 0), bohr::ContractViolation);
-}
-
-TEST(CombinerTest, CombineAliveBucketsAllAliveMatchesCombine) {
-  const RecordStream in{{1, 2.0}, {2, 1.0}, {1, 3.0}, {9, 4.0}};
-  const std::vector<bool> alive(8, true);
-  const PartialCombine out = combine_alive_buckets(in, AggregateOp::Sum,
-                                                   alive);
-  EXPECT_EQ(out.records_dropped, 0u);
-  EXPECT_EQ(out.keys_dropped, 0u);
-  const RecordStream full = combine(in, AggregateOp::Sum);
-  ASSERT_EQ(out.records.size(), full.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(out.records[i].key, full[i].key);
-    EXPECT_DOUBLE_EQ(out.records[i].value, full[i].value);
-  }
-}
-
-TEST(CombinerTest, CombineAliveBucketsDropsDeadKeys) {
-  // Put every key in its bucket, kill half the buckets: the dropped
-  // record and distinct-key counters must match what was filtered.
-  RecordStream in;
-  for (std::uint64_t key = 0; key < 64; ++key) {
-    in.push_back({key, 1.0});
-    in.push_back({key, 1.0});
-  }
-  std::vector<bool> alive(4, false);
-  alive[1] = alive[2] = true;
-  const PartialCombine out =
-      combine_alive_buckets(in, AggregateOp::Sum, alive);
-  std::size_t expect_records = 0;
-  std::size_t expect_keys = 0;
-  for (std::uint64_t key = 0; key < 64; ++key) {
-    if (!alive[reduce_bucket_of(key, 4)]) {
-      expect_records += 2;
-      ++expect_keys;
-    }
-  }
-  EXPECT_GT(expect_keys, 0u);  // the mix must actually kill something
-  EXPECT_EQ(out.records_dropped, expect_records);
-  EXPECT_EQ(out.keys_dropped, expect_keys);
-  // Survivors are still combined by key.
-  for (const KeyValue& kv : out.records) {
-    EXPECT_TRUE(alive[reduce_bucket_of(kv.key, 4)]);
-    EXPECT_DOUBLE_EQ(kv.value, 2.0);
-  }
-}
-
-TEST(CombinerTest, CombineAliveBucketsNoneAliveDropsAll) {
-  const RecordStream in{{1, 2.0}, {2, 1.0}};
-  const std::vector<bool> dead(4, false);
-  const PartialCombine out = combine_alive_buckets(in, AggregateOp::Sum, dead);
-  EXPECT_TRUE(out.records.empty());
-  EXPECT_EQ(out.records_dropped, 2u);
-  EXPECT_EQ(out.keys_dropped, 2u);
 }
 
 }  // namespace

@@ -124,7 +124,9 @@ TEST(JobRunnerTest, EmptyInputsZeroShuffle) {
   Rng rng(1);
   const auto result =
       run_job(topo, inputs, {0.5, 0.5}, sum_spec(), fast_config(), rng);
-  EXPECT_DOUBLE_EQ(result.total_shuffle_bytes(), 0.0);
+  for (const SiteJobMetrics& site : result.sites) {
+    EXPECT_DOUBLE_EQ(site.shuffle_bytes, 0.0);
+  }
   EXPECT_DOUBLE_EQ(result.wan_shuffle_bytes, 0.0);
 }
 

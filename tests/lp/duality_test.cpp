@@ -20,8 +20,8 @@ double dual_objective(const LpProblem& p, const LpSolution& sol) {
 TEST(DualityTest, StrongDualityOnKnownProblem) {
   // min 2x + 3y s.t. x + y >= 4, x + 2y >= 6; optimum 10 at (2,2).
   LpProblem p;
-  const VarId x = p.add_variable("x", 2.0);
-  const VarId y = p.add_variable("y", 3.0);
+  const VarId x = p.add_variable(2.0);
+  const VarId y = p.add_variable(3.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::GreaterEq, 4);
   p.add_constraint({{x, 1}, {y, 2}}, Relation::GreaterEq, 6);
   const auto sol = solve(p);
@@ -37,8 +37,8 @@ TEST(DualityTest, StrongDualityOnKnownProblem) {
 TEST(DualityTest, LessEqDualsAreNonPositive) {
   // max-style: min -3x - 2y s.t. x + y <= 4, x <= 3.
   LpProblem p;
-  const VarId x = p.add_variable("x", -3.0);
-  const VarId y = p.add_variable("y", -2.0);
+  const VarId x = p.add_variable(-3.0);
+  const VarId y = p.add_variable(-2.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::LessEq, 4);
   p.add_constraint({{x, 1}}, Relation::LessEq, 3);
   const auto sol = solve(p);
@@ -52,7 +52,7 @@ TEST(DualityTest, LessEqDualsAreNonPositive) {
 TEST(DualityTest, NonBindingConstraintHasZeroDual) {
   // min x s.t. x >= 2, x <= 100 (slack at optimum).
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
+  const VarId x = p.add_variable(1.0);
   p.add_constraint({{x, 1}}, Relation::GreaterEq, 2);
   p.add_constraint({{x, 1}}, Relation::LessEq, 100);
   const auto sol = solve(p);
@@ -64,8 +64,8 @@ TEST(DualityTest, NonBindingConstraintHasZeroDual) {
 TEST(DualityTest, EqualityConstraintDual) {
   // min x + 2y s.t. x + y = 5 -> all mass on x, z = 5, dz/db = 1.
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
-  const VarId y = p.add_variable("y", 2.0);
+  const VarId x = p.add_variable(1.0);
+  const VarId y = p.add_variable(2.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::Equal, 5);
   const auto sol = solve(p);
   ASSERT_TRUE(sol.optimal());
@@ -76,8 +76,8 @@ TEST(DualityTest, EqualityConstraintDual) {
 TEST(DualityTest, DualPredictsRhsPerturbation) {
   // Perturb b and compare the actual objective change to the dual.
   LpProblem p;
-  const VarId x = p.add_variable("x", 2.0);
-  const VarId y = p.add_variable("y", 3.0);
+  const VarId x = p.add_variable(2.0);
+  const VarId y = p.add_variable(3.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::GreaterEq, 4);
   p.add_constraint({{x, 1}, {y, 2}}, Relation::GreaterEq, 6);
   const auto base = solve(p);
@@ -85,8 +85,8 @@ TEST(DualityTest, DualPredictsRhsPerturbation) {
 
   const double eps = 1e-3;
   LpProblem p2;
-  const VarId x2 = p2.add_variable("x", 2.0);
-  const VarId y2 = p2.add_variable("y", 3.0);
+  const VarId x2 = p2.add_variable(2.0);
+  const VarId y2 = p2.add_variable(3.0);
   p2.add_constraint({{x2, 1}, {y2, 1}}, Relation::GreaterEq, 4 + eps);
   p2.add_constraint({{x2, 1}, {y2, 2}}, Relation::GreaterEq, 6);
   const auto bumped = solve(p2);
@@ -100,7 +100,7 @@ TEST(DualityTest, StrongDualityOnRandomFeasibleProblems) {
     LpProblem p;
     std::vector<VarId> vars;
     for (int v = 0; v < 4; ++v) {
-      vars.push_back(p.add_variable("v", rng.uniform(0.5, 3.0)));
+      vars.push_back(p.add_variable(rng.uniform(0.5, 3.0)));
     }
     for (int c = 0; c < 5; ++c) {
       std::vector<Term> terms;
@@ -120,7 +120,7 @@ TEST(DualityTest, NegativeRhsNormalizationKeepsDualConvention) {
   // respect to the ORIGINAL rhs (-2): lowering b (towards -3) tightens
   // x >= 3, raising cost -> dual is negative.
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
+  const VarId x = p.add_variable(1.0);
   p.add_constraint({{x, -1}}, Relation::LessEq, -2);
   const auto sol = solve(p);
   ASSERT_TRUE(sol.optimal());

@@ -48,8 +48,8 @@ double dual_objective(const LpProblem& p, const LpSolution& sol) {
 
 TEST(RevisedSimplexTest, MatchesDenseOnSmallLp) {
   LpProblem p;
-  const VarId x = p.add_variable("x", -3.0);
-  const VarId y = p.add_variable("y", -5.0);
+  const VarId x = p.add_variable(-3.0);
+  const VarId y = p.add_variable(-5.0);
   p.add_constraint({{x, 1.0}}, Relation::LessEq, 4.0);
   p.add_constraint({{y, 2.0}}, Relation::LessEq, 12.0);
   p.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::LessEq, 18.0);
@@ -77,7 +77,7 @@ TEST(RevisedSimplexTest, RandomDifferentialSuite) {
     LpProblem p;
     const int nv = vars_dist(rng);
     const int nr = rows_dist(rng);
-    for (int v = 0; v < nv; ++v) p.add_variable("v", obj(rng));
+    for (int v = 0; v < nv; ++v) p.add_variable(obj(rng));
     for (int r = 0; r < nr; ++r) {
       std::vector<Term> terms;
       for (int v = 0; v < nv; ++v) {
@@ -116,8 +116,8 @@ TEST(RevisedSimplexTest, NegativeRhsDualConvention) {
   // -x - y <= -4 (i.e. x + y >= 4) exercises the rhs-negation path; the
   // dual must be reported w.r.t. the ORIGINAL right-hand side.
   LpProblem p;
-  const VarId x = p.add_variable("x", 2.0);
-  const VarId y = p.add_variable("y", 3.0);
+  const VarId x = p.add_variable(2.0);
+  const VarId y = p.add_variable(3.0);
   p.add_constraint({{x, -1.0}, {y, -1.0}}, Relation::LessEq, -4.0);
   expect_engines_agree(p, "neg-rhs");
   const LpSolution sol = solve(p);
@@ -129,8 +129,8 @@ TEST(RevisedSimplexTest, NegativeRhsDualConvention) {
 
 TEST(RevisedSimplexTest, EqualityRowDuals) {
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
-  const VarId y = p.add_variable("y", 4.0);
+  const VarId x = p.add_variable(1.0);
+  const VarId y = p.add_variable(4.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 3.0);
   p.add_constraint({{y, 1.0}}, Relation::GreaterEq, 1.0);
   expect_engines_agree(p, "equality");
@@ -145,8 +145,8 @@ TEST(RevisedSimplexTest, RedundantRowKeepsBasicArtificial) {
   // stays basic at zero (no pivotable column), which both engines must
   // tolerate and report identical duals for.
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
-  const VarId y = p.add_variable("y", 2.0);
+  const VarId x = p.add_variable(1.0);
+  const VarId y = p.add_variable(2.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 2.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 2.0);
   p.add_constraint({{x, 1.0}}, Relation::LessEq, 1.5);
@@ -158,13 +158,13 @@ TEST(RevisedSimplexTest, RedundantRowKeepsBasicArtificial) {
 
 TEST(RevisedSimplexTest, InfeasibleAndUnboundedAgree) {
   LpProblem infeasible;
-  const VarId x = infeasible.add_variable("x", 1.0);
+  const VarId x = infeasible.add_variable(1.0);
   infeasible.add_constraint({{x, 1.0}}, Relation::LessEq, 1.0);
   infeasible.add_constraint({{x, 1.0}}, Relation::GreaterEq, 2.0);
   expect_engines_agree(infeasible, "infeasible");
 
   LpProblem unbounded;
-  const VarId u = unbounded.add_variable("u", -1.0);
+  const VarId u = unbounded.add_variable(-1.0);
   unbounded.add_constraint({{u, -1.0}}, Relation::LessEq, 1.0);
   expect_engines_agree(unbounded, "unbounded");
 }
@@ -180,7 +180,7 @@ LpProblem transport_lp(const std::vector<double>& supply,
   std::vector<std::vector<VarId>> x(ns, std::vector<VarId>(nd, 0));
   for (std::size_t i = 0; i < ns; ++i) {
     for (std::size_t j = 0; j < nd; ++j) {
-      x[i][j] = p.add_variable("x", 1.0 + static_cast<double>((i * 7 + j * 3) % 5));
+      x[i][j] = p.add_variable(1.0 + static_cast<double>((i * 7 + j * 3) % 5));
     }
   }
   for (std::size_t i = 0; i < ns; ++i) {
@@ -199,6 +199,11 @@ LpProblem transport_lp(const std::vector<double>& supply,
   return p;
 }
 
+/// Moves a row's right-hand side and keeps its terms.
+void set_rhs(LpProblem& p, std::size_t row, double rhs) {
+  p.update_constraint(row, p.rows()[row].terms, rhs);
+}
+
 TEST(WarmStartTest, ReusedBasisCutsIterations) {
   std::vector<std::vector<VarId>> x;
   std::vector<std::size_t> demand_rows;
@@ -212,7 +217,7 @@ TEST(WarmStartTest, ReusedBasisCutsIterations) {
 
   // Nudge one demand and re-solve warm: the old basis stays feasible,
   // phase 1 is skipped entirely and the pivot count drops.
-  p.set_rhs(demand_rows[1], 6.5);
+  set_rhs(p, demand_rows[1], 6.5);
   const LpSolution warm = solve(p, opts, &cold.basis);
   ASSERT_TRUE(warm.optimal());
   EXPECT_TRUE(warm.warm_started);
@@ -247,7 +252,7 @@ TEST(WarmStartTest, InfeasibleBasisFallsBackCold) {
   ASSERT_TRUE(cold.optimal());
   // A demand jump past the old vertex makes the inherited basis primal
   // infeasible; the solver must detect it and cold-start.
-  p.set_rhs(demand_rows[0], 18.0);
+  set_rhs(p, demand_rows[0], 18.0);
   const LpSolution warm = solve(p, SimplexOptions{}, &cold.basis);
   const LpSolution oracle = solve_dense(p);
   ASSERT_EQ(warm.status, oracle.status);
@@ -258,17 +263,17 @@ TEST(WarmStartTest, InfeasibleBasisFallsBackCold) {
 
 TEST(UpdateConstraintTest, PatchedProblemMatchesFreshBuild) {
   LpProblem patched;
-  const VarId x = patched.add_variable("x", -1.0);
-  const VarId y = patched.add_variable("y", -2.0);
+  const VarId x = patched.add_variable(-1.0);
+  const VarId y = patched.add_variable(-2.0);
   const std::size_t row0 =
       patched.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEq, 10.0);
   patched.add_constraint({{x, 1.0}}, Relation::LessEq, 99.0);
   patched.update_constraint(row0, {{x, 2.0}, {y, 1.0}}, 8.0);
-  patched.set_rhs(1, 3.0);
+  set_rhs(patched, 1, 3.0);
 
   LpProblem fresh;
-  const VarId fx = fresh.add_variable("x", -1.0);
-  const VarId fy = fresh.add_variable("y", -2.0);
+  const VarId fx = fresh.add_variable(-1.0);
+  const VarId fy = fresh.add_variable(-2.0);
   fresh.add_constraint({{fx, 2.0}, {fy, 1.0}}, Relation::LessEq, 8.0);
   fresh.add_constraint({{fx, 1.0}}, Relation::LessEq, 3.0);
 
@@ -322,8 +327,8 @@ TEST(PeakBytesTest, RevisedIsSparseDenseIsQuadratic) {
   LpProblem p;
   constexpr int kBlocks = 120;
   for (int b = 0; b < kBlocks; ++b) {
-    const VarId u = p.add_variable("u", -1.0);
-    const VarId v = p.add_variable("v", -1.0);
+    const VarId u = p.add_variable(-1.0);
+    const VarId v = p.add_variable(-1.0);
     p.add_constraint({{u, 1.0}, {v, 2.0}}, Relation::LessEq, 3.0);
   }
   const LpSolution revised = solve(p);
@@ -414,8 +419,8 @@ TEST(BasisLuTest, FtranBtranRoundTrip) {
 
 TEST(StandardFormTest, MergesDuplicateTermsAndNormalizesRhs) {
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
-  const VarId y = p.add_variable("y", 1.0);
+  const VarId x = p.add_variable(1.0);
+  const VarId y = p.add_variable(1.0);
   // Duplicate x terms sum to 3; negative rhs flips the row to >=.
   p.add_constraint({{x, 1.0}, {x, 2.0}, {y, -1.0}}, Relation::LessEq, -2.0);
   const StandardForm sf = standardize(p);

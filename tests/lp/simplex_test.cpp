@@ -14,7 +14,7 @@ namespace {
 TEST(SimplexTest, TrivialNonNegativityOptimum) {
   // min x, x >= 0 -> x = 0.
   LpProblem p;
-  p.add_variable("x", 1.0);
+  p.add_variable(1.0);
   const auto sol = solve(p);
   ASSERT_TRUE(sol.optimal());
   EXPECT_DOUBLE_EQ(sol.value(0), 0.0);
@@ -24,7 +24,7 @@ TEST(SimplexTest, TrivialNonNegativityOptimum) {
 TEST(SimplexTest, UnboundedDetected) {
   // min -x, x >= 0, no upper bound.
   LpProblem p;
-  p.add_variable("x", -1.0);
+  p.add_variable(-1.0);
   const auto sol = solve(p);
   EXPECT_EQ(sol.status, SolveStatus::Unbounded);
 }
@@ -32,8 +32,8 @@ TEST(SimplexTest, UnboundedDetected) {
 TEST(SimplexTest, SimpleMaximizationViaNegation) {
   // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> x=4, y=0, obj=12.
   LpProblem p;
-  const VarId x = p.add_variable("x", -3.0);
-  const VarId y = p.add_variable("y", -2.0);
+  const VarId x = p.add_variable(-3.0);
+  const VarId y = p.add_variable(-2.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::LessEq, 4);
   p.add_constraint({{x, 1}, {y, 3}}, Relation::LessEq, 6);
   const auto sol = solve(p);
@@ -46,8 +46,8 @@ TEST(SimplexTest, SimpleMaximizationViaNegation) {
 TEST(SimplexTest, EqualityConstraint) {
   // min x + y s.t. x + y = 5, x - y = 1 -> x=3, y=2.
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
-  const VarId y = p.add_variable("y", 1.0);
+  const VarId x = p.add_variable(1.0);
+  const VarId y = p.add_variable(1.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::Equal, 5);
   p.add_constraint({{x, 1}, {y, -1}}, Relation::Equal, 1);
   const auto sol = solve(p);
@@ -60,8 +60,8 @@ TEST(SimplexTest, GreaterEqualConstraints) {
   // Classic diet-style LP: min 2x + 3y s.t. x + y >= 4, x + 2y >= 6.
   // Optimum at intersection (2, 2): obj = 10.
   LpProblem p;
-  const VarId x = p.add_variable("x", 2.0);
-  const VarId y = p.add_variable("y", 3.0);
+  const VarId x = p.add_variable(2.0);
+  const VarId y = p.add_variable(3.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::GreaterEq, 4);
   p.add_constraint({{x, 1}, {y, 2}}, Relation::GreaterEq, 6);
   const auto sol = solve(p);
@@ -74,7 +74,7 @@ TEST(SimplexTest, GreaterEqualConstraints) {
 TEST(SimplexTest, InfeasibleDetected) {
   // x <= 1 and x >= 3 cannot hold together.
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
+  const VarId x = p.add_variable(1.0);
   p.add_constraint({{x, 1}}, Relation::LessEq, 1);
   p.add_constraint({{x, 1}}, Relation::GreaterEq, 3);
   const auto sol = solve(p);
@@ -84,7 +84,7 @@ TEST(SimplexTest, InfeasibleDetected) {
 TEST(SimplexTest, NegativeRhsNormalized) {
   // -x <= -2  <=>  x >= 2; min x -> 2.
   LpProblem p;
-  const VarId x = p.add_variable("x", 1.0);
+  const VarId x = p.add_variable(1.0);
   p.add_constraint({{x, -1}}, Relation::LessEq, -2);
   const auto sol = solve(p);
   ASSERT_TRUE(sol.optimal());
@@ -94,7 +94,7 @@ TEST(SimplexTest, NegativeRhsNormalized) {
 TEST(SimplexTest, DuplicateTermsAccumulate) {
   // x + x <= 4 -> x <= 2; min -x -> x = 2.
   LpProblem p;
-  const VarId x = p.add_variable("x", -1.0);
+  const VarId x = p.add_variable(-1.0);
   p.add_constraint({{x, 1}, {x, 1}}, Relation::LessEq, 4);
   const auto sol = solve(p);
   ASSERT_TRUE(sol.optimal());
@@ -104,8 +104,8 @@ TEST(SimplexTest, DuplicateTermsAccumulate) {
 TEST(SimplexTest, DegenerateProblemTerminates) {
   // Multiple redundant constraints through the same vertex.
   LpProblem p;
-  const VarId x = p.add_variable("x", -1.0);
-  const VarId y = p.add_variable("y", -1.0);
+  const VarId x = p.add_variable(-1.0);
+  const VarId y = p.add_variable(-1.0);
   p.add_constraint({{x, 1}}, Relation::LessEq, 1);
   p.add_constraint({{x, 1}, {y, 0}}, Relation::LessEq, 1);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::LessEq, 2);
@@ -119,8 +119,8 @@ TEST(SimplexTest, MinimaxEpigraphForm) {
   // The placement LP shape: min t s.t. a_i x + b_i <= t.
   // With x fixed by x = 1 (equality), t = max(3*1, 5 - 1) = 4.
   LpProblem p;
-  const VarId t = p.add_variable("t", 1.0);
-  const VarId x = p.add_variable("x", 0.0);
+  const VarId t = p.add_variable(1.0);
+  const VarId x = p.add_variable(0.0);
   p.add_constraint({{x, 1}}, Relation::Equal, 1);
   p.add_constraint({{x, 3}, {t, -1}}, Relation::LessEq, 0);
   p.add_constraint({{x, -1}, {t, -1}}, Relation::LessEq, -5);
@@ -137,7 +137,7 @@ TEST(SimplexTest, TransportationProblem) {
   const double cost[2][2] = {{1, 4}, {2, 1}};
   for (int i = 0; i < 2; ++i) {
     for (int j = 0; j < 2; ++j) {
-      x[i][j] = p.add_variable("x", cost[i][j]);
+      x[i][j] = p.add_variable(cost[i][j]);
     }
   }
   p.add_constraint({{x[0][0], 1}, {x[0][1], 1}}, Relation::Equal, 10);
@@ -156,8 +156,8 @@ TEST(SimplexTest, TwoVarRandomProblemsMatchBruteForce) {
   Rng rng(2024);
   for (int trial = 0; trial < 50; ++trial) {
     LpProblem p;
-    const VarId x = p.add_variable("x", rng.uniform(0.1, 3.0));
-    const VarId y = p.add_variable("y", rng.uniform(0.1, 3.0));
+    const VarId x = p.add_variable(rng.uniform(0.1, 3.0));
+    const VarId y = p.add_variable(rng.uniform(0.1, 3.0));
     struct Row {
       double a, b, rhs;
     };
@@ -211,7 +211,7 @@ TEST(SimplexTest, SolutionsAreAlwaysFeasible) {
     LpProblem p;
     std::vector<VarId> vars;
     for (int v = 0; v < 5; ++v) {
-      vars.push_back(p.add_variable("v", rng.uniform(-1.0, 2.0)));
+      vars.push_back(p.add_variable(rng.uniform(-1.0, 2.0)));
     }
     std::vector<std::vector<double>> coeffs;
     std::vector<double> rhs;
@@ -245,10 +245,10 @@ TEST(SimplexTest, ManyVariablesWideProblem) {
   // Epigraph minimax with 2000 columns — the shape/scale of the paper's
   // placement LP (many x^a_{ij} columns, few rows).
   LpProblem p;
-  const VarId t = p.add_variable("t", 1.0);
+  const VarId t = p.add_variable(1.0);
   std::vector<VarId> xs;
   for (int i = 0; i < 2000; ++i) {
-    xs.push_back(p.add_variable("x", 0.0));
+    xs.push_back(p.add_variable(0.0));
   }
   // sum x = 100; for each of 4 groups: group load <= t.
   std::vector<Term> total;
@@ -265,12 +265,6 @@ TEST(SimplexTest, ManyVariablesWideProblem) {
   ASSERT_TRUE(sol.optimal());
   // Best is to spread equally: t = 25.
   EXPECT_NEAR(sol.value(t), 25.0, 1e-6);
-}
-
-TEST(SimplexTest, StatusToString) {
-  EXPECT_EQ(to_string(SolveStatus::Optimal), "optimal");
-  EXPECT_EQ(to_string(SolveStatus::Infeasible), "infeasible");
-  EXPECT_EQ(to_string(SolveStatus::Unbounded), "unbounded");
 }
 
 }  // namespace

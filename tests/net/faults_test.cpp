@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 
@@ -282,6 +284,43 @@ TEST(FaultParseTest, RejectsMalformedClauses) {
   EXPECT_THROW(parse_fault_plan("kill:time=2x"), ContractViolation);
   // lp-failure takes no body.
   EXPECT_THROW(parse_fault_plan("lp-failure:x=1"), ContractViolation);
+}
+
+TEST(FaultParseTest, IntegerFieldsMustBeWholeNumbers) {
+  // Sites, seeds, retry counts, file indices and bits are digits only,
+  // in 64-bit range; the error names the clause.
+  const std::vector<std::string> bad{"1e30", "-1", "nan", "1.5", "-3",
+                                     "+1",   " 1", "1x",  "",
+                                     "18446744073709551616"};
+  const std::vector<std::string> clauses{
+      "outage:site=@,start=0,end=5",
+      "degrade:site=@,start=0,end=1,factor=0.5",
+      "slow-site:site=@,start=0,end=1",
+      "kill:time=2,src=@",
+      "kill:time=2,dst=@",
+      "probe-loss:p=0.3,seed=@",
+      "retry:max=@,base=0.1",
+      "torn-write:file=@",
+      "bit-flip:file=@",
+      "bit-flip:file=0,bit=@"};
+  for (const std::string& clause : clauses) {
+    for (const std::string& value : bad) {
+      std::string spec = clause;
+      spec.replace(spec.find('@'), 1, value);
+      try {
+        parse_fault_plan(spec);
+        ADD_FAILURE() << "accepted '" << spec << "'";
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + spec + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  const FaultPlan plan = parse_fault_plan(
+      "outage:site=18446744073709551615,start=0,end=5;retry:max=0,base=0.1");
+  EXPECT_EQ(plan.outages[0].site, std::numeric_limits<SiteId>::max());
+  EXPECT_EQ(plan.retry.max_retries, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ std::vector<Flow> all_pairs_flows(const WanTopology& topo, double bytes) {
   return flows;
 }
 
+/// Time for a flow's bytes to cross its link pair alone on an idle WAN.
+double ideal_seconds(const WanTopology& topo, const Flow& flow) {
+  if (flow.src == flow.dst || flow.bytes == 0.0) return 0.0;
+  return flow.bytes / std::min(topo.uplink(flow.src), topo.downlink(flow.dst));
+}
+
 /// Shared invariant pack for a faulted run under resume semantics.
 void check_invariants(const WanTopology& topo, const std::vector<Flow>& flows,
                       const FaultSimReport& report, bool resume) {
@@ -45,8 +51,7 @@ void check_invariants(const WanTopology& topo, const std::vector<Flow>& flows,
     if (r.completed) {
       EXPECT_DOUBLE_EQ(r.delivered_bytes, flows[f].bytes);
       // Never faster than an empty WAN at full nominal capacity.
-      const double ideal =
-          single_flow_seconds(topo, flows[f].src, flows[f].dst, flows[f].bytes);
+      const double ideal = ideal_seconds(topo, flows[f]);
       EXPECT_GE(r.finish_time + 1e-9, flows[f].start_time + ideal);
       // mean_rate is defined over wall duration including stalls, so it
       // is bounded by the nominal bottleneck rate.
@@ -77,8 +82,7 @@ TEST(FlowConservationTest, PristineSimulatorConservesBytes) {
     const double duration = results[f].finish_time - flows[f].start_time;
     EXPECT_NEAR(results[f].mean_rate * duration, flows[f].bytes,
                 flows[f].bytes * 1e-9);
-    const double ideal =
-        single_flow_seconds(topo, flows[f].src, flows[f].dst, flows[f].bytes);
+    const double ideal = ideal_seconds(topo, flows[f]);
     EXPECT_GE(duration + 1e-9, ideal);
   }
 }

@@ -11,17 +11,22 @@ WanTopology two_sites(double up_a, double down_a, double up_b, double down_b) {
   return WanTopology({Site{"A", up_a, down_a}, Site{"B", up_b, down_b}});
 }
 
+/// Finish time of `flow` alone on an idle network.
+double alone_seconds(const WanTopology& topo, const Flow& flow) {
+  return simulate_flows(topo, {flow})[0].finish_time;
+}
+
 TEST(TransferTest, SingleFlowLimitedByMinOfUpDown) {
   const WanTopology topo = two_sites(10.0, 100.0, 100.0, 4.0);
   // A -> B limited by B's downlink (4 B/s).
-  EXPECT_DOUBLE_EQ(single_flow_seconds(topo, 0, 1, 40.0), 10.0);
+  EXPECT_DOUBLE_EQ(alone_seconds(topo, Flow{0, 1, 40.0, 0}), 10.0);
   // B -> A limited by A's downlink? B uplink 100, A downlink 100 -> 100.
-  EXPECT_DOUBLE_EQ(single_flow_seconds(topo, 1, 0, 100.0), 1.0);
+  EXPECT_DOUBLE_EQ(alone_seconds(topo, Flow{1, 0, 100.0, 0}), 1.0);
 }
 
 TEST(TransferTest, IntraSiteFlowIsFree) {
   const WanTopology topo = two_sites(1, 1, 1, 1);
-  EXPECT_DOUBLE_EQ(single_flow_seconds(topo, 0, 0, 1e9), 0.0);
+  EXPECT_DOUBLE_EQ(alone_seconds(topo, Flow{0, 0, 1e9, 0}), 0.0);
 }
 
 TEST(TransferTest, MaxMinSharesUplinkEqually) {

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/phase_timer.h"
+#include "default_cube_spec.h"
 #include "olap/cube_columns.h"
 
 namespace bohr::olap {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "jaccard_oracle.h"
 #include "similarity/kmeans.h"
-#include "similarity/metrics.h"
 
 namespace bohr::similarity {
 namespace {

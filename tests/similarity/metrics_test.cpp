@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "jaccard_oracle.h"
 #include "similarity/minhash.h"
 
 namespace bohr::similarity {
@@ -40,51 +41,6 @@ TEST(JaccardTest, IsSymmetric) {
   const std::vector<std::uint64_t> xs{1, 5, 9, 12};
   const std::vector<std::uint64_t> ys{5, 12, 40};
   EXPECT_DOUBLE_EQ(jaccard(xs, ys), jaccard(ys, xs));
-}
-
-TEST(WeightedJaccardTest, MultisetOverlap) {
-  const std::unordered_map<std::uint64_t, std::uint64_t> xs{{1, 3}, {2, 1}};
-  const std::unordered_map<std::uint64_t, std::uint64_t> ys{{1, 1}, {3, 2}};
-  // min: 1 on key 1; max: 3 + 1 + 2 = 6.
-  EXPECT_DOUBLE_EQ(weighted_jaccard(xs, ys), 1.0 / 6.0);
-}
-
-TEST(WeightedJaccardTest, IdenticalHistogramsAreOne) {
-  const std::unordered_map<std::uint64_t, std::uint64_t> xs{{1, 3}, {2, 5}};
-  EXPECT_DOUBLE_EQ(weighted_jaccard(xs, xs), 1.0);
-}
-
-TEST(CosineTest, ParallelVectorsAreOne) {
-  const std::vector<double> a{1, 2, 3};
-  const std::vector<double> b{2, 4, 6};
-  EXPECT_NEAR(cosine(a, b), 1.0, 1e-12);
-}
-
-TEST(CosineTest, OrthogonalVectorsAreZero) {
-  EXPECT_DOUBLE_EQ(cosine(std::vector<double>{1, 0},
-                          std::vector<double>{0, 1}),
-                   0.0);
-}
-
-TEST(CosineTest, OppositeVectorsAreMinusOne) {
-  EXPECT_NEAR(cosine(std::vector<double>{1, 1}, std::vector<double>{-1, -1}),
-              -1.0, 1e-12);
-}
-
-TEST(CosineTest, ZeroVectorGivesZero) {
-  EXPECT_DOUBLE_EQ(
-      cosine(std::vector<double>{0, 0}, std::vector<double>{1, 2}), 0.0);
-}
-
-TEST(CosineTest, SizeMismatchThrows) {
-  EXPECT_THROW(cosine(std::vector<double>{1}, std::vector<double>{1, 2}),
-               bohr::ContractViolation);
-}
-
-TEST(OverlapCoefficientTest, SubsetIsOne) {
-  const std::vector<std::uint64_t> xs{1, 2};
-  const std::vector<std::uint64_t> ys{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(overlap_coefficient(xs, ys), 1.0);
 }
 
 TEST(MinHashTest, IdenticalSetsEstimateOne) {
@@ -138,24 +94,6 @@ TEST(MinHashTest, LengthMismatchThrows) {
   EXPECT_THROW(a.estimate_jaccard(b), bohr::ContractViolation);
 }
 
-TEST(SimHashTest, IdenticalVectorsShareSignature) {
-  const std::vector<double> v{0.5, -1.0, 2.0, 0.1};
-  EXPECT_EQ(simhash(v, 32, 7), simhash(v, 32, 7));
-}
-
-TEST(SimHashTest, CosineEstimateForSimilarVectors) {
-  std::vector<double> a(64);
-  std::vector<double> b(64);
-  Rng rng(3);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = rng.normal();
-    b[i] = a[i] + 0.05 * rng.normal();  // small perturbation
-  }
-  const auto sa = simhash(a, 64, 11);
-  const auto sb = simhash(b, 64, 11);
-  EXPECT_GT(simhash_cosine_estimate(sa, sb, 64), 0.8);
-}
-
 TEST(JaccardSortedTest, MatchesHashedJaccardOnRandomSets) {
   Rng rng(21);
   for (int trial = 0; trial < 40; ++trial) {
@@ -171,17 +109,6 @@ TEST(JaccardSortedTest, MatchesHashedJaccardOnRandomSets) {
   EXPECT_DOUBLE_EQ(jaccard_sorted({}, {}), 0.0);
   const std::vector<std::uint64_t> only{1, 2, 3};
   EXPECT_DOUBLE_EQ(jaccard_sorted(only, {}), 0.0);
-}
-
-TEST(SimHashTest, OppositeVectorsEstimateNegative) {
-  std::vector<double> a(32);
-  Rng rng(5);
-  for (auto& x : a) x = rng.normal();
-  std::vector<double> b(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) b[i] = -a[i];
-  const auto sa = simhash(a, 64, 2);
-  const auto sb = simhash(b, 64, 2);
-  EXPECT_LT(simhash_cosine_estimate(sa, sb, 64), -0.9);
 }
 
 }  // namespace

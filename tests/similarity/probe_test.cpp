@@ -4,9 +4,8 @@
 
 #include <string>
 
+#include "../olap/default_cube_spec.h"
 #include "common/check.h"
-#include "common/parallel.h"
-#include "similarity/minhash.h"
 
 namespace bohr::similarity {
 namespace {
@@ -145,43 +144,6 @@ TEST(ProbeEvalTest, MatchVectorAlignsWithRecords) {
   EXPECT_EQ(eval.matched[1], 0);
 }
 
-TEST(ProbeEvalTest, AtSitesMatchesPerReceiverEvaluation) {
-  DatasetCubes sender = make_store();
-  const QueryTypeId qt = sender.register_query_type({0});
-  std::vector<Row> sender_rows;
-  for (int i = 0; i < 12; ++i) {
-    sender_rows.push_back(row("u" + std::to_string(i % 5), 1, 1.0));
-  }
-  sender.add_rows(sender_rows);
-  const std::vector<QueryTypeWeight> weights{{qt, 1.0}};
-  const Probe probe = build_probe(0, sender, weights, 4);
-
-  std::vector<DatasetCubes> stores;
-  for (int s = 0; s < 6; ++s) {
-    DatasetCubes receiver = make_store();
-    receiver.register_query_type({0});
-    std::vector<Row> rows;
-    for (int i = 0; i <= s; ++i) rows.push_back(row("u" + std::to_string(i), 1, 1.0));
-    receiver.add_rows(rows);
-    stores.push_back(std::move(receiver));
-  }
-  std::vector<const DatasetCubes*> receivers;
-  for (const auto& s : stores) receivers.push_back(&s);
-
-  for (const std::size_t threads : {1, 2, 8}) {
-    set_thread_count(threads);
-    const auto evals = evaluate_probe_at_sites(probe, receivers);
-    ASSERT_EQ(evals.size(), receivers.size());
-    for (std::size_t s = 0; s < receivers.size(); ++s) {
-      const ProbeEvaluation one = evaluate_probe(probe, *receivers[s]);
-      EXPECT_EQ(evals[s].similarity, one.similarity)
-          << "site " << s << " at " << threads << " threads";
-      EXPECT_EQ(evals[s].matched, one.matched);
-    }
-  }
-  set_thread_count(1);
-}
-
 TEST(ProbeTest, WireBytesScaleWithRecords) {
   DatasetCubes sender = make_store();
   const QueryTypeId qt = sender.register_query_type({0});
@@ -232,50 +194,6 @@ TEST(ProbeBudgetTest, EveryDatasetGetsAtLeastOne) {
   const std::vector<double> sizes{100.0, 0.001, 0.001};
   const auto alloc = allocate_probe_budget(sizes, 5);
   for (const auto a : alloc) EXPECT_GE(a, 1u);
-}
-
-TEST(BbitMinhashTest, CompressionPreservesEstimate) {
-  std::vector<std::uint64_t> xs;
-  std::vector<std::uint64_t> ys;
-  for (std::uint64_t i = 0; i < 300; ++i) xs.push_back(i);
-  for (std::uint64_t i = 150; i < 450; ++i) ys.push_back(i);
-  const auto full_x = MinHashSignature::of(xs, 512);
-  const auto full_y = MinHashSignature::of(ys, 512);
-  const double full_estimate = full_x.estimate_jaccard(full_y);
-
-  for (const std::size_t bits : {1u, 2u, 4u, 8u}) {
-    const auto bx = BbitSignature::of(full_x, bits);
-    const auto by = BbitSignature::of(full_y, bits);
-    EXPECT_NEAR(bx.estimate_jaccard(by), full_estimate, 0.12)
-        << bits << " bits";
-  }
-}
-
-TEST(BbitMinhashTest, IdenticalSetsEstimateOne) {
-  std::vector<std::uint64_t> keys{1, 2, 3, 4, 5};
-  const auto sig = MinHashSignature::of(keys, 128);
-  const auto b = BbitSignature::of(sig, 2);
-  EXPECT_DOUBLE_EQ(b.estimate_jaccard(b), 1.0);
-}
-
-TEST(BbitMinhashTest, WireBytesShrink) {
-  const auto sig =
-      MinHashSignature::of(std::vector<std::uint64_t>{1, 2, 3}, 128);
-  const auto b1 = BbitSignature::of(sig, 1);
-  const auto b8 = BbitSignature::of(sig, 8);
-  EXPECT_EQ(b1.wire_bytes(), 16u);   // 128 bits / 8
-  EXPECT_EQ(b8.wire_bytes(), 128u);  // 128 bytes
-  EXPECT_LT(b1.wire_bytes(), 128 * 8u);  // vs 1KiB for the full signature
-}
-
-TEST(BbitMinhashTest, MismatchedWidthsThrow) {
-  const auto sig =
-      MinHashSignature::of(std::vector<std::uint64_t>{1}, 16);
-  const auto b2 = BbitSignature::of(sig, 2);
-  const auto b4 = BbitSignature::of(sig, 4);
-  EXPECT_THROW(b2.estimate_jaccard(b4), bohr::ContractViolation);
-  EXPECT_THROW(BbitSignature::of(sig, 0), bohr::ContractViolation);
-  EXPECT_THROW(BbitSignature::of(sig, 17), bohr::ContractViolation);
 }
 
 }  // namespace

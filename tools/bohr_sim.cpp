@@ -111,10 +111,9 @@ text); 3 = injected crash (--crash-after-phase, --crash-after-round).
 )";
 
 /// Flag/spec validation error: print usage, exit 2 (vs runtime errors,
-/// which exit 1 without the usage wall).
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+/// which exit 1 without the usage wall). Flags throws the same type for a
+/// malformed argument or value.
+using UsageError = FlagError;
 
 workload::WorkloadKind parse_workload(const std::string& name) {
   if (name == "bigdata") return workload::WorkloadKind::BigData;
