@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "dense_oracle.h"
 #include "lp/basis_lu.h"
 #include "lp/problem.h"
@@ -319,6 +320,43 @@ TEST(PartialPricingTest, TinyRefactorIntervalStaysExact) {
   ASSERT_TRUE(a.optimal());
   EXPECT_EQ(a.iterations, oracle.iterations);
   EXPECT_NEAR(a.objective, oracle.objective, 1e-9);
+}
+
+TEST(PartialPricingTest, EmptyCandidateListIsRejected) {
+  // With an empty list the first refill keeps nothing, so the scan found
+  // no entering column and the phase stopped at its starting basis: the
+  // first LP came back Infeasible and the second Optimal at 0. A list of
+  // one solves both.
+  LpProblem feasible;
+  const VarId a = feasible.add_variable(1.0);
+  const VarId b = feasible.add_variable(1.0);
+  feasible.add_constraint({{a, 1.0}, {b, 1.0}}, Relation::GreaterEq, 2.0);
+  feasible.add_constraint({{a, 1.0}}, Relation::LessEq, 5.0);
+
+  LpProblem maximize;
+  const VarId x = maximize.add_variable(-1.0);
+  const VarId y = maximize.add_variable(-1.0);
+  maximize.add_constraint({{x, 1.0}}, Relation::LessEq, 3.0);
+  maximize.add_constraint({{y, 1.0}}, Relation::LessEq, 4.0);
+
+  SimplexOptions partial;
+  partial.partial_pricing_threshold = 1;
+  partial.candidate_list_size = 0;
+  EXPECT_THROW(solve(feasible, partial), ContractViolation);
+  EXPECT_THROW(solve(maximize, partial), ContractViolation);
+
+  partial.candidate_list_size = 1;
+  const LpSolution f = solve(feasible, partial);
+  ASSERT_TRUE(f.optimal());
+  EXPECT_NEAR(f.objective, 2.0, 1e-9);
+  const LpSolution m = solve(maximize, partial);
+  ASSERT_TRUE(m.optimal());
+  EXPECT_NEAR(m.objective, -7.0, 1e-9);
+
+  // Full pricing never reads the list, so an empty one is harmless there.
+  SimplexOptions full;
+  full.candidate_list_size = 0;
+  EXPECT_NEAR(solve(maximize, full).objective, -7.0, 1e-9);
 }
 
 TEST(PeakBytesTest, RevisedIsSparseDenseIsQuadratic) {
