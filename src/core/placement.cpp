@@ -8,7 +8,6 @@
 #include "common/phase_timer.h"
 #include "common/timer.h"
 #include "lp/problem.h"
-#include <cstdio>
 
 namespace bohr::core {
 
