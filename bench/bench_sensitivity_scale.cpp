@@ -4,9 +4,9 @@
 // between and that the LP stays cheap), plus a site-count axis at fixed
 // total data exercising the revised simplex on LPs of hundreds of sites.
 #include "bench_common.h"
+#include "site_scale_problem.h"
 
 #include "core/placement.h"
-#include "net/topology.h"
 
 namespace {
 
@@ -63,37 +63,6 @@ struct SiteRow {
   std::size_t lp_peak_bytes;
 };
 std::vector<SiteRow> g_site_rows;
-
-core::PlacementProblem site_scale_problem(std::size_t n_sites) {
-  constexpr std::size_t kDatasets = 12;
-  constexpr double kTotalGb = 120.0;
-  core::PlacementProblem problem;
-  problem.lag_seconds = 30.0;
-  // Three bandwidth tiers like the paper's WAN, round-robined over sites.
-  std::vector<net::Site> sites(n_sites);
-  Rng rng(42);
-  for (std::size_t i = 0; i < n_sites; ++i) {
-    const double tier = i % 3 == 0 ? 5.0 : (i % 3 == 1 ? 2.0 : 1.0);
-    sites[i].name = "site" + std::to_string(i);
-    sites[i].uplink_bytes_per_sec = tier * 50e6;
-    sites[i].downlink_bytes_per_sec = tier * 50e6;
-  }
-  problem.topology = net::WanTopology(std::move(sites));
-  const double bytes_per_cell =
-      kTotalGb * 1e9 / static_cast<double>(kDatasets * n_sites);
-  for (std::size_t a = 0; a < kDatasets; ++a) {
-    core::DatasetPlacementInput d;
-    d.dataset_id = a;
-    d.reduction_ratio = rng.uniform(0.05, 0.3);
-    d.query_count = static_cast<std::size_t>(rng.range(1, 8));
-    for (std::size_t i = 0; i < n_sites; ++i) {
-      d.input_bytes.push_back(bytes_per_cell * rng.uniform(0.2, 1.8));
-      d.self_similarity.push_back(rng.uniform(0.2, 0.8));
-    }
-    problem.datasets.push_back(std::move(d));
-  }
-  return problem;
-}
 
 void BM_SiteScale(benchmark::State& state) {
   const auto n_sites = static_cast<std::size_t>(state.range(0));
