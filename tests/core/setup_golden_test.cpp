@@ -12,15 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
-#include <variant>
-#include <vector>
 
-#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/latency.h"
 #include "core/checkpoint.h"
 #include "core/experiment.h"
+#include "rows_crc.h"
 
 namespace bohr::core {
 namespace {
@@ -40,29 +37,6 @@ ExperimentConfig golden_config(workload::WorkloadKind kind) {
   return cfg;
 }
 
-/// Every dataset's per-site rows, value by value with a type tag.
-std::uint32_t rows_crc(const Controller& controller) {
-  ByteWriter out;
-  for (const DatasetState& d : controller.datasets()) {
-    for (std::size_t s = 0; s < d.site_count(); ++s) {
-      out.u64(d.rows_at(s).size());
-      for (const olap::Row& row : d.rows_at(s)) {
-        for (const olap::Value& v : row) {
-          out.u8(static_cast<std::uint8_t>(v.index()));
-          if (const auto* i = std::get_if<std::int64_t>(&v)) {
-            out.u64(static_cast<std::uint64_t>(*i));
-          } else if (const auto* x = std::get_if<double>(&v)) {
-            out.f64(*x);
-          } else {
-            out.str<std::uint32_t>(std::get<std::string>(v));
-          }
-        }
-      }
-    }
-  }
-  return crc32(out.take());
-}
-
 struct SetupFingerprint {
   std::uint32_t prepare_crc = 0;
   std::uint32_t rows_crc = 0;
@@ -77,7 +51,7 @@ SetupFingerprint run_setup(workload::WorkloadKind kind) {
   EXPECT_GT(report.rows_moved, 0u);
   SetupFingerprint out;
   out.prepare_crc = crc32(serialize_prepare_report(report));
-  out.rows_crc = rows_crc(controller);
+  out.rows_crc = rows_crc(controller.datasets());
   LatencyRecorder qct;
   for (const QueryExecution& exec : controller.run_all_queries()) {
     for (std::size_t r = 0; r < exec.recurrences; ++r) {
