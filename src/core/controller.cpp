@@ -342,13 +342,19 @@ void Controller::step_execute_movement(PrepareProgress& progress) {
     }
   }
 
-  for (std::size_t a = 0; a < datasets_.size(); ++a) {
-    const AppliedMovement applied = apply_movement_plan(
-        datasets_[a], plans[a], enforce ? &delivered[a] : nullptr);
-    report.bytes_moved += applied.bytes_moved;
-    report.rows_moved += applied.rows_moved;
-    report.faults.rows_truncated += applied.rows_truncated;
-    report.faults.deadline_shortfall_bytes += applied.shortfall_bytes;
+  // Each dataset's movement is one job (DESIGN §10): a body moves rows
+  // and rebuilds cubes of its own dataset only, sources in ascending
+  // order. The double sums fold serially, in dataset order (rule 2).
+  std::vector<AppliedMovement> applied(datasets_.size());
+  parallel_for(datasets_.size(), [&](std::size_t a) {
+    applied[a] = apply_movement_plan(datasets_[a], plans[a],
+                                     enforce ? &delivered[a] : nullptr);
+  });
+  for (const AppliedMovement& moved : applied) {
+    report.bytes_moved += moved.bytes_moved;
+    report.rows_moved += moved.rows_moved;
+    report.faults.rows_truncated += moved.rows_truncated;
+    report.faults.deadline_shortfall_bytes += moved.shortfall_bytes;
   }
   report.movement_within_lag =
       report.movement_seconds <= options_.lag_seconds + 1e-9;

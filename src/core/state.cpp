@@ -59,9 +59,12 @@ DatasetState::DatasetState(workload::DatasetBundle bundle,
       }
       spec_to_cube_type_.push_back(id);
     }
-    for (std::size_t s = 0; s < site_count(); ++s) {
+    // Each site's ingest is one job (DESIGN §10): a body writes only its
+    // own DatasetCubes, whose loops then run inline, so every cube is
+    // folded in row order by the same code at every thread count.
+    parallel_for(site_count(), [&](std::size_t s) {
       cubes_[s].add_rows(bundle_.site_rows[s]);
-    }
+    });
   } else {
     // Without cubes the spec->type mapping is positional.
     for (std::size_t t = 0; t < bundle_.query_types.size(); ++t) {
