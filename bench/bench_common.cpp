@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/parallel.h"
@@ -72,25 +73,28 @@ void ResultTable::print(const std::string& title) const {
 namespace {
 
 /// Strips `--threads=N` / `--threads N` from argv (google-benchmark
-/// rejects unknown flags) and applies it to the parallel runtime.
+/// rejects unknown flags) and applies it to the parallel runtime. A value
+/// that is not a whole number in [1, kMaxThreads] is a usage error.
 void consume_threads_flag(int& argc, char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    long threads = 0;
+    const char* value = nullptr;
     if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::strtol(arg + 10, nullptr, 10);
+      value = arg + 10;
     } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtol(argv[++i], nullptr, 10);
+      value = argv[++i];
     } else {
       argv[out++] = argv[i];
       continue;
     }
-    if (threads <= 0) {
-      std::fprintf(stderr, "invalid --threads value\n");
+    const std::optional<std::size_t> threads = parse_thread_count(value);
+    if (!threads) {
+      std::fprintf(stderr, "invalid --threads value '%s': need 1..%zu\n",
+                   value, kMaxThreads);
       std::exit(2);
     }
-    set_thread_count(static_cast<std::size_t>(threads));
+    set_thread_count(*threads);
   }
   argc = out;
   argv[argc] = nullptr;

@@ -1,6 +1,8 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -156,11 +158,10 @@ class Pool {
 
 std::size_t env_or_hardware_threads() {
   if (const char* env = std::getenv("BOHR_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+    if (const auto parsed = parse_thread_count(env)) return *parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 std::size_t& current_threads() {
@@ -179,8 +180,19 @@ std::size_t thread_count() {
   return current_threads();
 }
 
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 1 || n > kMaxThreads) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 void set_thread_count(std::size_t n) {
   BOHR_EXPECTS(!in_parallel_region());
+  BOHR_EXPECTS(n <= kMaxThreads);
   const std::size_t resolved = n == 0 ? env_or_hardware_threads() : n;
   {
     std::lock_guard lock(g_config_mu);
@@ -194,9 +206,6 @@ bool in_parallel_region() { return t_parallel_depth > 0; }
 std::size_t chunk_count(std::size_t n, std::size_t grain) {
   if (n == 0) return 0;
   if (grain == 0) grain = 1;
-  // Target enough chunks for dynamic load balance at any plausible pool
-  // size; the constant is fixed so boundaries never depend on threads.
-  constexpr std::size_t kTargetChunks = 64;
   std::size_t size = (n + kTargetChunks - 1) / kTargetChunks;
   if (size < grain) size = grain;
   return (n + size - 1) / size;

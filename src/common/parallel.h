@@ -22,21 +22,41 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <string_view>
 
 namespace bohr {
 
-/// Current global thread count (>= 1). Defaults to the BOHR_THREADS
-/// environment variable when set, else std::thread::hardware_concurrency.
+/// Chunks a loop targets (see chunk_count): enough for dynamic load
+/// balance at any plausible pool size, and fixed, so chunk boundaries
+/// never depend on the thread count.
+inline constexpr std::size_t kTargetChunks = 64;
+
+/// Largest thread count the runtime accepts. No loop splits into more
+/// than kTargetChunks chunks, so a worker beyond it could never run.
+inline constexpr std::size_t kMaxThreads = kTargetChunks;
+
+/// Current global thread count, in [1, kMaxThreads]. Defaults to the
+/// BOHR_THREADS environment variable when it holds a valid count (see
+/// parse_thread_count), else std::thread::hardware_concurrency capped at
+/// kMaxThreads.
 std::size_t thread_count();
 
 /// Sets the global thread count. `0` = auto (environment / hardware).
 /// `1` disables the pool entirely (exact serial path). Safe to call
 /// repeatedly — a running pool is drained, joined, and respawned at the
-/// new size. Must not be called from inside a parallel region.
+/// new size. Must not be called from inside a parallel region. A count
+/// above kMaxThreads is a ContractViolation, raised before the pool is
+/// touched.
 void set_thread_count(std::size_t n);
 
 /// What `set_thread_count(0)` resolves to on this machine.
 std::size_t default_thread_count();
+
+/// The thread count `text` spells: a whole decimal number in
+/// [1, kMaxThreads], with no sign, space or trailing character.
+/// Anything else is nullopt.
+std::optional<std::size_t> parse_thread_count(std::string_view text);
 
 /// One contiguous slice of a parallel iteration space.
 struct ChunkRange {

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
     cfg.enforce_lag_deadline = flags.get_bool("enforce-lag", false);
     const std::int64_t threads = flags.get_int(
         "threads", static_cast<std::int64_t>(thread_count()));
-    require(threads > 0, "--threads must be positive");
+    require(threads > 0 && threads <= static_cast<std::int64_t>(kMaxThreads),
+            "--threads must be in [1, " + std::to_string(kMaxThreads) + "]");
     set_thread_count(static_cast<std::size_t>(threads));
 
     const std::string fault_spec = flags.get("faults", "");
