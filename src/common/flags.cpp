@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <charconv>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -74,6 +75,10 @@ double Flags::get_double(const std::string& name, double fallback) const {
   try {
     value = std::stod(it->second, &consumed);
   } catch (const std::exception&) {
+    bad_value(name, it->second, "not a number in range");
+  }
+  // stod reads "inf" and "nan"; no double flag has a meaning for them.
+  if (!std::isfinite(value)) {
     bad_value(name, it->second, "not a number in range");
   }
   if (consumed != it->second.size()) {

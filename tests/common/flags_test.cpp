@@ -85,6 +85,12 @@ TEST(FlagsTest, EveryMalformedArgumentOrValueNamesItself) {
             "malformed flag --lag=abc: not a number in range");
   EXPECT_EQ(flag_error({"--lag=1e999"}, as_double),
             "malformed flag --lag=1e999: not a number in range");
+  EXPECT_EQ(flag_error({"--lag=inf"}, as_double),
+            "malformed flag --lag=inf: not a number in range");
+  EXPECT_EQ(flag_error({"--lag=-inf"}, as_double),
+            "malformed flag --lag=-inf: not a number in range");
+  EXPECT_EQ(flag_error({"--lag=nan"}, as_double),
+            "malformed flag --lag=nan: not a number in range");
   EXPECT_EQ(flag_error({"--lag=2s"}, as_double),
             "malformed flag --lag=2s: trailing characters");
   EXPECT_EQ(flag_error({"--datasets=abc"}, as_int),
