@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,8 +16,10 @@ namespace {
 
 std::size_t env_datasets() {
   if (const char* env = std::getenv("BOHR_BENCH_DATASETS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+    const char* end = env + std::strlen(env);
+    std::size_t n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec == std::errc() && ptr == end && n >= 1) return n;
   }
   return 12;
 }

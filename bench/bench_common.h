@@ -21,8 +21,10 @@ namespace bohr::bench {
 /// one core while keeping the paper's regime: 40GB/site/workload split
 /// across the datasets, movement budget ~30-40% of a site's data within
 /// the 30s lag, and QCTs landing in the paper's 2-16s band.
-/// Override the dataset count with BOHR_BENCH_DATASETS (default 12;
-/// the paper uses 300 — linear in runtime, identical code path).
+/// Override the dataset count with BOHR_BENCH_DATASETS, a whole decimal
+/// number >= 1 with no sign, space or trailing character; anything else
+/// means the default, 12. No upper cap: the paper uses 300 — linear in
+/// runtime, identical code path.
 core::ExperimentConfig bench_config(
     workload::WorkloadKind kind,
     workload::InitialPlacement placement =
