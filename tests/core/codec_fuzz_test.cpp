@@ -9,8 +9,8 @@
 // rejected with the format's own error type — for the formats read by
 // checkpoint recovery, that means the snapshot counts as rejected. Any
 // other exception fails the test. CI adds "no UB" (the ASan/UBSan job)
-// and "no unbounded allocation" (the AVX2 job reruns these cases under
-// an address-space cap). The seed is fixed, so every run sees the same
+// and "no unbounded allocation" (the Release job reruns these cases
+// under an address-space cap). The seed is fixed, so every run sees the same
 // mutants.
 #include <gtest/gtest.h>
 

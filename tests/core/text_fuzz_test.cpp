@@ -11,7 +11,7 @@
 // error, ContractViolation for the fault plan and the CSV and FlagError
 // for flags. Any other exception fails the test, and both outcomes must
 // occur. CI adds "no UB" (the ASan/UBSan job) and "bounded memory" (the
-// AVX2 job reruns these cases under an address-space cap). The seed is
+// Release job reruns these cases under an address-space cap). The seed is
 // fixed, so every run sees the same mutants.
 #include <gtest/gtest.h>
 
