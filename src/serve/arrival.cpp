@@ -28,6 +28,7 @@ std::vector<QueryArrival> generate_arrivals(
   BOHR_EXPECTS(config.tenants > 0);
   BOHR_EXPECTS(config.arrival_rate_qps > 0.0);
   BOHR_EXPECTS(config.duration_seconds > 0.0);
+  BOHR_EXPECTS(config.expected_arrivals() <= kMaxExpectedArrivals);
   BOHR_EXPECTS(n_datasets > 0);
   BOHR_EXPECTS(types_per_dataset.size() == n_datasets);
 

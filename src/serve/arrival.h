@@ -30,7 +30,16 @@ struct ArrivalConfig {
   double work_alpha = 1.5;
   double work_max = 8.0;
   std::uint64_t seed = 1;
+
+  /// Mean number of arrivals the config generates.
+  double expected_arrivals() const {
+    return static_cast<double>(tenants) * arrival_rate_qps * duration_seconds;
+  }
 };
+
+/// The most expected arrivals a config may ask for. The whole trace is
+/// held in memory, so a larger window or rate is refused, not generated.
+inline constexpr double kMaxExpectedArrivals = 1e6;
 
 /// One admitted query. `seq` is the global canonical sequence number in
 /// merged (time, tenant) order — per-query RNG streams and the latency
@@ -46,7 +55,8 @@ struct QueryArrival {
 
 /// Generates the merged arrival trace over `n_datasets` datasets, where
 /// dataset `a` has `types_per_dataset[a]` query-type specs. Sorted by
-/// (time, tenant); deterministic per config.
+/// (time, tenant); deterministic per config. Throws ContractViolation
+/// when config.expected_arrivals() exceeds kMaxExpectedArrivals.
 std::vector<QueryArrival> generate_arrivals(
     const ArrivalConfig& config, std::size_t n_datasets,
     const std::vector<std::size_t>& types_per_dataset);

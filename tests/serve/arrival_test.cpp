@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/check.h"
 #include "serve/admission.h"
 
 namespace bohr::serve {
@@ -65,6 +66,17 @@ TEST(ArrivalTest, ArrivalCountTracksOfferedLoad) {
   const double expected = 5.0 * 40.0 * 3.0;
   EXPECT_GT(static_cast<double>(trace.size()), 0.5 * expected);
   EXPECT_LT(static_cast<double>(trace.size()), 1.5 * expected);
+}
+
+TEST(ArrivalTest, ExpectedCountJustAboveTheCapIsRejected) {
+  // The whole trace is held in memory, so a config that expects more
+  // than 10^6 arrivals is refused instead of generated.
+  ArrivalConfig cfg = small_config();
+  cfg.tenants = 4;
+  cfg.arrival_rate_qps = 2.5;
+  cfg.duration_seconds = 100000.001;  // 1,000,000.01 expected
+  ASSERT_GT(cfg.expected_arrivals(), kMaxExpectedArrivals);
+  EXPECT_THROW(generate_arrivals(cfg, 2, {2, 2}), ContractViolation);
 }
 
 TEST(ArrivalTest, DatasetPopularityIsSkewedPerTenant) {

@@ -257,6 +257,10 @@ int main(int argc, char** argv) {
       serve_opts.arrivals.duration_seconds = flags.get_double("duration", 60.0);
       require(!serve || serve_opts.arrivals.duration_seconds > 0.0,
               "--duration must be positive");
+      require(!serve || serve_opts.arrivals.expected_arrivals() <=
+                            serve::kMaxExpectedArrivals,
+              "--tenants x --arrival-rate x --duration must be at most "
+              "1e6 expected arrivals");
       const std::int64_t batch_size = flags.get_int("batch-size", 8);
       require(!serve || batch_size > 0, "--batch-size must be positive");
       serve_opts.batching.max_batch = static_cast<std::size_t>(
