@@ -687,20 +687,7 @@ void run_remaining_steps(Controller& controller, PrepareProgress& progress,
                  names.end());
   }
   while (progress.completed_steps < Controller::kPrepareStepCount) {
-    switch (progress.completed_steps) {
-      case 0:
-        controller.step_similarity(progress);
-        break;
-      case 1:
-        controller.step_placement(progress);
-        break;
-      case 2:
-        controller.step_plan_movement(progress);
-        break;
-      default:
-        controller.step_execute_movement(progress);
-        break;
-    }
+    controller.run_next_step(progress);
     checkpoints.snapshot(controller, progress);
     // The crash fires after the snapshot commits: "crash after phase X"
     // tests recovery FROM X's snapshot. (A crash mid-snapshot is the
