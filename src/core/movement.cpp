@@ -161,36 +161,6 @@ AppliedMovement apply_movement_plan(
   return applied;
 }
 
-MovementReport apply_movement(
-    DatasetState& state, const std::vector<std::vector<double>>& move_bytes,
-    const DatasetSimilarity* similarity, bool similarity_aware,
-    const net::WanTopology& topology, double lag_seconds, Rng& rng) {
-  BOHR_EXPECTS(lag_seconds > 0.0);
-  const MovementPlan plan =
-      plan_movement(state, move_bytes, similarity, similarity_aware, rng);
-
-  MovementReport report;
-  std::vector<net::Flow> flows;
-  flows.reserve(plan.flows.size());
-  for (const auto& f : plan.flows) {
-    flows.push_back(net::Flow{f.src, f.dst, f.bytes, 0.0});
-  }
-  const AppliedMovement applied = apply_movement_plan(state, plan);
-  report.bytes_moved = applied.bytes_moved;
-  report.rows_moved = applied.rows_moved;
-
-  if (!flows.empty()) {
-    const auto results = net::simulate_flows(topology, flows);
-    for (const auto& r : results) {
-      report.movement_seconds = std::max(report.movement_seconds,
-                                         r.finish_time);
-    }
-  }
-  report.within_lag = report.movement_seconds <= lag_seconds + 1e-9;
-  report.flows = std::move(flows);
-  return report;
-}
-
 DeltaPlan plan_movement_delta(const net::WanTopology& topology,
                               std::vector<DeltaMove> moves) {
   const std::size_t n = topology.site_count();

@@ -46,19 +46,6 @@ struct AppliedMovement {
   std::size_t rows_truncated = 0;
 };
 
-struct MovementReport {
-  double bytes_moved = 0.0;
-  std::size_t rows_moved = 0;
-  /// Simulated time for THIS dataset's flows alone (max-min shared WAN).
-  /// The controller simulates all datasets' plans jointly instead; this
-  /// single-dataset figure remains for the standalone wrapper below.
-  double movement_seconds = 0.0;
-  /// Whether this dataset's movement alone fit into the lag.
-  bool within_lag = true;
-  /// The WAN flows this movement issued (for joint simulation).
-  std::vector<net::Flow> flows;
-};
-
 /// Selects the rows dataset `state` moves from `src` for `dst`.
 /// Similarity-aware selection takes rows from probe-matched clusters
 /// first (largest clusters first — they combine best at the receiver);
@@ -88,17 +75,6 @@ MovementPlan plan_movement(const DatasetState& state,
 AppliedMovement apply_movement_plan(
     DatasetState& state, const MovementPlan& plan,
     const std::vector<std::size_t>* rows_delivered = nullptr);
-
-/// Plan + apply in one step for a single dataset, simulating only its
-/// own flows for the lag verdict. The controller's prepare() path uses
-/// the split API above instead; this remains for standalone callers
-/// (e.g. the dynamic-dataset experiment).
-MovementReport apply_movement(DatasetState& state,
-                              const std::vector<std::vector<double>>& move_bytes,
-                              const DatasetSimilarity* similarity,
-                              bool similarity_aware,
-                              const net::WanTopology& topology,
-                              double lag_seconds, Rng& rng);
 
 /// One reduce-bucket relocation the migration controller wants: bucket
 /// `bucket` leaves site `from` for site `to`, carrying `bytes` of

@@ -95,12 +95,6 @@ const olap::DatasetCubes& DatasetState::cubes_at(std::size_t site) const {
   return cubes_[site];
 }
 
-olap::DatasetCubes& DatasetState::cubes_at(std::size_t site) {
-  BOHR_EXPECTS(has_cubes());
-  BOHR_EXPECTS(site < cubes_.size());
-  return cubes_[site];
-}
-
 std::vector<similarity::QueryTypeWeight> DatasetState::cube_type_weights()
     const {
   // Merge spec weights that map to the same registered cube type.
@@ -224,8 +218,8 @@ void DatasetState::move_rows_multi(std::size_t src,
   }
 }
 
-void DatasetState::append_rows(std::size_t site, std::vector<olap::Row> rows,
-                               bool buffer_only) {
+void DatasetState::append_rows(std::size_t site,
+                               std::vector<olap::Row> rows) {
   BOHR_EXPECTS(site < site_count());
   if (rows.empty()) return;
   version_ = fresh_version();
@@ -233,13 +227,8 @@ void DatasetState::append_rows(std::size_t site, std::vector<olap::Row> rows,
   const std::size_t offset = site_rows.size();
   for (auto& row : rows) site_rows.push_back(std::move(row));
   if (has_cubes()) {
-    const std::span<const olap::Row> added(site_rows.data() + offset,
-                                           site_rows.size() - offset);
-    if (buffer_only) {
-      cubes_[site].buffer_rows(added);
-    } else {
-      cubes_[site].add_rows(added);
-    }
+    cubes_[site].add_rows(std::span<const olap::Row>(
+        site_rows.data() + offset, site_rows.size() - offset));
   }
 }
 

@@ -50,7 +50,6 @@ class DatasetState {
   /// sharing an attribute subset share an id).
   olap::QueryTypeId cube_query_type(std::size_t t) const;
   const olap::DatasetCubes& cubes_at(std::size_t site) const;
-  olap::DatasetCubes& cubes_at(std::size_t site);
 
   /// Query-type weights over registered cube ids (merging specs that
   /// share a dimension cube), for probe budgeting.
@@ -83,10 +82,9 @@ class DatasetState {
   /// must be valid, and must not repeat across targets.
   void move_rows_multi(std::size_t src, std::vector<MoveTarget> targets);
 
-  /// Appends new rows at a site (dynamic datasets, §8.6). When cubes are
-  /// enabled the rows are buffered per the §4.1 protocol.
-  void append_rows(std::size_t site, std::vector<olap::Row> rows,
-                   bool buffer_only);
+  /// Appends new rows at a site (dynamic datasets, §8.6) and adds them
+  /// to its cubes at once.
+  void append_rows(std::size_t site, std::vector<olap::Row> rows);
 
   /// Checkpoint recovery: replaces every site's rows with a snapshot's
   /// and installs the matching restored base cubes (one per site when

@@ -1,12 +1,10 @@
 #include "olap/cube.h"
 
 #include <algorithm>
-#include <array>
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "olap/cube_columns.h"
 
 namespace bohr::olap {
@@ -119,98 +117,17 @@ void OlapCube::insert_rows(std::span<const CellCoords> coords,
       BOHR_EXPECTS(p < coords.front().size());
     }
   }
-
-  // Below this row count the sharded path's fixed costs (16 map
-  // constructions plus a second copy of every distinct cell at merge)
-  // exceed any parallel win, so small batches aggregate directly. The
-  // cutoff is a compile-time constant — never the thread count — so the
-  // chosen path, and with it the map's insertion history and iteration
-  // order, is identical on every machine.
-  constexpr std::size_t kDirectPathMax = 4096;
-  if (n <= kDirectPathMax) {
-    cells_.reserve(cells_.size() + n);
-    CellCoords cell;
-    cell.reserve(cell_dims);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (project.empty()) {
-        BOHR_EXPECTS(coords[i].size() == dims_.size());
-        cells_[coords[i]].add(measures[i]);
-      } else {
-        cell.clear();
-        for (const std::size_t p : project) cell.push_back(coords[i][p]);
-        cells_[cell].add(measures[i]);
-      }
-    }
-    total_records_ += n;
-    invalidate_columns();
-    return;
-  }
-
-  // Shard ids are a pure function of the cell coordinates (the same fold
-  // CellCoordsHash uses), so the partition is identical at every thread
-  // count. kShards is deliberately fixed: sharding by thread count would
-  // make the merged map's insertion history — and therefore its
-  // iteration order, which serialization walks — depend on the machine.
-  constexpr std::size_t kShards = 16;
-  std::vector<std::uint8_t> shard_of(n);
-  parallel_for(n, [&](std::size_t i) {
-    const CellCoords& full = coords[i];
-    if (project.empty()) BOHR_EXPECTS(full.size() == dims_.size());
-    std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+  cells_.reserve(cells_.size() + n);
+  CellCoords cell;
+  cell.reserve(cell_dims);
+  for (std::size_t i = 0; i < n; ++i) {
     if (project.empty()) {
-      for (const MemberId m : full) h = hash_combine(h, m);
+      BOHR_EXPECTS(coords[i].size() == dims_.size());
+      cells_[coords[i]].add(measures[i]);
     } else {
-      for (const std::size_t p : project) h = hash_combine(h, full[p]);
-    }
-    shard_of[i] = static_cast<std::uint8_t>(h & (kShards - 1));
-  }, /*grain=*/1024);
-
-  // Stable counting sort of row indices by shard, preserving row order
-  // within each shard (what keeps per-cell accumulation in row order).
-  std::array<std::size_t, kShards + 1> offsets{};
-  for (std::size_t i = 0; i < n; ++i) ++offsets[shard_of[i] + 1];
-  for (std::size_t s = 0; s < kShards; ++s) offsets[s + 1] += offsets[s];
-  std::vector<std::uint32_t> order(n);
-  {
-    std::array<std::size_t, kShards> cursor{};
-    for (std::size_t s = 0; s < kShards; ++s) cursor[s] = offsets[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      order[cursor[shard_of[i]]++] = static_cast<std::uint32_t>(i);
-    }
-  }
-
-  // Build per-shard maps in parallel — each shard is one independent
-  // single-threaded aggregation, so no lock guards the hot insert.
-  using ShardMap = std::unordered_map<CellCoords, CellAggregate,
-                                      CellCoordsHash>;
-  std::array<ShardMap, kShards> shards;
-  parallel_for(kShards, [&](std::size_t s) {
-    ShardMap& shard = shards[s];
-    const std::size_t rows = offsets[s + 1] - offsets[s];
-    shard.reserve(rows);
-    CellCoords cell;
-    cell.reserve(cell_dims);
-    for (std::size_t idx = offsets[s]; idx < offsets[s + 1]; ++idx) {
-      const std::size_t row = order[idx];
-      if (project.empty()) {
-        shard[coords[row]].add(measures[row]);
-      } else {
-        cell.clear();
-        for (const std::size_t p : project) cell.push_back(coords[row][p]);
-        shard[cell].add(measures[row]);
-      }
-    }
-  });
-
-  // Deterministic merge: ascending shard order; each shard map's own
-  // iteration order is a pure function of its insertion sequence.
-  std::size_t new_cells = 0;
-  for (const ShardMap& shard : shards) new_cells += shard.size();
-  cells_.reserve(cells_.size() + new_cells);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    for (auto& [cell, agg] : shards[s]) {
-      const auto [it, inserted] = cells_.try_emplace(cell, agg);
-      if (!inserted) it->second.merge(agg);
+      cell.clear();
+      for (const std::size_t p : project) cell.push_back(coords[i][p]);
+      cells_[cell].add(measures[i]);
     }
   }
   total_records_ += n;

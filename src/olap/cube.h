@@ -80,15 +80,11 @@ class OlapCube {
   /// Bulk merge of a compatible cube (same dimension count).
   void merge(const OlapCube& other);
 
-  /// Sharded bulk insert of `coords.size()` records. When `project` is
-  /// non-empty, row i's cell is coords[i] restricted to those positions
-  /// (what a dimension cube ingests), so callers never materialize the
-  /// projected coordinates. Cells are partitioned by coordinate hash
-  /// into a fixed shard count — never the thread count — with per-shard
-  /// maps built in parallel and merged in ascending shard order, so the
-  /// resulting map state is identical at every thread count. Each cell
-  /// lives wholly in one shard, so its aggregate accumulates in row
-  /// order exactly as repeated insert() would.
+  /// Bulk insert of `coords.size()` records: reserves room for them, then
+  /// folds each row's measure into its cell in row order, exactly as
+  /// repeated insert() would. When `project` is non-empty, row i's cell
+  /// is coords[i] restricted to those positions (what a dimension cube
+  /// ingests), so callers never materialize the projected coordinates.
   void insert_rows(std::span<const CellCoords> coords,
                    std::span<const double> measures,
                    std::span<const std::size_t> project = {});

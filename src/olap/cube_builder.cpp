@@ -52,8 +52,4 @@ OlapCube CubeBuilder::build(std::span<const Row> rows) const {
 
 OlapCube CubeBuilder::empty_cube() const { return OlapCube(spec_.dimensions); }
 
-void CubeBuilder::insert(OlapCube& cube, const Row& row) const {
-  cube.insert(coords_for(row), measure_for(row));
-}
-
 }  // namespace bohr::olap

@@ -39,9 +39,6 @@ class CubeBuilder {
   /// Creates an empty cube with this spec's dimensions.
   OlapCube empty_cube() const;
 
-  /// Inserts one row into an existing cube built with this spec.
-  void insert(OlapCube& cube, const Row& row) const;
-
  private:
   CubeSpec spec_;
 };

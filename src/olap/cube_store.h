@@ -1,7 +1,5 @@
-// Per-site, per-dataset cube storage with query-type dimension cubes and
-// the buffering protocol of §4.1: new rows arriving during query execution
-// are buffered; the dimension cube the next query needs is brought up to
-// date first, and the remaining cubes catch up in the background.
+// Per-site, per-dataset cube storage: the base cube plus one dimension
+// cube per query type (§4.1).
 #pragma once
 
 #include <cstddef>
@@ -31,44 +29,28 @@ class DatasetCubes {
   std::size_t query_type_count() const { return types_.size(); }
   const std::vector<std::size_t>& query_type_dims(QueryTypeId qt) const;
 
-  /// Appends rows immediately (base cube and every dimension cube).
-  /// Builds no columnar snapshot; each cube builds its own on first read.
+  /// Adds rows to the base cube and every dimension cube, each folded in
+  /// row order. Builds no columnar snapshot; each cube builds its own on
+  /// first read.
   void add_rows(std::span<const Row> rows);
-
-  /// Buffers rows without touching any cube (used while a query runs).
-  void buffer_rows(std::span<const Row> rows);
-  std::size_t buffered_count() const;
-
-  /// Applies buffered rows to the base cube and to the dimension cube of
-  /// `qt` only (the cube the imminent query needs, §4.1).
-  void flush_for(QueryTypeId qt);
-
-  /// Applies any remaining buffered rows to all lagging dimension cubes
-  /// and clears the buffer.
-  void flush_background();
 
   const OlapCube& base_cube() const { return base_; }
   const OlapCube& dimension_cube(QueryTypeId qt) const;
 
-  /// Checkpoint recovery: installs a deserialized base cube, re-derives
-  /// every registered dimension cube from it, and clears the buffer.
-  /// The cube's dimensionality must match the builder spec.
+  /// Checkpoint recovery: installs a deserialized base cube and re-derives
+  /// every registered dimension cube from it. The cube's dimensionality
+  /// must match the builder spec.
   void restore_base(OlapCube base);
 
  private:
   struct TypeEntry {
     std::vector<std::size_t> dim_positions;
     OlapCube cube;
-    std::size_t applied = 0;  // rows of buffer_ already applied
   };
-
-  void apply_row_to_type(TypeEntry& entry, const Row& row) const;
 
   CubeBuilder builder_;
   OlapCube base_;
-  std::size_t base_applied_ = 0;
   std::vector<TypeEntry> types_;
-  std::vector<Row> buffer_;
 };
 
 }  // namespace bohr::olap

@@ -218,8 +218,8 @@ void expect_setup_equal(const SetupState& got, const SetupState& want,
 }
 
 TEST_F(DeterminismTest, SetupStateBitIdentical) {
-  // Past the 4,096-row direct-ingest cutoff, so sites ingest (and
-  // movement re-ingests) through the 16-shard path as well.
+  // Sites of more than 4,096 rows, so set-up jobs ingest and re-ingest
+  // batches of thousands of rows.
   ExperimentConfig cfg = e2e_config();
   cfg.n_datasets = 2;
   cfg.generator.rows_per_site = 4400;

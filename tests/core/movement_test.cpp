@@ -1,8 +1,11 @@
 #include "core/movement.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "engine/combiner.h"
+#include "net/transfer.h"
 
 namespace bohr::core {
 namespace {
@@ -30,6 +33,21 @@ net::WanTopology topo() {
                            net::Site{"c", 1e9, 1e9}});
 }
 
+/// Simulated finish time of a plan's flows alone on `topology` (0 when
+/// nothing moves): what the lag verdict compares against T.
+double makespan(const MovementPlan& plan, const net::WanTopology& topology) {
+  std::vector<net::Flow> flows;
+  for (const PlannedFlow& f : plan.flows) {
+    flows.push_back(net::Flow{f.src, f.dst, f.bytes, 0.0});
+  }
+  if (flows.empty()) return 0.0;
+  double finish = 0.0;
+  for (const auto& r : net::simulate_flows(topology, flows)) {
+    finish = std::max(finish, r.finish_time);
+  }
+  return finish;
+}
+
 TEST(MovementTest, MovesRequestedVolume) {
   DatasetState state = make_state();
   const double bytes_per_row = state.bundle().bytes_per_row;
@@ -38,14 +56,14 @@ TEST(MovementTest, MovesRequestedVolume) {
   const std::size_t before0 = state.rows_at(0).size();
   const std::size_t before1 = state.rows_at(1).size();
   Rng rng(1);
-  const auto report = apply_movement(state, move, nullptr,
-                                     /*similarity_aware=*/false, topo(),
-                                     /*lag=*/1e6, rng);
-  EXPECT_EQ(report.rows_moved, 10u);
-  EXPECT_NEAR(report.bytes_moved, 10 * bytes_per_row, 1.0);
+  const MovementPlan plan =
+      plan_movement(state, move, nullptr, /*similarity_aware=*/false, rng);
+  const AppliedMovement applied = apply_movement_plan(state, plan);
+  EXPECT_EQ(applied.rows_moved, 10u);
+  EXPECT_NEAR(applied.bytes_moved, 10 * bytes_per_row, 1.0);
   EXPECT_EQ(state.rows_at(0).size(), before0 - 10);
   EXPECT_EQ(state.rows_at(1).size(), before1 + 10);
-  EXPECT_TRUE(report.within_lag);
+  EXPECT_LE(makespan(plan, topo()), /*lag=*/1e6);
 }
 
 TEST(MovementTest, CannotMoveMoreThanAvailable) {
@@ -54,9 +72,9 @@ TEST(MovementTest, CannotMoveMoreThanAvailable) {
   move[0][1] = 1e18;  // absurd request
   const std::size_t before0 = state.rows_at(0).size();
   Rng rng(1);
-  const auto report = apply_movement(state, move, nullptr, false, topo(),
-                                     1e9, rng);
-  EXPECT_EQ(report.rows_moved, before0);  // everything the site had
+  const AppliedMovement applied = apply_movement_plan(
+      state, plan_movement(state, move, nullptr, false, rng));
+  EXPECT_EQ(applied.rows_moved, before0);  // everything the site had
   EXPECT_TRUE(state.rows_at(0).empty());
 }
 
@@ -70,9 +88,9 @@ TEST(MovementTest, MultiDestinationSplitsRows) {
   const std::size_t b1 = state.rows_at(1).size();
   const std::size_t b2 = state.rows_at(2).size();
   Rng rng(1);
-  const auto report =
-      apply_movement(state, move, nullptr, false, topo(), 1e9, rng);
-  EXPECT_EQ(report.rows_moved, 50u);
+  const AppliedMovement applied = apply_movement_plan(
+      state, plan_movement(state, move, nullptr, false, rng));
+  EXPECT_EQ(applied.rows_moved, 50u);
   EXPECT_EQ(state.rows_at(0).size(), b0 - 50);
   EXPECT_EQ(state.rows_at(1).size(), b1 + 20);
   EXPECT_EQ(state.rows_at(2).size(), b2 + 30);
@@ -86,15 +104,13 @@ TEST(MovementTest, LagViolationDetected) {
   std::vector<std::vector<double>> move(3, std::vector<double>(3, 0.0));
   move[0][1] = 10 * state.bundle().bytes_per_row;
   Rng rng(1);
-  const auto report =
-      apply_movement(state, move, nullptr, false, slow, /*lag=*/0.5, rng);
-  EXPECT_FALSE(report.within_lag);
+  const MovementPlan plan = plan_movement(state, move, nullptr, false, rng);
+  EXPECT_GT(makespan(plan, slow), /*lag=*/0.5);
 }
 
 /// The heart of the paper (Fig 1): moving SIMILAR records shrinks the
 /// receiver's combined output versus moving random records.
 TEST(MovementTest, SimilarityAwareMovesCombinableRows) {
-  const double lag = 1e9;
   // Two identically-generated states: one moves with similarity, one
   // without. Compare total distinct keys (intermediate records) after.
   auto run = [&](bool aware) {
@@ -103,7 +119,7 @@ TEST(MovementTest, SimilarityAwareMovesCombinableRows) {
     std::vector<std::vector<double>> move(3, std::vector<double>(3, 0.0));
     move[0][1] = 40 * state.bundle().bytes_per_row;  // half of site 0
     Rng rng(77);
-    apply_movement(state, move, &sim, aware, topo(), lag, rng);
+    apply_movement_plan(state, plan_movement(state, move, &sim, aware, rng));
     // Count intermediate records of query type 0 with ideal combining.
     std::size_t total = 0;
     for (std::size_t s = 0; s < state.site_count(); ++s) {
@@ -193,30 +209,6 @@ TEST(MovementTest, SelectRowsNeverDoubleTakesPremarkedRows) {
   }
 }
 
-TEST(MovementTest, PlanApplySplitMatchesLegacyWrapper) {
-  // plan_movement + apply_movement_plan with full delivery must act
-  // exactly like the one-shot wrapper (same RNG draw order, same rows).
-  std::vector<std::vector<double>> move(3, std::vector<double>(3, 0.0));
-  DatasetState a = make_state();
-  move[0][1] = 20 * a.bundle().bytes_per_row;
-  move[0][2] = 15 * a.bundle().bytes_per_row;
-  Rng rng_a(7);
-  const auto legacy =
-      apply_movement(a, move, nullptr, false, topo(), 1e9, rng_a);
-
-  DatasetState b = make_state();
-  Rng rng_b(7);
-  const MovementPlan plan = plan_movement(b, move, nullptr, false, rng_b);
-  const AppliedMovement applied = apply_movement_plan(b, plan);
-  EXPECT_EQ(applied.rows_moved, legacy.rows_moved);
-  EXPECT_DOUBLE_EQ(applied.bytes_moved, legacy.bytes_moved);
-  EXPECT_EQ(applied.rows_truncated, 0u);
-  EXPECT_DOUBLE_EQ(applied.shortfall_bytes, 0.0);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(a.rows_at(s).size(), b.rows_at(s).size()) << "site " << s;
-  }
-}
-
 TEST(MovementTest, TruncatedApplyKeepsPriorityPrefixAndRecordsShortfall) {
   DatasetState state = make_state();
   const double bpr = state.bundle().bytes_per_row;
@@ -240,10 +232,9 @@ TEST(MovementTest, ZeroMatrixMovesNothing) {
   DatasetState state = make_state();
   std::vector<std::vector<double>> move(3, std::vector<double>(3, 0.0));
   Rng rng(1);
-  const auto report =
-      apply_movement(state, move, nullptr, false, topo(), 1e9, rng);
-  EXPECT_EQ(report.rows_moved, 0u);
-  EXPECT_DOUBLE_EQ(report.movement_seconds, 0.0);
+  const MovementPlan plan = plan_movement(state, move, nullptr, false, rng);
+  EXPECT_EQ(apply_movement_plan(state, plan).rows_moved, 0u);
+  EXPECT_DOUBLE_EQ(makespan(plan, topo()), 0.0);
 }
 
 }  // namespace

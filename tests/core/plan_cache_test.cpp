@@ -1,9 +1,9 @@
 // Controller::run_single_query's plan cache (DESIGN.md §16): cold and
 // warm answers equal the engine run directly on freshly mapped inputs,
-// bit for bit; a change to a dataset's rows invalidates its entries;
-// configurations whose engine draws from the caller's RNG bypass the
-// cache; concurrent cold fills of one key agree; and a churn round runs
-// the same execution path.
+// bit for bit; a change to a dataset's rows invalidates its entries, and
+// so does a re-plan that leaves them in place; configurations whose
+// engine draws from the caller's RNG bypass the cache; concurrent cold
+// fills of one key agree; and a churn round runs the same execution path.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -139,8 +139,7 @@ TEST(PlanCacheTest, RowChangesInvalidateTheDatasetsEntries) {
 
   const std::vector<olap::Row>& donor = c.datasets()[a].rows_at(1);
   c.mutable_dataset(a).append_rows(
-      0, std::vector<olap::Row>(donor.begin(), donor.begin() + 10),
-      /*buffer_only=*/false);
+      0, std::vector<olap::Row>(donor.begin(), donor.begin() + 10));
   const std::vector<std::uint64_t> after_append = query();
   EXPECT_EQ(after_append, fresh());
   EXPECT_NE(after_append, before);
@@ -152,6 +151,44 @@ TEST(PlanCacheTest, RowChangesInvalidateTheDatasetsEntries) {
   const std::vector<std::uint64_t> after_move = query();
   EXPECT_EQ(after_move, fresh());
   EXPECT_NE(after_move, after_append);
+}
+
+TEST(PlanCacheTest, ReplanRetiresEntriesWhoseRowsStayPut) {
+  // A re-plan can move the reduce fractions without touching a dataset's
+  // rows. With a lag too short to ship one row, growing dataset 1 alone
+  // changes the LP's answer while dataset 0 keeps its version, so a
+  // cached dataset-0 answer would survive a re-plan that kept the cache.
+  ExperimentConfig cfg = small_config();
+  cfg.lag_seconds = 0.01;
+  // Dataset 1's site 0 gains a copy of every other site's rows.
+  const auto grow = [](Controller& c) {
+    DatasetState& d = c.mutable_dataset(1);
+    for (std::size_t s = 1; s < d.site_count(); ++s) {
+      d.append_rows(0, d.rows_at(s));
+    }
+  };
+  Controller cached = make_controller(cfg, Strategy::Bohr);
+  Controller twin = make_controller(cfg, Strategy::Bohr);
+  ASSERT_EQ(cached.prepare().rows_moved, 0u);
+  twin.prepare();
+  Rng fill_rng(5);
+  cached.run_single_query(0, 0, nullptr, fill_rng);
+
+  const std::uint64_t version = cached.datasets()[0].version();
+  const std::vector<double> fractions =
+      cached.prepare_report().decision.reduce_fractions;
+  grow(cached);
+  grow(twin);
+  ASSERT_EQ(cached.replan().rows_moved, 0u);
+  twin.replan();
+  EXPECT_EQ(cached.datasets()[0].version(), version);
+  EXPECT_NE(cached.prepare_report().decision.reduce_fractions, fractions);
+
+  // The twin never ran a query, so its answer is computed afresh.
+  Rng cached_rng(5);
+  Rng twin_rng(5);
+  EXPECT_EQ(words(cached.run_single_query(0, 0, nullptr, cached_rng)),
+            words(twin.run_single_query(0, 0, nullptr, twin_rng)));
 }
 
 TEST(PlanCacheTest, RngDrawingConfigurationsBypassTheCache) {

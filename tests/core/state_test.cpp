@@ -174,21 +174,8 @@ TEST(DatasetStateTest, AppendRowsImmediate) {
   DatasetState state = make_state(true);
   const auto extra = state.rows_at(1);  // clone site 1's rows
   const std::size_t before = state.rows_at(0).size();
-  state.append_rows(0, extra, /*buffer_only=*/false);
+  state.append_rows(0, extra);
   EXPECT_EQ(state.rows_at(0).size(), before + extra.size());
-  EXPECT_EQ(state.cubes_at(0).base_cube().total_records(),
-            before + extra.size());
-}
-
-TEST(DatasetStateTest, AppendRowsBuffered) {
-  DatasetState state = make_state(true);
-  const auto extra = state.rows_at(1);
-  const std::size_t before = state.rows_at(0).size();
-  state.append_rows(0, extra, /*buffer_only=*/true);
-  // Rows visible to queries, cubes lag until flushed (§4.1).
-  EXPECT_EQ(state.rows_at(0).size(), before + extra.size());
-  EXPECT_EQ(state.cubes_at(0).base_cube().total_records(), before);
-  state.cubes_at(0).flush_background();
   EXPECT_EQ(state.cubes_at(0).base_cube().total_records(),
             before + extra.size());
 }

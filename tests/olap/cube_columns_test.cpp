@@ -1,9 +1,9 @@
 // CubeColumns — the columnar snapshot the similarity hot paths stream —
-// and the sharded bulk-insert path that feeds it. The properties that
-// matter: canonical row order independent of insertion history, lookups
-// agreeing with the map, top-cell ranking identical to the historical
-// full-sort, sharded insert_rows bit-identical to serial insert() at any
-// thread count, and cache invalidation on every mutation.
+// and the bulk insert that feeds it. The properties that matter:
+// canonical row order independent of insertion history, lookups agreeing
+// with the map, top-cell ranking identical to the historical full-sort,
+// insert_rows bit-identical to serial insert() at any thread count, and
+// cache invalidation on every mutation.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -122,9 +122,8 @@ TEST(CubeColumnsTest, TopCellsMatchesFullSortReference) {
 }
 
 TEST(CubeColumnsTest, InsertRowsBitIdenticalToSerialInsert) {
-  // 6000 rows puts the batch over the direct-path cutoff (4096), so this
-  // exercises the sharded build; smaller batches take the serial loop,
-  // which is identical to insert() by construction.
+  // A batch of 6000 rows, large enough that many cells collect several
+  // measures.
   const auto records = random_records(0xB1117u, 6000);
   std::vector<CellCoords> coords;
   std::vector<double> measures;
@@ -148,9 +147,8 @@ TEST(CubeColumnsTest, InsertRowsBitIdenticalToSerialInsert) {
       const CellAggregate* got = bulk.find(c);
       ASSERT_NE(got, nullptr);
       EXPECT_EQ(got->count, agg.count);
-      // Bit-identical, not approximate: each cell lives wholly in one
-      // shard, so its measures accumulate in row order exactly as
-      // repeated insert() does.
+      // Bit-identical, not approximate: each cell's measures accumulate
+      // in row order exactly as repeated insert() does.
       EXPECT_EQ(got->sum, agg.sum);
       EXPECT_EQ(got->min, agg.min);
       EXPECT_EQ(got->max, agg.max);
@@ -159,9 +157,8 @@ TEST(CubeColumnsTest, InsertRowsBitIdenticalToSerialInsert) {
 }
 
 TEST(CubeColumnsTest, InsertRowsMapOrderIsThreadCountInvariant) {
-  // Serialization walks the map in iteration order, so the sharded build
-  // must leave an identical map state at every thread count. Batch size
-  // over the direct-path cutoff so the sharded machinery actually runs.
+  // Serialization walks the map in iteration order, so a bulk insert must
+  // leave an identical map state at every thread count.
   const auto records = random_records(0x0D0Eu, 6000);
   std::vector<CellCoords> coords;
   std::vector<double> measures;
@@ -185,8 +182,8 @@ TEST(CubeColumnsTest, InsertRowsMapOrderIsThreadCountInvariant) {
 }
 
 TEST(CubeColumnsTest, InsertRowsProjectsWithoutMaterializing) {
-  // 600 rows takes the direct path, 6000 the sharded one — projection
-  // must behave identically on both.
+  // Projection must match inserting the projected cells one by one, for
+  // a small batch and a large one.
   for (const std::size_t n : {std::size_t{600}, std::size_t{6000}}) {
     const auto records = random_records(0x9C0u, n);
     std::vector<CellCoords> coords;

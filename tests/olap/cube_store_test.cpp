@@ -92,51 +92,6 @@ TEST(DatasetCubesTest, RegisteringAfterDataProjectsFromBase) {
   EXPECT_EQ(store.dimension_cube(by_url).total_records(), 2u);
 }
 
-TEST(DatasetCubesTest, BufferingDefersUpdates) {
-  DatasetCubes store = make_store();
-  const QueryTypeId by_url = store.register_query_type({0});
-  store.buffer_rows(std::vector<Row>{make_row("a", 1, 10, 1.0)});
-  EXPECT_EQ(store.buffered_count(), 1u);
-  EXPECT_EQ(store.base_cube().total_records(), 0u);
-  EXPECT_EQ(store.dimension_cube(by_url).total_records(), 0u);
-}
-
-TEST(DatasetCubesTest, FlushForUpdatesOnlyThatQueryType) {
-  DatasetCubes store = make_store();
-  const QueryTypeId by_url = store.register_query_type({0});
-  const QueryTypeId by_region = store.register_query_type({1});
-  store.buffer_rows(std::vector<Row>{make_row("a", 1, 10, 1.0),
-                                     make_row("b", 2, 11, 2.0)});
-  store.flush_for(by_url);
-  EXPECT_EQ(store.base_cube().total_records(), 2u);
-  EXPECT_EQ(store.dimension_cube(by_url).total_records(), 2u);
-  // The other dimension cube lags until background flush (§4.1).
-  EXPECT_EQ(store.dimension_cube(by_region).total_records(), 0u);
-  store.flush_background();
-  EXPECT_EQ(store.dimension_cube(by_region).total_records(), 2u);
-  EXPECT_EQ(store.buffered_count(), 0u);
-}
-
-TEST(DatasetCubesTest, FlushBackgroundIsIdempotent) {
-  DatasetCubes store = make_store();
-  const QueryTypeId by_url = store.register_query_type({0});
-  store.buffer_rows(std::vector<Row>{make_row("a", 1, 10, 1.0)});
-  store.flush_background();
-  store.flush_background();
-  EXPECT_EQ(store.dimension_cube(by_url).total_records(), 1u);
-  EXPECT_EQ(store.base_cube().total_records(), 1u);
-}
-
-TEST(DatasetCubesTest, FlushForTwiceDoesNotDoubleCount) {
-  DatasetCubes store = make_store();
-  const QueryTypeId by_url = store.register_query_type({0});
-  store.buffer_rows(std::vector<Row>{make_row("a", 1, 10, 1.0)});
-  store.flush_for(by_url);
-  store.flush_for(by_url);
-  EXPECT_EQ(store.base_cube().total_records(), 1u);
-  EXPECT_EQ(store.dimension_cube(by_url).total_records(), 1u);
-}
-
 TEST(DatasetCubesTest, RebuildDimensionCubeMatchesIncremental) {
   DatasetCubes store = make_store();
   const QueryTypeId by_rd = store.register_query_type({1, 2});
