@@ -8,7 +8,11 @@
 //   - a crc32 over every site's rows after movement, in row order, so a
 //     change to which rows move, or to their order, fails here;
 //   - the batch latency digest (every execution's QCT, repeated by its
-//     recurrence count, in execution order).
+//     recurrence count, in execution order);
+//   - a crc32 over the encode_cube image of every site's base and
+//     dimension cubes, after construction and again after prepare(), so
+//     a change to any cell's bits or to the cell map's iteration order
+//     fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,17 +45,21 @@ struct SetupFingerprint {
   std::uint32_t prepare_crc = 0;
   std::uint32_t rows_crc = 0;
   std::uint32_t qct_digest = 0;
+  std::uint32_t ingest_cubes_crc = 0;
+  std::uint32_t prepared_cubes_crc = 0;
 };
 
 SetupFingerprint run_setup(workload::WorkloadKind kind) {
   Controller controller =
       make_controller(golden_config(kind), Strategy::Bohr);
+  SetupFingerprint out;
+  out.ingest_cubes_crc = cubes_crc(controller.datasets());
   const PrepareReport& report = controller.prepare();
   // The pin is only worth something if similarity-guided movement ran.
   EXPECT_GT(report.rows_moved, 0u);
-  SetupFingerprint out;
   out.prepare_crc = crc32(serialize_prepare_report(report));
   out.rows_crc = rows_crc(controller.datasets());
+  out.prepared_cubes_crc = cubes_crc(controller.datasets());
   LatencyRecorder qct;
   for (const QueryExecution& exec : controller.run_all_queries()) {
     for (std::size_t r = 0; r < exec.recurrences; ++r) {
@@ -70,16 +78,23 @@ void expect_fingerprint(const SetupFingerprint& got,
       << std::hex << "actual rows crc32 0x" << got.rows_crc;
   EXPECT_EQ(got.qct_digest, want.qct_digest)
       << std::hex << "actual qct digest 0x" << got.qct_digest;
+  EXPECT_EQ(got.ingest_cubes_crc, want.ingest_cubes_crc)
+      << std::hex << "actual ingest cubes crc32 0x" << got.ingest_cubes_crc;
+  EXPECT_EQ(got.prepared_cubes_crc, want.prepared_cubes_crc)
+      << std::hex << "actual prepared cubes crc32 0x"
+      << got.prepared_cubes_crc;
 }
 
 TEST(SetupGoldenTest, TpcDsBohr) {
   expect_fingerprint(run_setup(workload::WorkloadKind::TpcDs),
-                     {0x2bc98c0au, 0xdd285554u, 0x8cd173b1u});
+                     {0x2bc98c0au, 0xdd285554u, 0x8cd173b1u, 0xbb777007u,
+                      0x1ba21907u});
 }
 
 TEST(SetupGoldenTest, BigDataBohr) {
   expect_fingerprint(run_setup(workload::WorkloadKind::BigData),
-                     {0x1c1948f2u, 0xae3c8727u, 0xba32a704u});
+                     {0x1c1948f2u, 0xae3c8727u, 0xba32a704u, 0x280d8c76u,
+                      0x457995d0u});
 }
 
 }  // namespace
