@@ -36,6 +36,7 @@ void CellAggregate::merge(const CellAggregate& other) {
 OlapCube::OlapCube(std::vector<Dimension> dimensions)
     : dims_(std::move(dimensions)) {
   BOHR_EXPECTS(!dims_.empty());
+  BOHR_EXPECTS(dims_.size() <= kMaxCubeDims);
 }
 
 OlapCube::OlapCube(const OlapCube& other)
@@ -118,15 +119,15 @@ void OlapCube::insert_rows(std::span<const CellCoords> coords,
     }
   }
   cells_.reserve(cells_.size() + n);
-  CellCoords cell;
-  cell.reserve(cell_dims);
+  CellCoords cell(cell_dims);
   for (std::size_t i = 0; i < n; ++i) {
     if (project.empty()) {
       BOHR_EXPECTS(coords[i].size() == dims_.size());
       cells_[coords[i]].add(measures[i]);
     } else {
-      cell.clear();
-      for (const std::size_t p : project) cell.push_back(coords[i][p]);
+      for (std::size_t k = 0; k < cell_dims; ++k) {
+        cell[k] = coords[i][project[k]];
+      }
       cells_[cell].add(measures[i]);
     }
   }
@@ -151,7 +152,6 @@ OlapCube OlapCube::slice(std::size_t dim, MemberId member) const {
   for (const auto& [coords, agg] : cells_) {
     if (coords[dim] != member) continue;
     CellCoords reduced;
-    reduced.reserve(coords.size() - 1);
     for (std::size_t d = 0; d < coords.size(); ++d) {
       if (d != dim) reduced.push_back(coords[d]);
     }
@@ -217,7 +217,6 @@ OlapCube OlapCube::project(const std::vector<std::size_t>& dims) const {
   OlapCube out(std::move(new_dims));
   for (const auto& [coords, agg] : cells_) {
     CellCoords projected;
-    projected.reserve(dims.size());
     for (const std::size_t d : dims) projected.push_back(coords[d]);
     out.cells_[std::move(projected)].merge(agg);
   }

@@ -8,8 +8,11 @@
 // datasets combine.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -17,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "olap/dimension.h"
 #include "olap/value.h"
@@ -25,8 +29,56 @@ namespace bohr::olap {
 
 class CubeColumns;
 
+/// Most dimensions a cube may have. The TPC-DS and Facebook specs have 4,
+/// BigData 3; a cap of 4 keeps a cell's key inside its map node.
+inline constexpr std::size_t kMaxCubeDims = 4;
+
 /// Cell address: one member per cube dimension, positionally aligned.
-using CellCoords = std::vector<MemberId>;
+/// Members are held inline, so a key costs no heap block of its own;
+/// slots past size() stay zero. It offers the few vector operations its
+/// callers use, and compares like a vector (==, lexicographic <).
+class CellCoords {
+ public:
+  using iterator = MemberId*;
+  using const_iterator = const MemberId*;
+
+  CellCoords() = default;
+  /// `n` zero members.
+  explicit CellCoords(std::size_t n) : size_(n) {
+    BOHR_EXPECTS(n <= kMaxCubeDims);
+  }
+  CellCoords(std::initializer_list<MemberId> members)
+      : CellCoords(members.begin(), members.end()) {}
+  CellCoords(const MemberId* first, const MemberId* last)
+      : CellCoords(static_cast<std::size_t>(last - first)) {
+    std::copy(first, last, members_.begin());
+  }
+
+  std::size_t size() const { return size_; }
+  MemberId& operator[](std::size_t i) { return members_[i]; }
+  const MemberId& operator[](std::size_t i) const { return members_[i]; }
+  iterator begin() { return members_.data(); }
+  iterator end() { return members_.data() + size_; }
+  const_iterator begin() const { return members_.data(); }
+  const_iterator end() const { return members_.data() + size_; }
+
+  void push_back(MemberId m) {
+    BOHR_EXPECTS(size_ < kMaxCubeDims);
+    members_[size_++] = m;
+  }
+
+  friend bool operator==(const CellCoords& a, const CellCoords& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator<(const CellCoords& a, const CellCoords& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+
+ private:
+  std::array<MemberId, kMaxCubeDims> members_{};
+  std::size_t size_ = 0;
+};
 
 struct CellCoordsHash {
   std::size_t operator()(const CellCoords& coords) const {
@@ -56,6 +108,7 @@ struct Cell {
 class OlapCube {
  public:
   OlapCube() = default;
+  /// At least one and at most kMaxCubeDims dimensions.
   explicit OlapCube(std::vector<Dimension> dimensions);
 
   // The columnar-snapshot cache is guarded by a mutex (concurrent readers

@@ -10,6 +10,7 @@ namespace bohr::olap {
 
 CubeBuilder::CubeBuilder(CubeSpec spec) : spec_(std::move(spec)) {
   BOHR_EXPECTS(!spec_.dim_attrs.empty());
+  BOHR_EXPECTS(spec_.dim_attrs.size() <= kMaxCubeDims);
   BOHR_EXPECTS(spec_.dim_attrs.size() == spec_.dimensions.size());
   for (const std::size_t idx : spec_.dim_attrs) {
     BOHR_EXPECTS(idx < spec_.schema.attribute_count());
@@ -22,7 +23,6 @@ CubeBuilder::CubeBuilder(CubeSpec spec) : spec_(std::move(spec)) {
 CellCoords CubeBuilder::coords_for(const Row& row) const {
   BOHR_EXPECTS(row.size() == spec_.schema.attribute_count());
   CellCoords coords;
-  coords.reserve(spec_.dim_attrs.size());
   for (const std::size_t idx : spec_.dim_attrs) {
     coords.push_back(value_to_member(row[idx]));
   }

@@ -23,6 +23,7 @@ struct CubeSpec {
 
 class CubeBuilder {
  public:
+  /// The spec needs at least one and at most kMaxCubeDims dimensions.
   explicit CubeBuilder(CubeSpec spec);
 
   const CubeSpec& spec() const { return spec_; }

@@ -39,7 +39,7 @@ class CubeColumns {
   std::span<const std::uint64_t> counts() const { return counts_; }
   std::span<const double> sums() const { return sums_; }
 
-  /// Materializes row `row`'s coordinates (allocates).
+  /// Row `row`'s coordinates.
   CellCoords coords_of(std::size_t row) const;
 
   /// Reassembles row `row`'s aggregate from the columns.

@@ -66,9 +66,9 @@ void encode_cells(ByteWriter& w, const OlapCube& cube) {
 
 std::vector<Dimension> decode_dimensions(CubeReader& r) {
   const std::size_t dim_count = r.count<std::uint32_t>(kMinDimensionBytes);
-  if (dim_count == 0 || dim_count >= 1024) {
-    r.fail("dimension count " + std::to_string(dim_count) +
-           " outside (0, 1024)");
+  if (dim_count == 0 || dim_count > kMaxCubeDims) {
+    r.fail("dimension count " + std::to_string(dim_count) + " outside [1, " +
+           std::to_string(kMaxCubeDims) + "]");
   }
   std::vector<Dimension> dims;
   dims.reserve(dim_count);

@@ -84,7 +84,6 @@ std::vector<CubeQueryRow> execute(const OlapCube& cube,
       if (!f.members.contains(cols->member(c, f.dim))) return;
     }
     CellCoords group;
-    group.reserve(query.group_by.size());
     for (std::size_t g = 0; g < query.group_by.size(); ++g) {
       const std::size_t d = query.group_by[g];
       const std::size_t level =

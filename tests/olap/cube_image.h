@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace bohr::olap::cube_image {
@@ -32,6 +34,23 @@ inline Frames frames(const std::string& image) {
   f.cells = f.dims + 8 + u64_at(image, f.dims) + 4;
   f.footer = f.cells + 8 + u64_at(image, f.cells) + 4;
   return f;
+}
+
+/// A v2 image around the given DIMS and CELLS payloads, framed and sealed
+/// as encode_cube does, so a test can build an image no OlapCube encodes.
+inline std::string frame_v2(std::string_view dims, std::string_view cells) {
+  ByteWriter w;
+  w.raw("BOHRCUBE");
+  w.u32(2);
+  for (const std::string_view payload : {dims, cells}) {
+    w.str<std::uint64_t>(payload);
+    w.u32(crc32(payload));
+  }
+  const std::uint64_t body_bytes = w.size();
+  w.u64(body_bytes);
+  w.u32(crc32(&body_bytes, sizeof(body_bytes)));
+  w.raw("BOHREND!");
+  return w.take();
 }
 
 /// Recomputes the CRC of the section whose frame starts at `frame`.

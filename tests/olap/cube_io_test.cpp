@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "cube_image.h"
@@ -170,6 +171,42 @@ TEST(CubeIoCorruptionTest, InflatedCellCountThrowsCubeIoError) {
   std::string bytes = encode_cube(sample_cube());
   cube_image::add_to_cell_count(bytes, std::uint64_t{1} << 61);
   EXPECT_THROW(decode_cube(bytes), CubeIoError);
+}
+
+/// A well-formed v2 image of a `dim_count`-dimension cube holding one
+/// cell: every frame, count and checksum agrees, so only the dimension
+/// cap can reject it.
+std::string one_cell_image(std::uint32_t dim_count) {
+  ByteWriter dims;
+  dims.u32(dim_count);
+  for (std::uint32_t d = 0; d < dim_count; ++d) {
+    dims.str<std::uint32_t>("d" + std::to_string(d));
+    dims.u32(0);  // not hashed
+    dims.u32(1);  // one level
+    dims.str<std::uint32_t>("base");
+    dims.u64(1);
+  }
+  ByteWriter cells;
+  cells.u64(1);  // total records
+  cells.u64(1);  // cell count
+  for (std::uint32_t d = 0; d < dim_count; ++d) cells.u64(d);
+  cells.u64(1);
+  for (int field = 0; field < 3; ++field) cells.f64(2.5);  // sum, min, max
+  return cube_image::frame_v2(dims.take(), cells.take());
+}
+
+TEST(CubeIoCorruptionTest, MoreThanFourDimensionsThrowCubeIoError) {
+  const OlapCube four = decode_cube(one_cell_image(4));
+  EXPECT_EQ(four.dimension_count(), 4u);
+  EXPECT_EQ(four.total_records(), 1u);
+  try {
+    decode_cube(one_cell_image(5));
+    FAIL() << "a five-dimension image decoded";
+  } catch (const CubeIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("dimension count 5"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CubeIoCompatTest, V1FilesStillLoad) {

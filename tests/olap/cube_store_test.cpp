@@ -51,6 +51,18 @@ TEST(CubeBuilderTest, BuildAggregatesDuplicateRows) {
   EXPECT_EQ(cube.total_records(), 3u);
 }
 
+TEST(CubeBuilderTest, MoreThanFourDimensionsThrows) {
+  const Schema wide({{"a", AttributeType::Integer, false},
+                     {"b", AttributeType::Integer, false},
+                     {"c", AttributeType::Integer, false},
+                     {"d", AttributeType::Integer, false},
+                     {"e", AttributeType::Integer, false},
+                     {"score", AttributeType::Real, true}});
+  const CubeSpec spec = default_cube_spec(wide);
+  ASSERT_EQ(spec.dim_attrs.size(), 5u);
+  EXPECT_THROW(CubeBuilder{spec}, bohr::ContractViolation);
+}
+
 TEST(CubeBuilderTest, CoordsAreStableAcrossBuilders) {
   const CubeBuilder b1(default_cube_spec(log_schema()));
   const CubeBuilder b2(default_cube_spec(log_schema()));

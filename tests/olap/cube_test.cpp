@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.h"
 
 namespace bohr::olap {
@@ -41,6 +43,16 @@ TEST(CubeTest, InsertAggregatesIdenticalCoords) {
 TEST(CubeTest, WrongArityInsertThrows) {
   OlapCube cube({Dimension("a"), Dimension("b")});
   EXPECT_THROW(cube.insert({1}, 1.0), bohr::ContractViolation);
+}
+
+TEST(CubeTest, AtMostFourDimensions) {
+  std::vector<Dimension> dims = {Dimension("a"), Dimension("b"),
+                                 Dimension("c"), Dimension("d")};
+  OlapCube four(dims);
+  four.insert({1, 2, 3, 4}, 1.0);
+  EXPECT_NE(four.find({1, 2, 3, 4}), nullptr);
+  dims.emplace_back("e");
+  EXPECT_THROW(OlapCube{dims}, bohr::ContractViolation);
 }
 
 TEST(CubeTest, SliceFixesOneDimension) {
