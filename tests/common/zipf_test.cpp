@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace bohr {
@@ -87,6 +89,42 @@ TEST(ZipfTest, EmpiricalFrequencyMatchesPmf) {
     const double freq = static_cast<double>(counts[r]) / n;
     EXPECT_NEAR(freq, zipf.pmf(r), 0.01) << "rank " << r;
   }
+}
+
+TEST(ZipfTest, SampleMatchesBinarySearchOverTheCdf) {
+  // The guide table must return the rank std::lower_bound finds over the
+  // CDF, draw for draw, from the same Rng words. The universes and skews
+  // are the ones the generators and arrivals build, plus both sides of a
+  // power of two; the largest go first, so a wrong rank fails before a
+  // one-rank universe could be overrun.
+  const std::size_t sizes[] = {32000, 20000, 12288, 3840, 1025, 1024,
+                               1023,  32,    12,    3,    2,    1};
+  const double skews[] = {0.0, 0.8, 1.0, 1.1, 1.3, 1.6};
+  constexpr int kDrawsPerCase = 16384;  // 12 x 6 x 16,384 = 1,179,648
+  Rng rng(2024);
+  Rng twin(2024);
+  for (const std::size_t n : sizes) {
+    for (const double s : skews) {
+      const ZipfSampler zipf(n, s);
+      // The CDF exactly as the constructor builds it: a running sum of
+      // the pmf, with the last entry pinned to 1.
+      std::vector<double> cdf(n);
+      double cumulative = 0.0;
+      for (std::size_t r = 0; r < n; ++r) {
+        cumulative += zipf.pmf(r);
+        cdf[r] = cumulative;
+      }
+      cdf.back() = 1.0;
+      for (int i = 0; i < kDrawsPerCase; ++i) {
+        const std::size_t got = zipf.sample(rng);
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), twin.uniform()) -
+            cdf.begin());
+        ASSERT_EQ(got, want) << "n=" << n << " s=" << s << " draw " << i;
+      }
+    }
+  }
+  EXPECT_TRUE(rng.state() == twin.state());
 }
 
 TEST(ZipfTest, HighSkewConcentratesMass) {
