@@ -33,6 +33,12 @@ std::vector<QueryArrival> generate_arrivals(
   BOHR_EXPECTS(types_per_dataset.size() == n_datasets);
 
   const ZipfSampler dataset_zipf(n_datasets, config.dataset_skew);
+  std::vector<ZipfSampler> type_zipf;
+  type_zipf.reserve(n_datasets);
+  for (const std::size_t n_types : types_per_dataset) {
+    BOHR_EXPECTS(n_types > 0);
+    type_zipf.emplace_back(n_types, config.type_skew);
+  }
   std::vector<QueryArrival> all;
   for (std::size_t tenant = 0; tenant < config.tenants; ++tenant) {
     // One independent stream per tenant: interleaving tenants must not
@@ -48,9 +54,7 @@ std::vector<QueryArrival> generate_arrivals(
       // Tenants rotate the popularity ranking so the hot dataset
       // differs per tenant while each tenant stays Zipf-skewed.
       q.dataset = (dataset_zipf.sample(rng) + tenant) % n_datasets;
-      const std::size_t n_types = types_per_dataset[q.dataset];
-      BOHR_EXPECTS(n_types > 0);
-      q.type_spec = ZipfSampler(n_types, config.type_skew).sample(rng);
+      q.type_spec = type_zipf[q.dataset].sample(rng);
       q.work_scale = bounded_pareto(rng, config.work_alpha, config.work_max);
       all.push_back(q);
     }

@@ -54,7 +54,7 @@ struct QueryArrival {
 };
 
 /// Generates the merged arrival trace over `n_datasets` datasets, where
-/// dataset `a` has `types_per_dataset[a]` query-type specs. Sorted by
+/// dataset `a` has `types_per_dataset[a]` > 0 query-type specs. Sorted by
 /// (time, tenant); deterministic per config. Throws ContractViolation
 /// when config.expected_arrivals() exceeds kMaxExpectedArrivals.
 std::vector<QueryArrival> generate_arrivals(
