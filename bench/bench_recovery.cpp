@@ -3,7 +3,10 @@
 // crash, and that the recovered run's prepare report and QCTs match the
 // fresh run. The checkpoint.snapshot / checkpoint.recover phase totals
 // also travel in the BENCH_JSON epilogue.
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "bench_common.h"
 #include "common/timer.h"
@@ -37,8 +40,10 @@ double avg_qct(core::Controller& controller) {
 
 void BM_Recovery(benchmark::State& state) {
   const auto cfg = bench_config(workload::WorkloadKind::BigData);
+  // One directory per process, so runs side by side never share one.
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "bohr_bench_recovery";
+      std::filesystem::temp_directory_path() /
+      ("bohr_bench_recovery-" + std::to_string(::getpid()));
   for (auto _ : state) {
     std::filesystem::remove_all(dir);
 
