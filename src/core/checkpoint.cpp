@@ -12,7 +12,6 @@
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/phase_timer.h"
-#include "olap/cube_io.h"
 
 namespace bohr::core {
 
@@ -258,11 +257,6 @@ std::vector<olap::Row> read_rows(StateReader& r) {
     }
   }
   return rows;
-}
-
-std::string cube_file_name(std::size_t dataset, std::size_t site) {
-  return "cube-" + std::to_string(dataset) + "-" + std::to_string(site) +
-         ".cube";
 }
 
 /// The full state image of one snapshot.
@@ -532,14 +526,6 @@ void CheckpointManager::snapshot(const Controller& controller,
   if (migration != nullptr) {
     files.emplace_back(kMigrationFile, *migration);
   }
-  const auto& datasets = controller.datasets();
-  for (std::size_t a = 0; a < datasets.size(); ++a) {
-    if (!datasets[a].has_cubes()) continue;
-    for (std::size_t s = 0; s < datasets[a].site_count(); ++s) {
-      const olap::OlapCube& cube = datasets[a].cubes_at(s).base_cube();
-      files.emplace_back(cube_file_name(a, s), olap::encode_cube(cube));
-    }
-  }
 
   std::vector<std::pair<std::string, const std::string*>> manifest_input;
   manifest_input.reserve(files.size());
@@ -591,9 +577,10 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
           parse_manifest(manifest_text);
 
       // Verify every file's size and checksum before trusting any byte.
+      // Files other than the state and migration images (the per-site
+      // cube files older snapshots carry) are checked but never decoded.
       std::string state_image;
       std::optional<std::string> migration_image;
-      std::vector<std::pair<std::string, std::string>> cube_files;
       for (const ManifestEntry& entry : entries) {
         std::string bytes =
             read_file<SnapshotRejected>((snap_dir / entry.name).string());
@@ -607,8 +594,6 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
           state_image = std::move(bytes);
         } else if (entry.name == kMigrationFile) {
           migration_image = std::move(bytes);
-        } else {
-          cube_files.emplace_back(entry.name, std::move(bytes));
         }
       }
       if (state_image.empty()) {
@@ -619,12 +604,12 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
 
       // Shape checks against the live controller: a snapshot from a
       // different configuration is corruption as far as recovery is
-      // concerned.
+      // concerned. So is a row that does not fit its dataset's schema:
+      // the cube rebuild and every query read its values by position.
       const auto& datasets = controller.datasets();
       if (state.dataset_rows.size() != datasets.size()) {
         throw SnapshotRejected("dataset count mismatch");
       }
-      std::vector<std::vector<olap::OlapCube>> cubes(datasets.size());
       for (std::size_t a = 0; a < datasets.size(); ++a) {
         if (state.dataset_rows[a].size() != datasets[a].site_count()) {
           throw SnapshotRejected("site count mismatch");
@@ -632,30 +617,23 @@ RecoveryResult RecoveryManager::recover(Controller& controller) {
         if (state.dataset_has_cubes[a] != datasets[a].has_cubes()) {
           throw SnapshotRejected("cube presence mismatch");
         }
-        if (datasets[a].has_cubes()) {
-          cubes[a].reserve(datasets[a].site_count());
-          for (std::size_t s = 0; s < datasets[a].site_count(); ++s) {
-            const std::string wanted = cube_file_name(a, s);
-            const auto it = std::find_if(
-                cube_files.begin(), cube_files.end(),
-                [&](const auto& f) { return f.first == wanted; });
-            if (it == cube_files.end()) {
-              throw SnapshotRejected("missing " + wanted);
-            }
-            try {
-              cubes[a].push_back(olap::decode_cube(it->second));
-            } catch (const olap::CubeIoError& e) {
-              throw SnapshotRejected(wanted + ": " + e.what());
+        const std::size_t arity =
+            datasets[a].bundle().cube_spec.schema.attribute_count();
+        for (const auto& rows : state.dataset_rows[a]) {
+          for (const olap::Row& row : rows) {
+            if (row.size() != arity) {
+              throw SnapshotRejected("row arity does not match its schema");
             }
           }
         }
       }
 
       // All checks passed — restore. Mutations start only now, so a
-      // rejected snapshot leaves the controller untouched.
+      // rejected snapshot leaves the controller untouched. Every cube is
+      // rebuilt from the restored rows.
       for (std::size_t a = 0; a < datasets.size(); ++a) {
         controller.mutable_dataset(a).restore_sites(
-            std::move(state.dataset_rows[a]), std::move(cubes[a]));
+            std::move(state.dataset_rows[a]));
       }
       controller.restore_similarity(std::move(state.similarity));
       controller.restore_rng(state.rng);

@@ -6,16 +6,19 @@
 // and a snapshot is taken after each completed step. One snapshot is a
 // directory `snapshot-<seq>/` holding:
 //
-//   state.bin            controller state: completed steps, the prepare
-//                        report so far, movement plans, similarity
-//                        results, RNG state, and every dataset's
-//                        per-site rows
-//   cube-<a>-<s>.cube    base cube of dataset a at site s (format v2,
-//                        cube_io), for cube-backed strategies
-//   MANIFEST             text manifest listing each file's size and
-//                        CRC32, self-checksummed and written LAST —
-//                        a snapshot without a valid manifest was never
-//                        committed and is ignored by recovery
+//   state.bin       controller state: completed steps, the prepare
+//                   report so far, movement plans, similarity results,
+//                   RNG state, and every dataset's per-site rows
+//   migration.bin   the churn runner's migration state, for churn runs
+//   MANIFEST        text manifest listing each file's size and CRC32,
+//                   self-checksummed and written LAST — a snapshot
+//                   without a valid manifest was never committed and is
+//                   ignored by recovery
+//
+// A snapshot holds no cubes: a cube is a function of its site's rows,
+// and recovery rebuilds every cube from the restored rows with the same
+// row-order fold that construction and movement use, so a recovered
+// cube equals the live one cell for cell, bit for bit.
 //
 // Every file is written crash-atomically (temp + flush + rename), and
 // the manifest-written-last protocol makes the whole snapshot atomic: a
@@ -27,9 +30,9 @@
 //
 // A recovered run resumes the remaining steps and produces a
 // PrepareReport byte-identical to an uninterrupted run: the steps
-// consume only snapshotted state (rows, similarity, RNG), and crash or
-// storage faults never perturb the data plane
-// (FaultPlan::data_plane_quiet).
+// consume only snapshotted state (rows, similarity, RNG) and cubes
+// rebuilt from those rows, and crash or storage faults never perturb
+// the data plane (FaultPlan::data_plane_quiet).
 #pragma once
 
 #include <optional>
@@ -124,10 +127,11 @@ class RecoveryManager {
 
   /// Walks snapshots newest-first; for each, verifies the manifest's
   /// self-checksum and every file's size and CRC32, then deserializes
-  /// and restores rows, cubes, similarity results, and RNG state into
-  /// `controller`. Any mismatch rejects the snapshot and falls back to
-  /// the next older one. Returns recovered=false when no intact
-  /// snapshot exists (callers then prepare from scratch).
+  /// and restores rows (rebuilding every cube from them), similarity
+  /// results, and RNG state into `controller`. Any mismatch rejects the
+  /// snapshot and falls back to the next older one. Returns
+  /// recovered=false when no intact snapshot exists (callers then
+  /// prepare from scratch).
   RecoveryResult recover(Controller& controller);
 
  private:

@@ -184,11 +184,9 @@ DegradationService::DegradationService(
       st.site_records.assign(d.site_count(), 0);
       for (std::size_t s = 0; s < d.site_count(); ++s) {
         if (d.has_cubes()) {
-          // Read the base cube, not the dimension cube: dimension cubes
-          // are rebuilt from the base on checkpoint recovery, so their
-          // float sums can drift by ULPs from the incrementally built
-          // originals. The base cube round-trips bit-exactly, and cube
-          // totals are projection-invariant anyway.
+          // Read the base cube, not the spec's dimension cube: totals
+          // are projection-invariant up to rounding, and one cube gives
+          // every spec of the dataset the same per-site total.
           const olap::CubeTotals totals =
               olap::cube_totals(d.cubes_at(s).base_cube());
           st.site_value[s] = totals.sum;
@@ -215,8 +213,8 @@ DegradationService::DegradationService(
       for (std::size_t qt = 0; qt < type_count; ++qt) {
         info.type_dims[qt] = d.cubes_at(0).query_type_dims(qt);
       }
-      // Derived from the per-site base cubes (bit-stable across
-      // recovery), projected onto each query type's dims.
+      // The per-site base cubes merged in site order, projected onto
+      // each query type's dims.
       olap::OlapCube merged_base = d.cubes_at(0).base_cube();
       for (std::size_t s = 1; s < d.site_count(); ++s) {
         merged_base.merge(d.cubes_at(s).base_cube());
@@ -327,10 +325,9 @@ void DegradationService::substitute(std::size_t a, std::size_t t,
         }
       }
       if (!covered) continue;
-      // Merge the candidate's surviving base cubes only — the
-      // substitution must be computable without the dead sites, and the
-      // base cube is the representation that round-trips bit-exactly
-      // through checkpoint recovery.
+      // Merge the candidate's surviving base cubes only, in site order:
+      // the substitution must be computable without the dead sites, and
+      // the merged base projects onto whichever dims the reference has.
       olap::OlapCube merged;
       bool seeded = false;
       for (std::size_t s = 0; s < db.site_count(); ++s) {

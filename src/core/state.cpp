@@ -46,25 +46,17 @@ DatasetState::DatasetState(workload::DatasetBundle bundle,
   BOHR_EXPECTS(!bundle_.site_rows.empty());
   BOHR_EXPECTS(mix_.counts.size() == bundle_.query_types.size());
   if (with_cubes) {
-    cubes_.reserve(site_count());
-    for (std::size_t s = 0; s < site_count(); ++s) {
-      cubes_.emplace_back(builder_);
-    }
-    for (const auto& qt : bundle_.query_types) {
-      // Registration is idempotent per attribute subset; every site must
-      // register the same subsets in the same order so ids agree.
-      olap::QueryTypeId id = 0;
-      for (std::size_t s = 0; s < site_count(); ++s) {
-        id = cubes_[s].register_query_type(qt.dim_positions);
-      }
-      spec_to_cube_type_.push_back(id);
-    }
-    // Each site's ingest is one job (DESIGN §10): a body writes only its
+    // Each site's cubes are one job (DESIGN §10): a body writes only its
     // own DatasetCubes, whose loops then run inline, so every cube is
     // folded in row order by the same code at every thread count.
-    parallel_for(site_count(), [&](std::size_t s) {
-      cubes_[s].add_rows(bundle_.site_rows[s]);
-    });
+    cubes_.assign(site_count(), olap::DatasetCubes(builder_));
+    parallel_for(site_count(), [&](std::size_t s) { rebuild_cubes_at(s); });
+    for (const auto& qt : bundle_.query_types) {
+      // Every site registered the same subsets in the same order, so ids
+      // agree; registering an existing subset again returns its id.
+      spec_to_cube_type_.push_back(
+          cubes_.front().register_query_type(qt.dim_positions));
+    }
   } else {
     // Without cubes the spec->type mapping is positional.
     for (std::size_t t = 0; t < bundle_.query_types.size(); ++t) {
@@ -232,18 +224,13 @@ void DatasetState::append_rows(std::size_t site,
   }
 }
 
-void DatasetState::restore_sites(std::vector<std::vector<olap::Row>> site_rows,
-                                 std::vector<olap::OlapCube> base_cubes) {
+void DatasetState::restore_sites(
+    std::vector<std::vector<olap::Row>> site_rows) {
   BOHR_EXPECTS(site_rows.size() == site_count());
   version_ = fresh_version();
   bundle_.site_rows = std::move(site_rows);
   if (has_cubes()) {
-    BOHR_EXPECTS(base_cubes.size() == site_count());
-    for (std::size_t s = 0; s < site_count(); ++s) {
-      cubes_[s].restore_base(std::move(base_cubes[s]));
-    }
-  } else {
-    BOHR_EXPECTS(base_cubes.empty());
+    parallel_for(site_count(), [&](std::size_t s) { rebuild_cubes_at(s); });
   }
 }
 

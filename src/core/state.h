@@ -87,13 +87,13 @@ class DatasetState {
   void append_rows(std::size_t site, std::vector<olap::Row> rows);
 
   /// Checkpoint recovery: replaces every site's rows with a snapshot's
-  /// and installs the matching restored base cubes (one per site when
-  /// this state has cubes; empty otherwise). Dimension cubes are
-  /// re-derived from the restored bases.
-  void restore_sites(std::vector<std::vector<olap::Row>> site_rows,
-                     std::vector<olap::OlapCube> base_cubes);
+  /// and rebuilds every site's cubes from them, by the same row-order
+  /// fold as construction and movement.
+  void restore_sites(std::vector<std::vector<olap::Row>> site_rows);
 
  private:
+  /// Folds `site`'s rows, in row order, into fresh cubes with every
+  /// query type registered: the one way a site's cubes are built.
   void rebuild_cubes_at(std::size_t site);
 
   workload::DatasetBundle bundle_;

@@ -215,12 +215,22 @@ OlapCube OlapCube::project(const std::vector<std::size_t>& dims) const {
     new_dims.push_back(dims_[d]);
   }
   OlapCube out(std::move(new_dims));
-  for (const auto& [coords, agg] : cells_) {
+  for (const auto* cell : sorted_cells()) {
     CellCoords projected;
-    for (const std::size_t d : dims) projected.push_back(coords[d]);
-    out.cells_[std::move(projected)].merge(agg);
+    for (const std::size_t d : dims) projected.push_back(cell->first[d]);
+    out.cells_[std::move(projected)].merge(cell->second);
   }
   out.total_records_ = total_records_;
+  return out;
+}
+
+std::vector<const std::pair<const CellCoords, CellAggregate>*>
+OlapCube::sorted_cells() const {
+  std::vector<const std::pair<const CellCoords, CellAggregate>*> out;
+  out.reserve(cells_.size());
+  for (const auto& cell : cells_) out.push_back(&cell);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   return out;
 }
 

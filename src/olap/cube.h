@@ -170,6 +170,8 @@ class OlapCube {
   OlapCube pivot(const std::vector<std::size_t>& order) const;
 
   /// dimension cube (§2.2): keep only `dims`, aggregating the rest away.
+  /// Cells fold in sorted_cells() order, so equal cubes project to equal
+  /// cubes whatever order their maps iterate in.
   OlapCube project(const std::vector<std::size_t>& dims) const;
 
   /// --- similarity support ----------------------------------------------
@@ -197,6 +199,12 @@ class OlapCube {
       const {
     return cells_;
   }
+
+  /// The cells in ascending coordinate order: the canonical order for
+  /// every read whose result depends on order, independent of the map's
+  /// bucket layout and insertion history.
+  std::vector<const std::pair<const CellCoords, CellAggregate>*>
+  sorted_cells() const;
 
  private:
   /// Drops the cached snapshot (call on any mutation). The relaxed flag

@@ -1,7 +1,5 @@
 #include "olap/cube_columns.h"
 
-#include <algorithm>
-
 #include "common/phase_timer.h"
 
 namespace bohr::olap {
@@ -10,16 +8,9 @@ CubeColumns::CubeColumns(const OlapCube& cube)
     : num_rows_(cube.cell_count()),
       num_dims_(cube.dimension_count()) {
   ScopedPhase phase("cube.columns_build");
-  // Canonical row order: sort cell pointers by ascending coordinates so
-  // the snapshot is independent of the map's bucket layout and insertion
-  // history. Everything downstream (top-cell ranking, query folds)
-  // inherits this order.
-  using Entry = std::pair<const CellCoords, CellAggregate>;
-  std::vector<const Entry*> entries;
-  entries.reserve(num_rows_);
-  for (const auto& e : cube.cells()) entries.push_back(&e);
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry* a, const Entry* b) { return a->first < b->first; });
+  // Rows in canonical order: everything downstream (top-cell ranking,
+  // query folds) inherits it.
+  const auto entries = cube.sorted_cells();
 
   members_.resize(num_dims_ * num_rows_);
   row_coords_.resize(num_dims_ * num_rows_);
@@ -28,7 +19,7 @@ CubeColumns::CubeColumns(const OlapCube& cube)
   mins_.resize(num_rows_);
   maxs_.resize(num_rows_);
   for (std::size_t row = 0; row < num_rows_; ++row) {
-    const Entry& e = *entries[row];
+    const auto& e = *entries[row];
     for (std::size_t d = 0; d < num_dims_; ++d) {
       members_[d * num_rows_ + row] = e.first[d];
       row_coords_[row * num_dims_ + d] = e.first[d];

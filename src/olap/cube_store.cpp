@@ -63,12 +63,4 @@ const OlapCube& DatasetCubes::dimension_cube(QueryTypeId qt) const {
   return types_[qt].cube;
 }
 
-void DatasetCubes::restore_base(OlapCube base) {
-  BOHR_EXPECTS(base.dimension_count() == builder_.spec().dimensions.size());
-  base_ = std::move(base);
-  for (auto& entry : types_) {
-    entry.cube = base_.project(entry.dim_positions);
-  }
-}
-
 }  // namespace bohr::olap

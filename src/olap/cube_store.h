@@ -37,11 +37,6 @@ class DatasetCubes {
   const OlapCube& base_cube() const { return base_; }
   const OlapCube& dimension_cube(QueryTypeId qt) const;
 
-  /// Checkpoint recovery: installs a deserialized base cube and re-derives
-  /// every registered dimension cube from it. The cube's dimensionality
-  /// must match the builder spec.
-  void restore_base(OlapCube base);
-
  private:
   struct TypeEntry {
     std::vector<std::size_t> dim_positions;

@@ -38,6 +38,7 @@
 #include "olap/cube_io.h"
 #include "snapshot_files.h"
 #include "../olap/cube_image.h"
+#include "../temp_dir.h"
 
 namespace bohr::core {
 namespace {
@@ -46,6 +47,7 @@ namespace fs = std::filesystem;
 using snapshot_files::seal_manifest;
 using snapshot_files::Snapshot;
 using snapshot_files::write_bytes;
+using temp_dir::fresh_dir;
 
 constexpr std::uint64_t kSeed = 0xB0B5EED;
 constexpr std::size_t kBitFlips = 256;
@@ -354,16 +356,6 @@ ExperimentConfig tiny_config() {
   cfg.job.machine.executors = 4;
   cfg.seed = 5;
   return cfg;
-}
-
-/// Fresh directory under the gtest temp root, named after the running
-/// test so tests run in parallel do not share it.
-std::string fresh_dir(const std::string& name) {
-  const std::string test =
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  const fs::path dir = fs::path(::testing::TempDir()) / (test + "-" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 /// Prepares a checkpointed controller through `steps` prepare steps and

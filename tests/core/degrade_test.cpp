@@ -8,18 +8,18 @@
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "core/experiment.h"
 #include "net/faults.h"
+#include "../temp_dir.h"
 
 namespace bohr::core {
 namespace {
 
-namespace fs = std::filesystem;
+using temp_dir::fresh_dir;
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
@@ -34,12 +34,6 @@ ExperimentConfig small_config() {
   cfg.job.machine.executors = 4;
   cfg.seed = 11;
   return cfg;
-}
-
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 /// Prepared controller + the degradation service over its state.

@@ -16,11 +16,14 @@
 #include "core/experiment.h"
 #include "engine/partitioner.h"
 #include "net/faults.h"
+#include "snapshot_files.h"
+#include "../temp_dir.h"
 
 namespace bohr::core {
 namespace {
 
 namespace fs = std::filesystem;
+using temp_dir::fresh_dir;
 
 net::WanTopology uniform_topo(std::size_t sites, double cap = 100.0) {
   std::vector<net::Site> specs;
@@ -242,12 +245,6 @@ ChurnOptions fast_churn() {
   return churn;
 }
 
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
-}
-
 TEST(ChurnExperimentTest, MigrationOnIsNoWorseThanOff) {
   const ExperimentConfig cfg = churn_config();
   ChurnOptions churn = fast_churn();
@@ -294,6 +291,10 @@ TEST(ChurnExperimentTest, CrashMidMigrationRecoversToSameFinalState) {
   EXPECT_TRUE(crashed.crashed);
   EXPECT_EQ(crashed.rounds_run, 2u);
   EXPECT_EQ(crashed.snapshots_written, 2u);
+  // A churn snapshot adds only the migration image to a prepare's.
+  EXPECT_EQ(snapshot_files::file_names(fs::path(dir) / "snapshot-2"),
+            (std::vector<std::string>{"MANIFEST", "migration.bin",
+                                      "state.bin"}));
 
   ChurnOptions resume = fast_churn();
   resume.checkpoint_dir = dir;

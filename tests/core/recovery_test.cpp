@@ -6,24 +6,30 @@
 // from scratch — never to a wrong answer.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/checkpoint.h"
+#include "core/degrade.h"
 #include "core/experiment.h"
+#include "rows_crc.h"
 #include "snapshot_files.h"
-#include "../olap/cube_image.h"
+#include "../temp_dir.h"
 
 namespace bohr::core {
 namespace {
 
 namespace fs = std::filesystem;
+using snapshot_files::file_names;
 using snapshot_files::read_bytes;
 using snapshot_files::reseal_manifest;
 using snapshot_files::write_bytes;
+using temp_dir::fresh_dir;
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
@@ -38,13 +44,6 @@ ExperimentConfig small_config() {
   cfg.job.machine.executors = 4;
   cfg.seed = 5;
   return cfg;
-}
-
-/// Fresh directory under the gtest temp root.
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 std::string plain_prepare_image(const ExperimentConfig& cfg,
@@ -84,6 +83,36 @@ std::string recover_and_finish(const ExperimentConfig& cfg,
   return serialize_prepare_report(report);
 }
 
+/// A row as the state image encodes it: its value count, then its
+/// values.
+std::string row_image(const olap::Row& row) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(row.size()));
+  write_values(w, row);
+  return w.take();
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// How many cells of `live` are missing from `recovered` or differ from
+/// it in any bit of count, sum, min or max; both must hold as many cells.
+std::size_t differing_cells(const olap::OlapCube& live,
+                            const olap::OlapCube& recovered) {
+  EXPECT_EQ(live.cell_count(), recovered.cell_count());
+  EXPECT_EQ(live.total_records(), recovered.total_records());
+  std::size_t differing = 0;
+  for (const auto& [coords, agg] : live.cells()) {
+    const olap::CellAggregate* other = recovered.find(coords);
+    if (other == nullptr || other->count != agg.count ||
+        bits(other->sum) != bits(agg.sum) ||
+        bits(other->min) != bits(agg.min) ||
+        bits(other->max) != bits(agg.max)) {
+      ++differing;
+    }
+  }
+  return differing;
+}
+
 TEST(RecoveryTest, CheckpointedPrepareMatchesPlainPrepare) {
   const ExperimentConfig cfg = small_config();
   const std::string dir = fresh_dir("ck-plain");
@@ -93,6 +122,12 @@ TEST(RecoveryTest, CheckpointedPrepareMatchesPlainPrepare) {
       serialize_prepare_report(checkpointed_prepare(controller, checkpoints));
   EXPECT_EQ(staged, plain_prepare_image(cfg));
   EXPECT_EQ(checkpoints.snapshots_written(), Controller::kPrepareStepCount);
+  // A snapshot holds rows, not cubes.
+  for (const char* snapshot : {"snapshot-3", "snapshot-4"}) {
+    EXPECT_EQ(file_names(fs::path(dir) / snapshot),
+              (std::vector<std::string>{"MANIFEST", "state.bin"}))
+        << snapshot;
+  }
 }
 
 TEST(RecoveryTest, CrashAtEveryPhaseBoundaryRecoversByteIdentical) {
@@ -109,6 +144,74 @@ TEST(RecoveryTest, CrashAtEveryPhaseBoundaryRecoversByteIdentical) {
     EXPECT_TRUE(details.recovered);
     EXPECT_EQ(details.snapshot_seq, i + 1);  // newest = crash phase's
     EXPECT_EQ(details.snapshots_rejected, 0u);
+  }
+}
+
+TEST(RecoveryTest, RecoveryAfterMovementRebuildsTheLiveCubesAndAnswers) {
+  // Movement appends each source's rows to a destination batch by batch,
+  // while recovery folds every site's rows in one pass. Both fold each
+  // cell in row order, so the cubes must agree bit for bit, and so must
+  // the degraded answers read from them.
+  for (const workload::WorkloadKind kind :
+       {workload::WorkloadKind::BigData, workload::WorkloadKind::TpcDs,
+        workload::WorkloadKind::Facebook}) {
+    SCOPED_TRACE(workload::to_string(kind));
+    ExperimentConfig cfg = small_config();
+    cfg.workload = kind;
+    cfg.n_datasets = 3;
+    const std::string dir = fresh_dir("ck-live-vs-recovered");
+    Controller live = make_controller(cfg, Strategy::Bohr);
+    CheckpointManager checkpoints(dir, 2, &live.options().faults);
+    ASSERT_GT(checkpointed_prepare(live, checkpoints).rows_moved, 0u);
+
+    Controller recovered = make_controller(cfg, Strategy::Bohr);
+    const RecoveryResult found = RecoveryManager(dir).recover(recovered);
+    ASSERT_TRUE(found.recovered);
+    ASSERT_EQ(found.progress.completed_steps, Controller::kPrepareStepCount);
+
+    for (std::size_t a = 0; a < live.datasets().size(); ++a) {
+      const DatasetState& dl = live.datasets()[a];
+      const DatasetState& dr = recovered.datasets()[a];
+      for (std::size_t s = 0; s < dl.site_count(); ++s) {
+        SCOPED_TRACE("dataset " + std::to_string(a) + " site " +
+                     std::to_string(s));
+        const olap::DatasetCubes& cl = dl.cubes_at(s);
+        const olap::DatasetCubes& cr = dr.cubes_at(s);
+        EXPECT_EQ(differing_cells(cl.base_cube(), cr.base_cube()), 0u);
+        ASSERT_EQ(cl.query_type_count(), cr.query_type_count());
+        for (olap::QueryTypeId t = 0; t < cl.query_type_count(); ++t) {
+          EXPECT_EQ(differing_cells(cl.dimension_cube(t),
+                                    cr.dimension_cube(t)),
+                    0u)
+              << "dimension cube " << t;
+        }
+      }
+    }
+
+    // Lose every home site of one dataset at a time, so the ladder must
+    // answer its queries from the other datasets' surviving sites.
+    const DegradationService live_ladder(live.datasets(), live.similarity(),
+                                         DegradeOptions{});
+    const DegradationService recovered_ladder(
+        recovered.datasets(), recovered.similarity(), DegradeOptions{});
+    DegradedReport live_answers;
+    DegradedReport recovered_answers;
+    for (std::size_t a = 0; a < live.datasets().size(); ++a) {
+      const DatasetState& d = live.datasets()[a];
+      std::vector<bool> site_ok(d.site_count());
+      for (std::size_t s = 0; s < d.site_count(); ++s) {
+        site_ok[s] = d.rows_at(s).empty();
+      }
+      for (std::size_t t = 0; t < d.bundle().query_types.size(); ++t) {
+        live_answers.add(live_ladder.answer(a, t, site_ok));
+        recovered_answers.add(recovered_ladder.answer(a, t, site_ok));
+        EXPECT_EQ(bits(live_answers.answers.back().value),
+                  bits(recovered_answers.answers.back().value))
+            << "dataset " << a << " spec " << t;
+      }
+    }
+    EXPECT_GT(live_answers.substituted, 0u);
+    EXPECT_EQ(live_answers.digest(), recovered_answers.digest());
   }
 }
 
@@ -226,20 +329,29 @@ TEST(RecoveryTest, InflatedChurnRoundCountIsAContractViolation) {
   EXPECT_THROW(run_churn_experiment(cfg, churn), ContractViolation);
 }
 
-TEST(RecoveryTest, InflatedCubeCellCountIsRejectedAndFallsBackToOlderSnapshot) {
+TEST(RecoveryTest, RowOfTheWrongArityIsRejectedAndFallsBackToOlderSnapshot) {
   const ExperimentConfig cfg = small_config();
   const std::string expected = plain_prepare_image(cfg);
-  const std::string dir = fresh_dir("ck-inflated-cube");
+  const std::string dir = fresh_dir("ck-row-arity");
   crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
 
-  // A cell count 2^61 too high, under a resealed CELLS checksum and a
-  // resealed manifest: only the cube decoder's bounds check can see it.
+  // Drop the last value of one row, under a resealed manifest: the image
+  // still decodes, so only the check against the schema can see it.
+  const Controller initial = make_controller(cfg, Strategy::Bohr);
+  const DatasetState& d = initial.datasets().front();
+  std::size_t site = 0;
+  while (d.rows_at(site).empty()) ++site;
+  const olap::Row& row = d.rows_at(site).front();
+  const std::string original = row_image(row);
+  const std::string shortened =
+      row_image(olap::Row(row.begin(), row.end() - 1));
   const fs::path snapshot = fs::path(dir) / "snapshot-2";
-  const fs::path cube = snapshot / "cube-0-0.cube";
-  ASSERT_TRUE(fs::exists(cube));
-  std::string bytes = read_bytes(cube);
-  olap::cube_image::add_to_cell_count(bytes, std::uint64_t{1} << 61);
-  write_bytes(cube, bytes);
+  std::string image = read_bytes(snapshot / "state.bin");
+  const std::size_t at = image.find(original);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(image.find(original, at + 1), std::string::npos);
+  image.replace(at, original.size(), shortened);
+  write_bytes(snapshot / "state.bin", image);
   reseal_manifest(snapshot);
 
   RecoveryResult details;

@@ -16,6 +16,21 @@
 
 namespace bohr::core {
 
+/// A row's values, each behind its type tag, as the state image writes
+/// them after the row's value count.
+inline void write_values(ByteWriter& out, const olap::Row& row) {
+  for (const olap::Value& v : row) {
+    out.u8(static_cast<std::uint8_t>(v.index()));
+    if (const auto* i = std::get_if<std::int64_t>(&v)) {
+      out.u64(static_cast<std::uint64_t>(*i));
+    } else if (const auto* x = std::get_if<double>(&v)) {
+      out.f64(*x);
+    } else {
+      out.str<std::uint32_t>(std::get<std::string>(v));
+    }
+  }
+}
+
 /// Every dataset's per-site rows in row order: each site's row count,
 /// then each value with its type tag.
 inline std::uint32_t rows_crc(const std::vector<DatasetState>& datasets) {
@@ -23,18 +38,7 @@ inline std::uint32_t rows_crc(const std::vector<DatasetState>& datasets) {
   for (const DatasetState& d : datasets) {
     for (std::size_t s = 0; s < d.site_count(); ++s) {
       out.u64(d.rows_at(s).size());
-      for (const olap::Row& row : d.rows_at(s)) {
-        for (const olap::Value& v : row) {
-          out.u8(static_cast<std::uint8_t>(v.index()));
-          if (const auto* i = std::get_if<std::int64_t>(&v)) {
-            out.u64(static_cast<std::uint64_t>(*i));
-          } else if (const auto* x = std::get_if<double>(&v)) {
-            out.f64(*x);
-          } else {
-            out.str<std::uint32_t>(std::get<std::string>(v));
-          }
-        }
-      }
+      for (const olap::Row& row : d.rows_at(s)) write_values(out, row);
     }
   }
   return crc32(out.take());

@@ -4,6 +4,7 @@
 // and only its decoder can catch the edit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/crc32.h"
 
@@ -73,6 +75,16 @@ struct Snapshot {
     write_bytes(snap / "MANIFEST", manifest_text);
   }
 };
+
+/// The names of the files in a snapshot directory, sorted.
+inline std::vector<std::string> file_names(const fs::path& snapshot) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(snapshot)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 /// Rewrites a snapshot directory's manifest over its files as they now
 /// are on disk.

@@ -12,9 +12,15 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "cube_image.h"
+#include "../temp_dir.h"
 
 namespace bohr::olap {
 namespace {
+
+/// A path in this test process's own directory.
+std::string in_process_dir(const std::string& name) {
+  return (temp_dir::process_dir() / name).string();
+}
 
 OlapCube sample_cube() {
   const Dimension date("date", {{"day", 1}, {"month", 30}}, false);
@@ -223,7 +229,7 @@ TEST(CubeIoCompatTest, TruncatedV1ThrowsCubeIoError) {
 
 TEST(CubeIoTest, FileRoundTrip) {
   const OlapCube original = sample_cube();
-  const std::string path = "/tmp/bohr_cube_io_test.cube";
+  const std::string path = in_process_dir("round-trip.cube");
   save_cube(path, original);
   const OlapCube loaded = load_cube(path);
   EXPECT_TRUE(cubes_equal(original, loaded));
@@ -231,7 +237,7 @@ TEST(CubeIoTest, FileRoundTrip) {
 }
 
 TEST(CubeIoTest, SaveLeavesNoTempFileBehind) {
-  const std::string path = "/tmp/bohr_cube_io_atomic_test.cube";
+  const std::string path = in_process_dir("atomic.cube");
   save_cube(path, sample_cube());
   std::ifstream tmp(path + ".tmp", std::ios::binary);
   EXPECT_FALSE(tmp.is_open());
@@ -241,10 +247,10 @@ TEST(CubeIoTest, SaveLeavesNoTempFileBehind) {
 TEST(CubeIoTest, FailedSavePreservesExistingFile) {
   // A save into an uncreatable temp file must throw and leave any
   // previously saved cube untouched.
-  const std::string dir = "/tmp/bohr-no-such-dir-xyzzy";
+  const std::string dir = in_process_dir("no-such-dir");
   EXPECT_THROW(save_cube(dir + "/cube", sample_cube()), CubeIoError);
 
-  const std::string path = "/tmp/bohr_cube_io_keep_test.cube";
+  const std::string path = in_process_dir("keep.cube");
   const OlapCube original = sample_cube();
   save_cube(path, original);
   // Second save succeeds by atomically replacing — never truncating —
@@ -255,7 +261,7 @@ TEST(CubeIoTest, FailedSavePreservesExistingFile) {
 }
 
 TEST(CubeIoTest, MissingFileThrows) {
-  EXPECT_THROW(load_cube("/tmp/definitely-not-a-file.cube"), CubeIoError);
+  EXPECT_THROW(load_cube(in_process_dir("no-such-file.cube")), CubeIoError);
 }
 
 }  // namespace
