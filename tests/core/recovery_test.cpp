@@ -17,6 +17,7 @@
 #include "core/checkpoint.h"
 #include "core/degrade.h"
 #include "core/experiment.h"
+#include "olap/cube_io.h"
 #include "rows_crc.h"
 #include "snapshot_files.h"
 #include "../temp_dir.h"
@@ -359,6 +360,37 @@ TEST(RecoveryTest, RowOfTheWrongArityIsRejectedAndFallsBackToOlderSnapshot) {
   EXPECT_TRUE(details.recovered);
   EXPECT_EQ(details.snapshot_seq, 1u);
   EXPECT_EQ(details.snapshots_rejected, 1u);
+}
+
+TEST(RecoveryTest, SnapshotThatListsCubeFilesStillRecovers) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-cube-files");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+
+  // Older snapshots also held each site's base cube as
+  // cube-<dataset>-<site>.cube, listed in the manifest. Before movement
+  // the initial controller's cubes are the ones such a snapshot held.
+  const Controller initial = make_controller(cfg, Strategy::Bohr);
+  const fs::path snapshot = fs::path(dir) / "snapshot-2";
+  auto snap = snapshot_files::Snapshot::load(snapshot);
+  for (std::size_t a = 0; a < initial.datasets().size(); ++a) {
+    const DatasetState& d = initial.datasets()[a];
+    for (std::size_t s = 0; s < d.site_count(); ++s) {
+      const std::string name =
+          "cube-" + std::to_string(a) + "-" + std::to_string(s) + ".cube";
+      snap.files[name] = olap::encode_cube(d.cubes_at(s).base_cube());
+      write_bytes(snapshot / name, snap.files[name]);
+    }
+  }
+  ASSERT_EQ(snap.files.size(), 1 + cfg.n_datasets * cfg.generator.sites);
+  write_bytes(snapshot / "MANIFEST", snap.manifest());
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 2u);
+  EXPECT_EQ(details.snapshots_rejected, 0u);
 }
 
 TEST(RecoveryTest, BitFlipInManifestChecksumDigitIsRejected) {
