@@ -46,17 +46,15 @@ DatasetState::DatasetState(workload::DatasetBundle bundle,
   BOHR_EXPECTS(!bundle_.site_rows.empty());
   BOHR_EXPECTS(mix_.counts.size() == bundle_.query_types.size());
   if (with_cubes) {
-    // Each site's cubes are one job (DESIGN §10): a body writes only its
-    // own DatasetCubes, whose loops then run inline, so every cube is
-    // folded in row order by the same code at every thread count.
-    cubes_.assign(site_count(), olap::DatasetCubes(builder_));
-    parallel_for(site_count(), [&](std::size_t s) { rebuild_cubes_at(s); });
+    // rebuild_cubes_at registers the specs in this order at every site,
+    // so the ids this registration returns hold at every site.
+    olap::DatasetCubes registered(builder_);
     for (const auto& qt : bundle_.query_types) {
-      // Every site registered the same subsets in the same order, so ids
-      // agree; registering an existing subset again returns its id.
       spec_to_cube_type_.push_back(
-          cubes_.front().register_query_type(qt.dim_positions));
+          registered.register_query_type(qt.dim_positions));
     }
+    cubes_.assign(site_count(), registered);
+    rebuild_all_cubes();
   } else {
     // Without cubes the spec->type mapping is positional.
     for (std::size_t t = 0; t < bundle_.query_types.size(); ++t) {
@@ -229,9 +227,14 @@ void DatasetState::restore_sites(
   BOHR_EXPECTS(site_rows.size() == site_count());
   version_ = fresh_version();
   bundle_.site_rows = std::move(site_rows);
-  if (has_cubes()) {
-    parallel_for(site_count(), [&](std::size_t s) { rebuild_cubes_at(s); });
-  }
+  if (has_cubes()) rebuild_all_cubes();
+}
+
+void DatasetState::rebuild_all_cubes() {
+  // Each site's cubes are one job (DESIGN §10): a body writes only its
+  // own DatasetCubes, whose loops then run inline, so every cube is
+  // folded in row order by the same code at every thread count.
+  parallel_for(site_count(), [&](std::size_t s) { rebuild_cubes_at(s); });
 }
 
 void DatasetState::rebuild_cubes_at(std::size_t site) {

@@ -95,6 +95,8 @@ class DatasetState {
   /// Folds `site`'s rows, in row order, into fresh cubes with every
   /// query type registered: the one way a site's cubes are built.
   void rebuild_cubes_at(std::size_t site);
+  /// rebuild_cubes_at for every site, one job per site.
+  void rebuild_all_cubes();
 
   workload::DatasetBundle bundle_;
   workload::DatasetQueryMix mix_;

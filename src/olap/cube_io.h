@@ -39,7 +39,7 @@ namespace bohr::olap {
 /// Recoverable cube-I/O failure: truncated or corrupted input, checksum
 /// or magic/version mismatch, bound-violating contents, or a failed
 /// write/flush/rename. Distinct from ContractViolation (programmer
-/// error) so callers such as checkpoint recovery can catch corruption
+/// error) so callers of load_cube and decode_cube can catch corruption
 /// without masking bugs.
 class CubeIoError : public std::runtime_error {
  public:
