@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "flow_oracle.h"
 #include "net/faults.h"
@@ -243,6 +244,120 @@ TEST(FlowDifferentialTest, WideWanShapesMatchBitForBit) {
     expect_same_report(oracle::simulate_flows_with_faults(topo, flows, {}),
                        simulate_flows_with_faults(topo, flows, {}), where);
   }
+}
+
+/// A wide_wan-shaped shuffle: 32-64 sites in three tiers, each site
+/// sending to 4-12 receivers from its own staggered map finish, so
+/// hundreds of flows finish one after another. Every fourth seed gives
+/// one site an infinite downlink. With `faulted`, one fault joins: on
+/// those seeds a factor-0 degradation of that downlink, whose saturation
+/// is then NaN; on the others an outage, a degradation or a kill.
+Case wide_shuffle_case(std::uint64_t seed, bool faulted) {
+  Rng rng(seed);
+  Case c;
+  const std::size_t n_sites = 32 + rng.below(33);
+  const bool unbounded = seed % 4 == 0;
+  const SiteId special = static_cast<SiteId>(rng.below(n_sites));
+  std::vector<Site> sites(n_sites);
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    const double tier = s % 3 == 0 ? 5.0 : (s % 3 == 1 ? 2.0 : 1.0);
+    const double down = unbounded && s == special ? kInf : tier * kBase * 2;
+    sites[s] = Site{std::to_string(s), tier * kBase, down};
+  }
+  c.topo = WanTopology(std::move(sites));
+  for (SiteId i = 0; i < n_sites; ++i) {
+    const double start = rng.uniform(0.0, 2.0);
+    const double bytes = rng.uniform(1e7, 4e8);
+    const std::size_t receivers = 4 + rng.below(9);
+    for (std::size_t r = 0; r < receivers; ++r) {
+      const SiteId dst = static_cast<SiteId>(rng.below(n_sites));
+      c.flows.push_back(
+          {i, dst, bytes * rng.uniform(0.5, 1.5) / receivers, start});
+    }
+  }
+  if (!faulted) return c;
+  const double start = rng.uniform(0.0, 4.0);
+  const double end = start + rng.uniform(0.1, 3.0);
+  const std::uint64_t kind = unbounded ? 1 : rng.below(3);
+  if (kind == 0) {
+    c.plan.outages.push_back({special, start, end});
+  } else if (kind == 1) {
+    LinkDegradation d;
+    d.site = special;
+    d.start = start;
+    d.end = end;
+    d.factor = unbounded || rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.05, 1.0);
+    d.uplink = !unbounded && rng.bernoulli(0.5);
+    d.downlink = !d.uplink;
+    c.plan.degradations.push_back(d);
+  } else {
+    FlowKill k;
+    k.time = start;
+    if (rng.bernoulli(0.5)) k.src = special;
+    if (rng.bernoulli(0.5)) k.dst = static_cast<SiteId>(rng.below(n_sites));
+    c.plan.kills.push_back(k);
+  }
+  c.plan.retry.max_retries = 1 + rng.below(3);
+  c.plan.retry.resume = rng.bernoulli(0.5);
+  c.plan.retry.backoff_base_seconds = rng.uniform(0.01, 1.0);
+  c.plan.retry.backoff_cap_seconds =
+      c.plan.retry.backoff_base_seconds + rng.uniform(0.0, 4.0);
+  return c;
+}
+
+TEST(FlowDifferentialTest, WideShuffleFamilyMatchesBitForBit) {
+  std::size_t flows = 0;
+  std::size_t nan_links = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    for (const bool faulted : {false, true}) {
+      const Case c = wide_shuffle_case(seed, faulted);
+      const std::string where = "seed " + std::to_string(seed) +
+                                (faulted ? " faulted" : " fault-free");
+      expect_same_report(oracle::simulate_flows_with_faults(c.topo, c.flows,
+                                                            c.plan),
+                         simulate_flows_with_faults(c.topo, c.flows, c.plan),
+                         where);
+      if (::testing::Test::HasFailure()) return;
+      flows += c.flows.size();
+      for (const LinkDegradation& d : c.plan.degradations) {
+        nan_links += d.downlink && d.factor == 0.0 &&
+                     c.topo.downlink(d.site) == kInf;
+      }
+    }
+  }
+  // Hundreds of flows per instance, and NaN saturations are reached.
+  EXPECT_GT(flows, 80u * 200u);
+  EXPECT_EQ(nan_links, 10u);
+}
+
+TEST(FlowDifferentialTest, AllToAllShuffleFinishTimesArePinned) {
+  // One 64-site all-to-all shuffle (4,032 flows), too large for the
+  // oracle: a crc32 over its finish-time bits, taken from the simulator
+  // before filling resumed across completions.
+  Rng rng(4032);
+  std::vector<Site> sites(64);
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    const double tier = s % 3 == 0 ? 5.0 : (s % 3 == 1 ? 2.0 : 1.0);
+    sites[s] = Site{std::to_string(s), tier * kBase, tier * kBase * 2};
+  }
+  const WanTopology topo(std::move(sites));
+  std::vector<Flow> flows;
+  for (SiteId i = 0; i < 64; ++i) {
+    const double bytes = rng.uniform(1e7, 4e8);
+    const double start = rng.uniform(0.0, 2.0);
+    for (SiteId j = 0; j < 64; ++j) {
+      if (i != j) {
+        flows.push_back({i, j, bytes * rng.uniform(0.5, 1.5) / 63, start});
+      }
+    }
+  }
+  ASSERT_EQ(flows.size(), 4032u);
+  const std::vector<FlowResult> results = simulate_flows(topo, flows);
+  Crc32 crc;
+  for (const FlowResult& r : results) {
+    crc.update(&r.finish_time, sizeof(r.finish_time));
+  }
+  EXPECT_EQ(crc.value(), 0x80f1e1fbu);
 }
 
 bool throws(const std::function<void()>& call) {
