@@ -213,16 +213,13 @@ DegradationService::DegradationService(
       for (std::size_t qt = 0; qt < type_count; ++qt) {
         info.type_dims[qt] = d.cubes_at(0).query_type_dims(qt);
       }
-      // The per-site base cubes merged in site order, projected onto
-      // each query type's dims.
+      // The per-site base cubes merged in site order, sorted once and
+      // projected onto each query type's dims.
       olap::OlapCube merged_base = d.cubes_at(0).base_cube();
       for (std::size_t s = 1; s < d.site_count(); ++s) {
         merged_base.merge(d.cubes_at(s).base_cube());
       }
-      info.global_cubes.reserve(type_count);
-      for (std::size_t qt = 0; qt < type_count; ++qt) {
-        info.global_cubes.push_back(merged_base.project(info.type_dims[qt]));
-      }
+      info.global_cubes = merged_base.project_each(info.type_dims);
     }
   }
 }

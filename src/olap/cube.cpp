@@ -149,7 +149,8 @@ OlapCube OlapCube::slice(std::size_t dim, MemberId member) const {
     if (d != dim) new_dims.push_back(dims_[d]);
   }
   OlapCube out(std::move(new_dims));
-  for (const auto& [coords, agg] : cells_) {
+  for (const auto* cell : sorted_cells()) {
+    const auto& [coords, agg] = *cell;
     if (coords[dim] != member) continue;
     CellCoords reduced;
     for (std::size_t d = 0; d < coords.size(); ++d) {
@@ -176,10 +177,10 @@ OlapCube OlapCube::dice(std::size_t dim,
 OlapCube OlapCube::roll_up(std::size_t dim, std::size_t level) const {
   BOHR_EXPECTS(dim < dims_.size());
   OlapCube out(dims_);
-  for (const auto& [coords, agg] : cells_) {
-    CellCoords coarse = coords;
-    coarse[dim] = dims_[dim].coarsen(coords[dim], level);
-    out.cells_[std::move(coarse)].merge(agg);
+  for (const auto* cell : sorted_cells()) {
+    CellCoords coarse = cell->first;
+    coarse[dim] = dims_[dim].coarsen(coarse[dim], level);
+    out.cells_[std::move(coarse)].merge(cell->second);
   }
   out.total_records_ = total_records_;
   return out;
@@ -207,21 +208,31 @@ OlapCube OlapCube::pivot(const std::vector<std::size_t>& order) const {
 }
 
 OlapCube OlapCube::project(const std::vector<std::size_t>& dims) const {
-  BOHR_EXPECTS(!dims.empty());
-  std::vector<Dimension> new_dims;
-  new_dims.reserve(dims.size());
-  for (const std::size_t d : dims) {
-    BOHR_EXPECTS(d < dims_.size());
-    new_dims.push_back(dims_[d]);
+  return std::move(project_each({dims}).front());
+}
+
+std::vector<OlapCube> OlapCube::project_each(
+    const std::vector<std::vector<std::size_t>>& dim_sets) const {
+  const auto sorted = sorted_cells();
+  std::vector<OlapCube> outs;
+  outs.reserve(dim_sets.size());
+  for (const std::vector<std::size_t>& dims : dim_sets) {
+    BOHR_EXPECTS(!dims.empty());
+    std::vector<Dimension> new_dims;
+    new_dims.reserve(dims.size());
+    for (const std::size_t d : dims) {
+      BOHR_EXPECTS(d < dims_.size());
+      new_dims.push_back(dims_[d]);
+    }
+    OlapCube& out = outs.emplace_back(std::move(new_dims));
+    for (const auto* cell : sorted) {
+      CellCoords projected;
+      for (const std::size_t d : dims) projected.push_back(cell->first[d]);
+      out.cells_[std::move(projected)].merge(cell->second);
+    }
+    out.total_records_ = total_records_;
   }
-  OlapCube out(std::move(new_dims));
-  for (const auto* cell : sorted_cells()) {
-    CellCoords projected;
-    for (const std::size_t d : dims) projected.push_back(cell->first[d]);
-    out.cells_[std::move(projected)].merge(cell->second);
-  }
-  out.total_records_ = total_records_;
-  return out;
+  return outs;
 }
 
 std::vector<const std::pair<const CellCoords, CellAggregate>*>

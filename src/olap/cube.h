@@ -155,7 +155,8 @@ class OlapCube {
 
   /// --- OLAP operations (each returns a new cube) -----------------------
 
-  /// slice: fix `dim` to `member`, drop that dimension.
+  /// slice: fix `dim` to `member`, drop that dimension. Cells fold in
+  /// sorted_cells() order, as in project().
   OlapCube slice(std::size_t dim, MemberId member) const;
 
   /// dice: keep only cells whose `dim` coordinate is in `members`;
@@ -163,7 +164,8 @@ class OlapCube {
   OlapCube dice(std::size_t dim,
                 const std::unordered_set<MemberId>& members) const;
 
-  /// roll-up: coarsen `dim` to hierarchy `level`, merging cells.
+  /// roll-up: coarsen `dim` to hierarchy `level`, merging cells in
+  /// sorted_cells() order, as in project().
   OlapCube roll_up(std::size_t dim, std::size_t level) const;
 
   /// pivot: reorder dimensions by `order` (a permutation).
@@ -173,6 +175,10 @@ class OlapCube {
   /// Cells fold in sorted_cells() order, so equal cubes project to equal
   /// cubes whatever order their maps iterate in.
   OlapCube project(const std::vector<std::size_t>& dims) const;
+
+  /// project() onto each of `dim_sets`, sorting the cells once.
+  std::vector<OlapCube> project_each(
+      const std::vector<std::vector<std::size_t>>& dim_sets) const;
 
   /// --- similarity support ----------------------------------------------
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
+#include "olap/cube_io.h"
 
 namespace bohr::olap {
 namespace {
@@ -89,6 +93,47 @@ TEST(CubeTest, RollUpMergesCellsAtCoarserLevel) {
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->count, 2u);
   EXPECT_DOUBLE_EQ(agg->sum, 9.0);
+}
+
+TEST(CubeTest, RollUpAndSliceIgnoreInsertionHistory) {
+  // The same 600 cells, inserted in opposite orders into maps reserved to
+  // different sizes. roll_up and slice fold in coordinate order, so both
+  // cubes give the same cells, sums and images; a fold in map order
+  // gives some coarse cells different sum bits.
+  const Dimension time("time", {{"day", 1}, {"week", 7}});
+  const std::vector<Dimension> dims = {time, Dimension("region"),
+                                       Dimension("product")};
+  Rng rng(600);
+  std::vector<std::pair<CellCoords, double>> cells;
+  for (MemberId t = 0; t < 60; ++t) {
+    for (MemberId r = 0; r < 10; ++r) {
+      cells.emplace_back(CellCoords{t, r, r % 4}, rng.uniform(0.1, 1000.0));
+    }
+  }
+  OlapCube forward(dims);
+  OlapCube backward(dims);
+  forward.reserve_cells(16);
+  backward.reserve_cells(4096);
+  for (const auto& [coords, measure] : cells) forward.insert(coords, measure);
+  for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
+    backward.insert(it->first, it->second);
+  }
+  const OlapCube rolled = forward.roll_up(0, 1);
+  const OlapCube rolled_back = backward.roll_up(0, 1);
+  EXPECT_EQ(rolled.cell_count(), 90u);  // 9 weeks (the last one partial)
+  std::size_t sums_differ = 0;
+  for (const auto& [coords, agg] : rolled.cells()) {
+    const CellAggregate* other = rolled_back.find(coords);
+    ASSERT_NE(other, nullptr);
+    sums_differ += std::memcmp(&agg.sum, &other->sum, sizeof(double)) != 0;
+  }
+  EXPECT_EQ(sums_differ, 0u);
+  EXPECT_TRUE(encode_cube(rolled) == encode_cube(rolled_back));
+  for (const MemberId region : {0u, 3u, 9u}) {
+    SCOPED_TRACE(region);
+    EXPECT_TRUE(encode_cube(forward.slice(1, region)) ==
+                encode_cube(backward.slice(1, region)));
+  }
 }
 
 TEST(CubeTest, PivotReordersDimensions) {
