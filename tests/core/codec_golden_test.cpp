@@ -2,11 +2,14 @@
 // object per format goes through its encoder, and the image's size and
 // CRC-32 (for a v2 cube image, also the CRC-32 of each section's
 // payload) must equal constants recorded from the per-format encoders
-// that common/bytes.h replaced. A codec change that moves a single byte of
-// any on-disk or checkpoint format fails here.
+// that common/bytes.h replaced. The state image's row section is pinned
+// after a checkpointed prepare, against a test-side encoding of the
+// controller's rows. A codec change that moves a single byte of any
+// on-disk or checkpoint format fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -14,11 +17,15 @@
 #include "common/latency.h"
 #include "core/checkpoint.h"
 #include "core/degrade.h"
+#include "core/experiment.h"
 #include "core/migration.h"
 #include "net/faults.h"
 #include "net/site_health.h"
 #include "olap/cube_io.h"
 #include "../olap/cube_image.h"
+#include "../temp_dir.h"
+#include "rows_crc.h"
+#include "snapshot_files.h"
 
 namespace bohr {
 namespace {
@@ -184,6 +191,50 @@ TEST(CodecGoldenTest, CubeImages) {
   {
     SCOPED_TRACE("v1");
     expect_pinned(olap::encode_cube_v1(cube), 330, 0x275c098du);
+  }
+}
+
+/// The state image a checkpointed Bohr prepare leaves in its last
+/// snapshot must end with the test-side encoding of every dataset's
+/// rows after movement; that section's size and crc32 are pinned.
+void expect_rows_section_pinned(workload::WorkloadKind kind, std::size_t size,
+                                std::uint32_t crc) {
+  core::ExperimentConfig cfg;
+  cfg.workload = kind;
+  cfg.n_datasets = 2;
+  cfg.generator.sites = 10;
+  cfg.generator.rows_per_site = 60;
+  cfg.generator.gb_per_site = 40.0 / 12.0;
+  cfg.base_bandwidth = 125e6;
+  cfg.lag_seconds = 60.0;
+  cfg.job.partition_records = 24;
+  cfg.seed = 11;
+  core::Controller controller =
+      core::make_controller(cfg, core::Strategy::Bohr);
+  const std::string dir = temp_dir::fresh_dir(
+      "golden-rows-" + workload::to_string(kind));
+  core::CheckpointManager checkpoints(dir, 1);
+  EXPECT_GT(core::checkpointed_prepare(controller, checkpoints).rows_moved,
+            0u);
+  const std::string image = core::snapshot_files::read_bytes(
+      std::filesystem::path(dir) / "snapshot-4" / "state.bin");
+  const std::string section = core::rows_section(controller.datasets());
+  ASSERT_GE(image.size(), section.size());
+  EXPECT_TRUE(image.compare(image.size() - section.size(), section.size(),
+                            section) == 0);
+  expect_pinned(section, size, crc);
+}
+
+TEST(CodecGoldenTest, StateImageRowSection) {
+  {
+    SCOPED_TRACE("tpc-ds");
+    expect_rows_section_pinned(workload::WorkloadKind::TpcDs, 58974,
+                               0x68391413u);
+  }
+  {
+    SCOPED_TRACE("big-data");
+    expect_rows_section_pinned(workload::WorkloadKind::BigData, 48174,
+                               0x2213293eu);
   }
 }
 
