@@ -31,15 +31,20 @@ int main() {
   spec.measure_attr = 3;
   const olap::CubeBuilder builder(spec);
 
-  const std::vector<Row> rows{
-      {std::int64_t{2012}, "EMEA", "A", 10.0},
-      {std::int64_t{2012}, "EMEA", "B", 4.0},
-      {std::int64_t{2013}, "EMEA", "A", 7.0},
-      {std::int64_t{2013}, "APAC", "A", 6.0},
-      {std::int64_t{2014}, "APAC", "A", 3.0},
-      {std::int64_t{2014}, "APAC", "B", 8.0},
-      {std::int64_t{2014}, "EMEA", "A", 2.0},
-  };
+  // Rows are stored as typed columns, one per attribute; each record is
+  // appended value by value and checked against the schema's types.
+  olap::RowTable rows(schema);
+  for (const Row& row : std::vector<Row>{
+           {std::int64_t{2012}, "EMEA", "A", 10.0},
+           {std::int64_t{2012}, "EMEA", "B", 4.0},
+           {std::int64_t{2013}, "EMEA", "A", 7.0},
+           {std::int64_t{2013}, "APAC", "A", 6.0},
+           {std::int64_t{2014}, "APAC", "A", 3.0},
+           {std::int64_t{2014}, "APAC", "B", 8.0},
+           {std::int64_t{2014}, "EMEA", "A", 2.0},
+       }) {
+    rows.append(row);
+  }
   const olap::OlapCube cube = builder.build(rows);
   std::printf("Base cube: %zu records in %zu cells\n",
               static_cast<std::size_t>(cube.total_records()),
@@ -79,14 +84,13 @@ int main() {
   olap::DatasetCubes site_b{olap::CubeBuilder(spec)};
   const olap::QueryTypeId by_product_a = site_a.register_query_type({2});
   site_b.register_query_type({2});
-  site_a.add_rows(rows);
+  site_a.add_rows(rows, 0, rows.size());
   // Site B shares product A but not product B, plus a private product C.
-  const std::vector<Row> rows_b{
-      {std::int64_t{2014}, "AMER", "A", 9.0},
-      {std::int64_t{2014}, "AMER", "A", 1.0},
-      {std::int64_t{2014}, "AMER", "C", 5.0},
-  };
-  site_b.add_rows(rows_b);
+  olap::RowTable rows_b(schema);
+  rows_b.append({std::int64_t{2014}, "AMER", "A", 9.0});
+  rows_b.append({std::int64_t{2014}, "AMER", "A", 1.0});
+  rows_b.append({std::int64_t{2014}, "AMER", "C", 5.0});
+  site_b.add_rows(rows_b, 0, rows_b.size());
 
   const std::vector<similarity::QueryTypeWeight> weights{{by_product_a, 1.0}};
   const similarity::Probe probe =

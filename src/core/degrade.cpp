@@ -196,8 +196,10 @@ DegradationService::DegradationService(
           // the raw rows; substitution stays unavailable.
           const olap::CubeBuilder builder(d.bundle().cube_spec);
           double sum = 0.0;
-          const auto& rows = d.rows_at(s);
-          for (const olap::Row& row : rows) sum += builder.measure_for(row);
+          const olap::RowTable& rows = d.rows_at(s);
+          for (std::size_t r = 0; r < rows.size(); ++r) {
+            sum += builder.measure_for(rows, r);
+          }
           st.site_value[s] = sum;
           st.site_records[s] = rows.size();
         }

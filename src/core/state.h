@@ -35,7 +35,7 @@ class DatasetState {
   const workload::DatasetQueryMix& mix() const { return mix_; }
   bool has_cubes() const { return !cubes_.empty(); }
 
-  const std::vector<olap::Row>& rows_at(std::size_t site) const;
+  const olap::RowTable& rows_at(std::size_t site) const;
   double input_bytes_at(std::size_t site) const;
 
   /// Version of the per-site rows: a fresh process-wide stamp at
@@ -55,14 +55,16 @@ class DatasetState {
   /// share a dimension cube), for probe budgeting.
   std::vector<similarity::QueryTypeWeight> cube_type_weights() const;
 
-  /// Every row's engine key at `site` under every query-type spec, one
-  /// coords_for per row: keys[r * specs + t] is what map_rows(site, t, 1.0,
-  /// ...) emits for row r, with specs = bundle().query_types.size().
+  /// Every row's engine key at `site` under every query-type spec:
+  /// keys[r * specs + t] is what map_rows(site, t, 1.0, ...) emits for
+  /// row r, with specs = bundle().query_types.size(). Reads only the
+  /// dimension columns some spec projects.
   std::vector<std::uint64_t> row_keys(std::size_t site) const;
 
   /// Builds the mapped input stream at `site` for query-type spec `t`:
   /// one KeyValue per row passing the selectivity filter. Filtering is a
   /// deterministic hash test so recurring queries see consistent data.
+  /// Reads only the spec's dimension columns and the measure column.
   engine::RecordStream map_rows(std::size_t site, std::size_t t,
                                 double selectivity,
                                 std::uint64_t query_salt) const;
@@ -79,17 +81,19 @@ class DatasetState {
 
   /// Moves rows and their cube cells from `src` to several destinations
   /// atomically. All indices refer to rows_at(src) BEFORE any removal,
-  /// must be valid, and must not repeat across targets.
+  /// must be valid, and must not repeat across targets. Each destination
+  /// appends its rows in descending source-index order; the source keeps
+  /// the rest in order.
   void move_rows_multi(std::size_t src, std::vector<MoveTarget> targets);
 
-  /// Appends new rows at a site (dynamic datasets, §8.6) and adds them
-  /// to its cubes at once.
-  void append_rows(std::size_t site, std::vector<olap::Row> rows);
+  /// Appends a table of new rows at a site (dynamic datasets, §8.6) and
+  /// adds them to its cubes at once.
+  void append_rows(std::size_t site, const olap::RowTable& rows);
 
   /// Checkpoint recovery: replaces every site's rows with a snapshot's
   /// and rebuilds every site's cubes from them, by the same row-order
   /// fold as construction and movement.
-  void restore_sites(std::vector<std::vector<olap::Row>> site_rows);
+  void restore_sites(std::vector<olap::RowTable> site_rows);
 
  private:
   /// Folds `site`'s rows, in row order, into fresh cubes with every

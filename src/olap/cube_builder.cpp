@@ -20,31 +20,35 @@ CubeBuilder::CubeBuilder(CubeSpec spec) : spec_(std::move(spec)) {
   }
 }
 
-CellCoords CubeBuilder::coords_for(const Row& row) const {
-  BOHR_EXPECTS(row.size() == spec_.schema.attribute_count());
+CellCoords CubeBuilder::coords_for(const RowTable& table,
+                                   std::size_t row) const {
+  BOHR_EXPECTS(table.attribute_count() == spec_.schema.attribute_count());
+  BOHR_EXPECTS(row < table.size());
   CellCoords coords;
   for (const std::size_t idx : spec_.dim_attrs) {
-    coords.push_back(value_to_member(row[idx]));
+    coords.push_back(table.member(idx, row));
   }
   return coords;
 }
 
-double CubeBuilder::measure_for(const Row& row) const {
+double CubeBuilder::measure_for(const RowTable& table, std::size_t row) const {
   if (!spec_.measure_attr) return 1.0;
-  return value_to_double(row[*spec_.measure_attr]);
+  BOHR_EXPECTS(table.attribute_count() == spec_.schema.attribute_count());
+  BOHR_EXPECTS(row < table.size());
+  return table.measure(*spec_.measure_attr, row);
 }
 
-OlapCube CubeBuilder::build(std::span<const Row> rows) const {
+OlapCube CubeBuilder::build(const RowTable& table) const {
   OlapCube cube = empty_cube();
   // Coordinate/measure extraction is independent per row and threads; the
   // cube inserts fold serially in row order so cell creation order (and
   // the floating-point sum per cell) matches a serial build exactly.
-  const std::size_t n = rows.size();
+  const std::size_t n = table.size();
   std::vector<CellCoords> coords(n);
   std::vector<double> measures(n);
   parallel_for(n, [&](std::size_t i) {
-    coords[i] = coords_for(rows[i]);
-    measures[i] = measure_for(rows[i]);
+    coords[i] = coords_for(table, i);
+    measures[i] = measure_for(table, i);
   });
   for (std::size_t i = 0; i < n; ++i) cube.insert(coords[i], measures[i]);
   return cube;

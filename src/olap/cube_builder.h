@@ -1,12 +1,13 @@
-// Builds OLAP cubes from schema-typed rows (§4.1 "data formatting").
+// Builds OLAP cubes from schema-typed row columns (§4.1 "data
+// formatting").
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "olap/cube.h"
+#include "olap/row_table.h"
 #include "olap/schema.h"
 
 namespace bohr::olap {
@@ -28,14 +29,17 @@ class CubeBuilder {
 
   const CubeSpec& spec() const { return spec_; }
 
-  /// Cell coordinates for a row (base hierarchy level for every dim).
-  CellCoords coords_for(const Row& row) const;
+  /// Cell coordinates for row `row` of `table`, a table over this spec's
+  /// schema (base hierarchy level for every dim). Reads only the
+  /// dimension columns.
+  CellCoords coords_for(const RowTable& table, std::size_t row) const;
 
-  /// Measure value for a row (1.0 when the spec has no measure).
-  double measure_for(const Row& row) const;
+  /// Measure value for row `row` of `table` (1.0 when the spec has no
+  /// measure).
+  double measure_for(const RowTable& table, std::size_t row) const;
 
-  /// Builds a fresh cube over all rows.
-  OlapCube build(std::span<const Row> rows) const;
+  /// Builds a fresh cube over all rows of `table`, folded in row order.
+  OlapCube build(const RowTable& table) const;
 
   /// Creates an empty cube with this spec's dimensions.
   OlapCube empty_cube() const;

@@ -38,19 +38,21 @@ const std::vector<std::size_t>& DatasetCubes::query_type_dims(
   return types_[qt].dim_positions;
 }
 
-void DatasetCubes::add_rows(std::span<const Row> rows) {
+void DatasetCubes::add_rows(const RowTable& table, std::size_t begin,
+                            std::size_t end) {
   ScopedPhase phase("cube.add_rows");
+  BOHR_EXPECTS(begin <= end && end <= table.size());
   // Coordinates and measures are extracted once, then each cube folds
   // them in row order; dimension cubes project inside insert_rows, so no
   // projected coordinates are materialized. Set-up parallelizes one level
   // up, with one job per site or dataset (DESIGN §10).
   std::vector<CellCoords> full;
   std::vector<double> measure;
-  full.reserve(rows.size());
-  measure.reserve(rows.size());
-  for (const Row& row : rows) {
-    full.push_back(builder_.coords_for(row));
-    measure.push_back(builder_.measure_for(row));
+  full.reserve(end - begin);
+  measure.reserve(end - begin);
+  for (std::size_t r = begin; r < end; ++r) {
+    full.push_back(builder_.coords_for(table, r));
+    measure.push_back(builder_.measure_for(table, r));
   }
   base_.insert_rows(full, measure);
   for (TypeEntry& entry : types_) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "olap/cube.h"
@@ -29,10 +28,10 @@ class DatasetCubes {
   std::size_t query_type_count() const { return types_.size(); }
   const std::vector<std::size_t>& query_type_dims(QueryTypeId qt) const;
 
-  /// Adds rows to the base cube and every dimension cube, each folded in
-  /// row order. Builds no columnar snapshot; each cube builds its own on
-  /// first read.
-  void add_rows(std::span<const Row> rows);
+  /// Adds rows [begin, end) of `table` to the base cube and every
+  /// dimension cube, each folded in row order. Builds no columnar
+  /// snapshot; each cube builds its own on first read.
+  void add_rows(const RowTable& table, std::size_t begin, std::size_t end);
 
   const OlapCube& base_cube() const { return base_; }
   const OlapCube& dimension_cube(QueryTypeId qt) const;

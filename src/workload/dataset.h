@@ -7,6 +7,7 @@
 
 #include "engine/query.h"
 #include "olap/cube_builder.h"
+#include "olap/row_table.h"
 
 namespace bohr::workload {
 
@@ -39,8 +40,9 @@ struct DatasetBundle {
   WorkloadKind kind = WorkloadKind::BigData;
   olap::CubeSpec cube_spec;
   std::vector<QueryTypeSpec> query_types;
-  /// site_rows[i] = rows initially stored at site i.
-  std::vector<std::vector<olap::Row>> site_rows;
+  /// site_rows[i] = rows initially stored at site i, as a table over
+  /// cube_spec.schema.
+  std::vector<olap::RowTable> site_rows;
   /// Logical bytes each synthetic row stands for (rows model fixed-size
   /// blocks of the paper's 40GB/site datasets).
   double bytes_per_row = 0.0;

@@ -11,17 +11,16 @@ DynamicFeed split_dynamic(const DatasetBundle& dataset,
   BOHR_EXPECTS(initial_fraction > 0.0 && initial_fraction <= 1.0);
   BOHR_EXPECTS(n_batches >= 1);
   const std::size_t sites = dataset.site_rows.size();
+  const olap::RowTable empty(dataset.cube_spec.schema);
   DynamicFeed feed;
-  feed.initial.resize(sites);
-  feed.batches.assign(n_batches, std::vector<std::vector<olap::Row>>(sites));
+  feed.initial.assign(sites, empty);
+  feed.batches.assign(n_batches, std::vector<olap::RowTable>(sites, empty));
 
   for (std::size_t s = 0; s < sites; ++s) {
-    const auto& rows = dataset.site_rows[s];
+    const olap::RowTable& rows = dataset.site_rows[s];
     const auto initial_count = static_cast<std::size_t>(
         static_cast<double>(rows.size()) * initial_fraction);
-    feed.initial[s].assign(rows.begin(),
-                           rows.begin() + static_cast<std::ptrdiff_t>(
-                                              initial_count));
+    feed.initial[s].append_range(rows, 0, initial_count);
     const std::size_t remaining = rows.size() - initial_count;
     const std::size_t per_batch = (remaining + n_batches - 1) / n_batches;
     for (std::size_t b = 0; b < n_batches; ++b) {
@@ -29,9 +28,7 @@ DynamicFeed split_dynamic(const DatasetBundle& dataset,
           initial_count + std::min(b * per_batch, remaining);
       const std::size_t end =
           initial_count + std::min((b + 1) * per_batch, remaining);
-      feed.batches[b][s].assign(
-          rows.begin() + static_cast<std::ptrdiff_t>(begin),
-          rows.begin() + static_cast<std::ptrdiff_t>(end));
+      feed.batches[b][s].append_range(rows, begin, end);
     }
   }
   return feed;

@@ -11,10 +11,10 @@ namespace bohr::workload {
 
 struct DynamicFeed {
   /// initial[site] = rows available before the first query.
-  std::vector<std::vector<olap::Row>> initial;
+  std::vector<olap::RowTable> initial;
   /// batches[b][site] = rows arriving in batch b (one batch per query
   /// interval, §8.6: 2GB every 20 seconds).
-  std::vector<std::vector<std::vector<olap::Row>>> batches;
+  std::vector<std::vector<olap::RowTable>> batches;
 
   std::size_t batch_count() const { return batches.size(); }
 };

@@ -13,6 +13,7 @@ namespace {
 
 using olap::AttributeType;
 using olap::Row;
+using olap::RowTable;
 using olap::Value;
 
 bool needs_quoting(const std::string& s) {
@@ -141,11 +142,12 @@ void write_csv(std::ostream& out, const DatasetBundle& bundle) {
   }
   out << '\n';
   for (std::size_t site = 0; site < bundle.site_rows.size(); ++site) {
-    for (const Row& row : bundle.site_rows[site]) {
+    const RowTable& rows = bundle.site_rows[site];
+    for (std::size_t r = 0; r < rows.size(); ++r) {
       out << site;
-      for (const Value& v : row) {
+      for (std::size_t a = 0; a < rows.attribute_count(); ++a) {
         out << ',';
-        write_value(out, v);
+        write_value(out, rows.value(a, r));
       }
       out << '\n';
     }
@@ -174,7 +176,7 @@ DatasetBundle read_csv(std::istream& in, const DatasetBundle& reference,
   bundle.cube_spec = reference.cube_spec;
   bundle.query_types = reference.query_types;
   bundle.bytes_per_row = reference.bytes_per_row;
-  bundle.site_rows.assign(sites, {});
+  bundle.site_rows.assign(sites, RowTable(schema));
 
   std::size_t record = 0;
   while (std::getline(in, line)) {
@@ -207,7 +209,7 @@ DatasetBundle read_csv(std::istream& in, const DatasetBundle& reference,
       row.push_back(parse_value(fields[a + 1], schema.attribute(a).type,
                                 RecordContext{record, a}));
     }
-    bundle.site_rows[site].push_back(std::move(row));
+    bundle.site_rows[site].append(row);
     ++record;
   }
   return bundle;

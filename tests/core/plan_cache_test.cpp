@@ -137,9 +137,9 @@ TEST(PlanCacheTest, RowChangesInvalidateTheDatasetsEntries) {
   };
   const std::vector<std::uint64_t> before = query();
 
-  const std::vector<olap::Row>& donor = c.datasets()[a].rows_at(1);
-  c.mutable_dataset(a).append_rows(
-      0, std::vector<olap::Row>(donor.begin(), donor.begin() + 10));
+  olap::RowTable donated(c.datasets()[a].bundle().cube_spec.schema);
+  donated.append_range(c.datasets()[a].rows_at(1), 0, 10);
+  c.mutable_dataset(a).append_rows(0, donated);
   const std::vector<std::uint64_t> after_append = query();
   EXPECT_EQ(after_append, fresh());
   EXPECT_NE(after_append, before);

@@ -342,7 +342,7 @@ TEST(RecoveryTest, RowOfTheWrongArityIsRejectedAndFallsBackToOlderSnapshot) {
   const DatasetState& d = initial.datasets().front();
   std::size_t site = 0;
   while (d.rows_at(site).empty()) ++site;
-  const olap::Row& row = d.rows_at(site).front();
+  const olap::Row row = olap::row_of(d.rows_at(site), 0);
   const std::string original = row_image(row);
   const std::string shortened =
       row_image(olap::Row(row.begin(), row.end() - 1));
@@ -352,6 +352,43 @@ TEST(RecoveryTest, RowOfTheWrongArityIsRejectedAndFallsBackToOlderSnapshot) {
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(image.find(original, at + 1), std::string::npos);
   image.replace(at, original.size(), shortened);
+  write_bytes(snapshot / "state.bin", image);
+  reseal_manifest(snapshot);
+
+  RecoveryResult details;
+  EXPECT_EQ(recover_and_finish(cfg, dir, &details), expected);
+  EXPECT_TRUE(details.recovered);
+  EXPECT_EQ(details.snapshot_seq, 1u);
+  EXPECT_EQ(details.snapshots_rejected, 1u);
+}
+
+TEST(RecoveryTest, ValueOfTheWrongTypeIsRejectedAndFallsBackToOlderSnapshot) {
+  const ExperimentConfig cfg = small_config();
+  const std::string expected = plain_prepare_image(cfg);
+  const std::string dir = fresh_dir("ck-value-type");
+  crash_at(cfg, "placement", dir);  // leaves snapshots 1 and 2
+
+  // Retag one row's first value, an Integer attribute's int64, as a
+  // double with the same 8-byte payload, under a resealed manifest: the
+  // image still decodes value by value, so only the check against the
+  // schema's column types can see it.
+  const Controller initial = make_controller(cfg, Strategy::Bohr);
+  const DatasetState& d = initial.datasets().front();
+  ASSERT_EQ(d.bundle().cube_spec.schema.attribute(0).type,
+            olap::AttributeType::Integer);
+  std::size_t site = 0;
+  while (d.rows_at(site).empty()) ++site;
+  const std::string original = row_image(olap::row_of(d.rows_at(site), 0));
+  std::string retagged = original;
+  constexpr std::size_t kFirstTag = 4;  // after the row's u32 value count
+  ASSERT_EQ(retagged[kFirstTag], 0);    // int64
+  retagged[kFirstTag] = 1;              // double
+  const fs::path snapshot = fs::path(dir) / "snapshot-2";
+  std::string image = read_bytes(snapshot / "state.bin");
+  const std::size_t at = image.find(original);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(image.find(original, at + 1), std::string::npos);
+  image.replace(at, original.size(), retagged);
   write_bytes(snapshot / "state.bin", image);
   reseal_manifest(snapshot);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "../olap/row_tables.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/phase_timer.h"
@@ -135,9 +136,9 @@ TEST(DatasetStateTest, MoveRowsMultiPinsResultOrder) {
   // keep their order, and each destination appends its rows in
   // descending source-index order.
   DatasetState state = make_state(true);
-  const std::vector<olap::Row> src = state.rows_at(0);
-  const std::vector<olap::Row> dst1 = state.rows_at(1);
-  const std::vector<olap::Row> dst2 = state.rows_at(2);
+  const std::vector<olap::Row> src = olap::rows_of(state.rows_at(0));
+  const std::vector<olap::Row> dst1 = olap::rows_of(state.rows_at(1));
+  const std::vector<olap::Row> dst2 = olap::rows_of(state.rows_at(2));
   state.move_rows_multi(0, {{1, {9, 2, 14, 5}}, {2, {11, 0, 7}}});
 
   std::vector<olap::Row> want_src;
@@ -151,9 +152,9 @@ TEST(DatasetStateTest, MoveRowsMultiPinsResultOrder) {
   for (const std::size_t r : {14, 9, 5, 2}) want1.push_back(src[r]);
   std::vector<olap::Row> want2 = dst2;
   for (const std::size_t r : {11, 7, 0}) want2.push_back(src[r]);
-  EXPECT_EQ(state.rows_at(0), want_src);
-  EXPECT_EQ(state.rows_at(1), want1);
-  EXPECT_EQ(state.rows_at(2), want2);
+  EXPECT_EQ(olap::rows_of(state.rows_at(0)), want_src);
+  EXPECT_EQ(olap::rows_of(state.rows_at(1)), want1);
+  EXPECT_EQ(olap::rows_of(state.rows_at(2)), want2);
   EXPECT_EQ(state.cubes_at(0).base_cube().total_records(), want_src.size());
 }
 
@@ -165,9 +166,10 @@ TEST(DatasetStateTest, MoveRowsDuplicateIndexThrows) {
 
 TEST(DatasetStateTest, MovedRowsLandAtDestination) {
   DatasetState state = make_state(true);
-  const olap::Row moved_row = state.rows_at(0)[4];
+  const olap::Row moved_row = olap::row_of(state.rows_at(0), 4);
   state.move_rows_multi(0, {{2, {4}}});
-  EXPECT_EQ(state.rows_at(2).back(), moved_row);
+  EXPECT_EQ(olap::row_of(state.rows_at(2), state.rows_at(2).size() - 1),
+            moved_row);
 }
 
 TEST(DatasetStateTest, AppendRowsImmediate) {

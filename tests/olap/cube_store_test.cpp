@@ -6,6 +6,7 @@
 #include "common/phase_timer.h"
 #include "default_cube_spec.h"
 #include "olap/cube_columns.h"
+#include "row_tables.h"
 
 namespace bohr::olap {
 namespace {
@@ -26,6 +27,12 @@ DatasetCubes make_store() {
   return DatasetCubes(CubeBuilder(default_cube_spec(log_schema())));
 }
 
+/// Adds `rows` to `store` as one table.
+void add(DatasetCubes& store, const std::vector<Row>& rows) {
+  const RowTable table = table_of(log_schema(), rows);
+  store.add_rows(table, 0, table.size());
+}
+
 /// Columnar snapshots built so far (each build records one sample).
 std::uint64_t snapshot_builds() {
   for (const PhaseTotal& p : phase_snapshot()) {
@@ -43,9 +50,9 @@ TEST(CubeBuilderTest, DefaultSpecUsesDimensionsAndMeasure) {
 
 TEST(CubeBuilderTest, BuildAggregatesDuplicateRows) {
   const CubeBuilder builder(default_cube_spec(log_schema()));
-  const std::vector<Row> rows{make_row("a", 1, 10, 1.0),
-                              make_row("a", 1, 10, 2.0),
-                              make_row("b", 1, 10, 3.0)};
+  const RowTable rows = table_of(
+      log_schema(), {make_row("a", 1, 10, 1.0), make_row("a", 1, 10, 2.0),
+                     make_row("b", 1, 10, 3.0)});
   const OlapCube cube = builder.build(rows);
   EXPECT_EQ(cube.cell_count(), 2u);
   EXPECT_EQ(cube.total_records(), 3u);
@@ -66,8 +73,8 @@ TEST(CubeBuilderTest, MoreThanFourDimensionsThrows) {
 TEST(CubeBuilderTest, CoordsAreStableAcrossBuilders) {
   const CubeBuilder b1(default_cube_spec(log_schema()));
   const CubeBuilder b2(default_cube_spec(log_schema()));
-  const Row row = make_row("x", 2, 5, 1.0);
-  EXPECT_EQ(b1.coords_for(row), b2.coords_for(row));
+  const RowTable rows = table_of(log_schema(), {make_row("x", 2, 5, 1.0)});
+  EXPECT_EQ(b1.coords_for(rows, 0), b2.coords_for(rows, 0));
 }
 
 TEST(DatasetCubesTest, RegisterQueryTypeDeduplicates) {
@@ -84,10 +91,8 @@ TEST(DatasetCubesTest, AddRowsUpdatesAllCubes) {
   DatasetCubes store = make_store();
   const QueryTypeId by_url = store.register_query_type({0});
   const QueryTypeId by_region_date = store.register_query_type({1, 2});
-  const std::vector<Row> rows{make_row("a", 1, 10, 1.0),
-                              make_row("a", 2, 10, 2.0),
-                              make_row("b", 1, 11, 3.0)};
-  store.add_rows(rows);
+  add(store, {make_row("a", 1, 10, 1.0), make_row("a", 2, 10, 2.0),
+              make_row("b", 1, 11, 3.0)});
   EXPECT_EQ(store.base_cube().total_records(), 3u);
   // By url: "a" x2, "b" x1 -> 2 cells.
   EXPECT_EQ(store.dimension_cube(by_url).cell_count(), 2u);
@@ -97,8 +102,7 @@ TEST(DatasetCubesTest, AddRowsUpdatesAllCubes) {
 
 TEST(DatasetCubesTest, RegisteringAfterDataProjectsFromBase) {
   DatasetCubes store = make_store();
-  store.add_rows(std::vector<Row>{make_row("a", 1, 10, 1.0),
-                                  make_row("a", 2, 11, 2.0)});
+  add(store, {make_row("a", 1, 10, 1.0), make_row("a", 2, 11, 2.0)});
   const QueryTypeId by_url = store.register_query_type({0});
   EXPECT_EQ(store.dimension_cube(by_url).cell_count(), 1u);
   EXPECT_EQ(store.dimension_cube(by_url).total_records(), 2u);
@@ -107,9 +111,8 @@ TEST(DatasetCubesTest, RegisteringAfterDataProjectsFromBase) {
 TEST(DatasetCubesTest, RebuildDimensionCubeMatchesIncremental) {
   DatasetCubes store = make_store();
   const QueryTypeId by_rd = store.register_query_type({1, 2});
-  store.add_rows(std::vector<Row>{make_row("a", 1, 10, 1.0),
-                                  make_row("b", 1, 10, 2.0),
-                                  make_row("c", 2, 11, 3.0)});
+  add(store, {make_row("a", 1, 10, 1.0), make_row("b", 1, 10, 2.0),
+              make_row("c", 2, 11, 3.0)});
   const OlapCube rebuilt =
       store.base_cube().project(store.query_type_dims(by_rd));
   EXPECT_EQ(rebuilt.cell_count(), store.dimension_cube(by_rd).cell_count());
@@ -121,15 +124,14 @@ TEST(DatasetCubesTest, SnapshotsAreBuiltOnFirstReadNotOnIngest) {
   DatasetCubes store = make_store();
   const QueryTypeId by_url = store.register_query_type({0});
   const std::uint64_t start = snapshot_builds();
-  store.add_rows(std::vector<Row>{make_row("a", 1, 10, 1.0),
-                                  make_row("b", 2, 11, 2.0)});
+  add(store, {make_row("a", 1, 10, 1.0), make_row("b", 2, 11, 2.0)});
   EXPECT_EQ(snapshot_builds(), start);
   const auto first = store.dimension_cube(by_url).columns();
   EXPECT_EQ(snapshot_builds(), start + 1);
   EXPECT_EQ(store.dimension_cube(by_url).columns().get(), first.get());
   EXPECT_EQ(snapshot_builds(), start + 1);
   // A write drops the snapshot; the next read builds one more.
-  store.add_rows(std::vector<Row>{make_row("c", 3, 12, 3.0)});
+  add(store, {make_row("c", 3, 12, 3.0)});
   EXPECT_EQ(snapshot_builds(), start + 1);
   EXPECT_EQ(store.dimension_cube(by_url).columns()->num_rows(), 3u);
   EXPECT_EQ(snapshot_builds(), start + 2);

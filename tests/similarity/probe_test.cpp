@@ -5,6 +5,7 @@
 #include <string>
 
 #include "../olap/default_cube_spec.h"
+#include "../olap/row_tables.h"
 #include "common/check.h"
 
 namespace bohr::similarity {
@@ -31,6 +32,12 @@ Row row(const std::string& url, std::int64_t region, double score) {
   return Row{url, region, score};
 }
 
+/// Adds `rows` to `store` as one table.
+void add(DatasetCubes& store, const std::vector<Row>& rows) {
+  const olap::RowTable table = olap::table_of(url_schema(), rows);
+  store.add_rows(table, 0, table.size());
+}
+
 TEST(ProbeBuildTest, TopClustersBecomeRepresentatives) {
   DatasetCubes store = make_store();
   const QueryTypeId by_url = store.register_query_type({0});
@@ -38,7 +45,7 @@ TEST(ProbeBuildTest, TopClustersBecomeRepresentatives) {
   for (int i = 0; i < 10; ++i) rows.push_back(row("popular", 1, 1.0));
   for (int i = 0; i < 3; ++i) rows.push_back(row("middling", 1, 1.0));
   rows.push_back(row("rare", 1, 1.0));
-  store.add_rows(rows);
+  add(store, rows);
 
   const std::vector<QueryTypeWeight> weights{{by_url, 1.0}};
   const Probe probe = build_probe(42, store, weights, 2);
@@ -56,7 +63,7 @@ TEST(ProbeBuildTest, BudgetSplitsByQueryTypeWeight) {
   for (int i = 0; i < 40; ++i) {
     rows.push_back(row("u" + std::to_string(i % 20), i % 7, 1.0));
   }
-  store.add_rows(rows);
+  add(store, rows);
   // Weights 0.8 / 0.2 with k = 30 -> 24 and 6 records (paper's example).
   const std::vector<QueryTypeWeight> weights{{by_url, 0.8}, {by_region, 0.2}};
   const Probe probe = build_probe(0, store, weights, 30);
@@ -74,7 +81,7 @@ TEST(ProbeBuildTest, EveryPositiveWeightGetsARecord) {
   DatasetCubes store = make_store();
   const QueryTypeId a = store.register_query_type({0});
   const QueryTypeId b = store.register_query_type({1});
-  store.add_rows(std::vector<Row>{row("x", 1, 1.0), row("y", 2, 1.0)});
+  add(store, std::vector<Row>{row("x", 1, 1.0), row("y", 2, 1.0)});
   const std::vector<QueryTypeWeight> weights{{a, 0.99}, {b, 0.01}};
   const Probe probe = build_probe(0, store, weights, 5);
   bool saw_b = false;
@@ -89,8 +96,8 @@ TEST(ProbeEvalTest, IdenticalDataScoresOne) {
   receiver.register_query_type({0});
   const std::vector<Row> rows{row("a", 1, 1.0), row("a", 1, 1.0),
                               row("b", 2, 1.0)};
-  sender.add_rows(rows);
-  receiver.add_rows(rows);
+  add(sender, rows);
+  add(receiver, rows);
   const std::vector<QueryTypeWeight> weights{{qt_s, 1.0}};
   const Probe probe = build_probe(0, sender, weights, 2);
   const ProbeEvaluation eval = evaluate_probe(probe, receiver);
@@ -103,8 +110,8 @@ TEST(ProbeEvalTest, DisjointDataScoresZero) {
   DatasetCubes receiver = make_store();
   const QueryTypeId qt = sender.register_query_type({0});
   receiver.register_query_type({0});
-  sender.add_rows(std::vector<Row>{row("a", 1, 1.0), row("b", 1, 1.0)});
-  receiver.add_rows(std::vector<Row>{row("c", 1, 1.0), row("d", 1, 1.0)});
+  add(sender, std::vector<Row>{row("a", 1, 1.0), row("b", 1, 1.0)});
+  add(receiver, std::vector<Row>{row("c", 1, 1.0), row("d", 1, 1.0)});
   const std::vector<QueryTypeWeight> weights{{qt, 1.0}};
   const Probe probe = build_probe(0, sender, weights, 2);
   const ProbeEvaluation eval = evaluate_probe(probe, receiver);
@@ -119,9 +126,9 @@ TEST(ProbeEvalTest, WeightedByClusterSize) {
   std::vector<Row> sender_rows;
   for (int i = 0; i < 9; ++i) sender_rows.push_back(row("big", 1, 1.0));
   sender_rows.push_back(row("small", 1, 1.0));
-  sender.add_rows(sender_rows);
+  add(sender, sender_rows);
   // Receiver only has the big cluster's key.
-  receiver.add_rows(std::vector<Row>{row("big", 1, 5.0)});
+  add(receiver, std::vector<Row>{row("big", 1, 5.0)});
   const std::vector<QueryTypeWeight> weights{{qt, 1.0}};
   const Probe probe = build_probe(0, sender, weights, 2);
   const ProbeEvaluation eval = evaluate_probe(probe, receiver);
@@ -133,9 +140,9 @@ TEST(ProbeEvalTest, MatchVectorAlignsWithRecords) {
   DatasetCubes receiver = make_store();
   const QueryTypeId qt = sender.register_query_type({0});
   receiver.register_query_type({0});
-  sender.add_rows(std::vector<Row>{row("hit", 1, 1.0), row("hit", 1, 1.0),
+  add(sender, std::vector<Row>{row("hit", 1, 1.0), row("hit", 1, 1.0),
                                    row("miss", 1, 1.0)});
-  receiver.add_rows(std::vector<Row>{row("hit", 9, 2.0)});
+  add(receiver, std::vector<Row>{row("hit", 9, 2.0)});
   const std::vector<QueryTypeWeight> weights{{qt, 1.0}};
   const Probe probe = build_probe(0, sender, weights, 2);
   const ProbeEvaluation eval = evaluate_probe(probe, receiver);
@@ -149,7 +156,7 @@ TEST(ProbeTest, WireBytesScaleWithRecords) {
   const QueryTypeId qt = sender.register_query_type({0});
   std::vector<Row> rows;
   for (int i = 0; i < 50; ++i) rows.push_back(row("u" + std::to_string(i), 1, 1.0));
-  sender.add_rows(rows);
+  add(sender, rows);
   const std::vector<QueryTypeWeight> weights{{qt, 1.0}};
   const Probe small = build_probe(0, sender, weights, 5);
   const Probe large = build_probe(0, sender, weights, 40);
@@ -167,8 +174,8 @@ TEST(SelfSimilarityTest, RepetitionRaisesScore) {
     unique_rows.push_back(row("u" + std::to_string(i), 1, 1.0));
     repeated_rows.push_back(row("same", 1, 1.0));
   }
-  diverse.add_rows(unique_rows);
-  repetitive.add_rows(repeated_rows);
+  add(diverse, unique_rows);
+  add(repetitive, repeated_rows);
   const std::vector<QueryTypeWeight> wd{{qt_d, 1.0}};
   const std::vector<QueryTypeWeight> wr{{qt_r, 1.0}};
   EXPECT_DOUBLE_EQ(self_similarity(diverse, wd), 0.0);

@@ -4,6 +4,7 @@
 
 #include <unordered_set>
 
+#include "../olap/row_tables.h"
 #include "common/check.h"
 #include "olap/cube_builder.h"
 #include "workload/dynamic.h"
@@ -50,7 +51,7 @@ TEST(DatasetGenTest, DeterministicForSameSeed) {
                                   small_config(InitialPlacement::Random));
   ASSERT_EQ(a.total_rows(), b.total_rows());
   for (std::size_t s = 0; s < a.site_rows.size(); ++s) {
-    EXPECT_EQ(a.site_rows[s], b.site_rows[s]);
+    EXPECT_EQ(olap::rows_of(a.site_rows[s]), olap::rows_of(b.site_rows[s]));
   }
 }
 
@@ -59,7 +60,7 @@ TEST(DatasetGenTest, DifferentDatasetsDiffer) {
                                   small_config(InitialPlacement::Random));
   const auto b = generate_dataset(WorkloadKind::BigData, 1,
                                   small_config(InitialPlacement::Random));
-  EXPECT_NE(a.site_rows[0], b.site_rows[0]);
+  EXPECT_NE(olap::rows_of(a.site_rows[0]), olap::rows_of(b.site_rows[0]));
 }
 
 TEST(DatasetGenTest, RowsMatchSchema) {
@@ -69,7 +70,13 @@ TEST(DatasetGenTest, RowsMatchSchema) {
         generate_dataset(kind, 0, small_config(InitialPlacement::Random));
     const std::size_t arity = d.cube_spec.schema.attribute_count();
     for (const auto& site : d.site_rows) {
-      for (const auto& row : site) EXPECT_EQ(row.size(), arity);
+      ASSERT_EQ(site.attribute_count(), arity);
+      for (std::size_t a = 0; a < arity; ++a) {
+        EXPECT_EQ(site.type(a), d.cube_spec.schema.attribute(a).type);
+      }
+      for (const auto& row : olap::rows_of(site)) {
+        EXPECT_EQ(row.size(), arity);
+      }
     }
     // The cube spec must be internally consistent and buildable.
     const olap::CubeBuilder builder(d.cube_spec);
@@ -100,11 +107,11 @@ TEST(DatasetGenTest, KeysRepeatAcrossSites) {
   const auto d = generate_dataset(WorkloadKind::BigData, 0,
                                   small_config(InitialPlacement::Random));
   std::unordered_set<std::int64_t> site0;
-  for (const auto& row : d.site_rows[0]) {
+  for (const auto& row : olap::rows_of(d.site_rows[0])) {
     site0.insert(std::get<std::int64_t>(row[0]));
   }
   std::size_t shared = 0;
-  for (const auto& row : d.site_rows[1]) {
+  for (const auto& row : olap::rows_of(d.site_rows[1])) {
     if (site0.contains(std::get<std::int64_t>(row[0]))) ++shared;
   }
   EXPECT_GT(shared, 10u);  // substantial overlap out of 100 rows
@@ -117,9 +124,9 @@ TEST(DatasetGenTest, LocalityPlacementClustersLocalityAttr) {
       WorkloadKind::BigData, 0, small_config(InitialPlacement::LocalityAware));
   const auto random = generate_dataset(WorkloadKind::BigData, 0,
                                        small_config(InitialPlacement::Random));
-  auto distinct_regions = [](const std::vector<olap::Row>& rows) {
+  auto distinct_regions = [](const olap::RowTable& rows) {
     std::unordered_set<std::int64_t> regions;
-    for (const auto& row : rows) {
+    for (const auto& row : olap::rows_of(rows)) {
       regions.insert(std::get<std::int64_t>(row[1]));
     }
     return regions.size();

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "../olap/row_tables.h"
 #include "common/check.h"
 #include "core/state.h"
 #include "workload/query_mix.h"
@@ -30,7 +31,9 @@ TEST(TraceIoTest, RoundTripPreservesRows) {
   const auto loaded = read_csv(buffer, original, 3);
   ASSERT_EQ(loaded.site_rows.size(), original.site_rows.size());
   for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(loaded.site_rows[s], original.site_rows[s]) << "site " << s;
+    EXPECT_EQ(olap::rows_of(loaded.site_rows[s]),
+              olap::rows_of(original.site_rows[s]))
+        << "site " << s;
   }
   EXPECT_EQ(loaded.dataset_id, original.dataset_id);
   EXPECT_DOUBLE_EQ(loaded.bytes_per_row, original.bytes_per_row);
@@ -66,17 +69,17 @@ TEST(TraceIoTest, QuotedTextFieldsRoundTrip) {
   bundle.cube_spec.dimensions = {olap::Dimension("name")};
   bundle.cube_spec.measure_attr = 1;
   bundle.bytes_per_row = 1.0;
-  bundle.site_rows.resize(2);
-  bundle.site_rows[0].push_back({std::string{"plain"}, 1.0});
-  bundle.site_rows[0].push_back({std::string{"with,comma"}, 2.0});
-  bundle.site_rows[1].push_back({std::string{"with \"quotes\""}, 3.0});
+  bundle.site_rows = {
+      olap::table_of(schema, {{std::string{"plain"}, 1.0},
+                              {std::string{"with,comma"}, 2.0}}),
+      olap::table_of(schema, {{std::string{"with \"quotes\""}, 3.0}})};
 
   std::stringstream buffer;
   write_csv(buffer, bundle);
   const auto loaded = read_csv(buffer, bundle, 2);
-  EXPECT_EQ(loaded.site_rows[0][1],
+  EXPECT_EQ(olap::row_of(loaded.site_rows[0], 1),
             (olap::Row{std::string{"with,comma"}, 2.0}));
-  EXPECT_EQ(loaded.site_rows[1][0],
+  EXPECT_EQ(olap::row_of(loaded.site_rows[1], 0),
             (olap::Row{std::string{"with \"quotes\""}, 3.0}));
 }
 
