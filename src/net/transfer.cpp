@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "net/faults.h"
@@ -23,8 +22,9 @@ std::size_t downlink_index(std::size_t site_count, SiteId s) {
 }
 
 /// Max-min fair rates by progressive filling against explicit per-link
-/// capacities (2S entries: uplinks then downlinks). max_min_rates and
-/// the event loop share one filler; the event loop keeps one per call.
+/// capacities (2S entries: uplinks then downlinks). The event loop keeps
+/// one filler per call and completes intra-site flows itself, so every
+/// flow a fill sees crosses the WAN.
 ///
 /// A fill groups the WAN flows by link, in fill order. A filling round
 /// computes every open link's saturation level (capacity - fixed load) /
@@ -45,14 +45,13 @@ std::size_t downlink_index(std::size_t site_count, SiteId s) {
 class FairShareFiller {
  public:
   /// Returns the rates indexed by flow id, valid for the flows in `ids`
-  /// until the next call. Intra-site flows do not traverse the WAN and
-  /// get rate 0.
+  /// until the next call. Every flow in `ids` must cross the WAN.
   const std::vector<double>& fill(const std::vector<double>& capacity,
                                   const std::vector<Flow>& flows,
                                   const std::vector<std::size_t>& ids);
 
  private:
-  enum State : std::uint8_t { kOpen, kFrozen, kGone, kLocal };
+  enum State : std::uint8_t { kOpen, kFrozen, kGone };
 
   /// Whether `ids` is a subsequence of ids_; if so, gone_ holds the rest.
   bool left_of_last(const std::vector<std::size_t>& ids);
@@ -141,16 +140,12 @@ void FairShareFiller::fill_from_zero(const std::vector<double>& capacity,
   round_.resize(flows.size());
   rates_.resize(flows.size());
   unfixed_.assign(n_links, 0);
-  // Intra-site flows do not traverse the WAN; fix them at rate 0 up front.
   undetermined_ = 0;
   for (const std::size_t f : ids) {
     const Flow& flow = flows[f];
     BOHR_EXPECTS(flow.src < n_sites && flow.dst < n_sites);
+    BOHR_EXPECTS(flow.src != flow.dst);
     rates_[f] = 0.0;
-    if (flow.src == flow.dst) {
-      state_[f] = kLocal;
-      continue;
-    }
     state_[f] = kOpen;
     up_[f] = uplink_index(flow.src);
     down_[f] = downlink_index(n_sites, flow.dst);
@@ -165,7 +160,6 @@ void FairShareFiller::fill_from_zero(const std::vector<double>& capacity,
   link_flows_.resize(link_begin_[n_links]);
   link_end_.assign(link_begin_.begin(), link_begin_.end() - 1);
   for (const std::size_t f : ids) {
-    if (state_[f] != kOpen) continue;
     link_flows_[link_end_[up_[f]]++] = f;
     link_flows_[link_end_[down_[f]]++] = f;
   }
@@ -184,12 +178,9 @@ void FairShareFiller::fill_from_zero(const std::vector<double>& capacity,
 }
 
 void FairShareFiller::resume(const std::vector<double>& capacity) {
-  // Every flow of the last call froze, or is local and has no links.
+  // Every flow of the last call froze.
   std::size_t resume = level_at_.size();
-  for (const std::size_t f : gone_) {
-    if (state_[f] == kLocal) continue;
-    resume = std::min(resume, round_[f]);
-  }
+  for (const std::size_t f : gone_) resume = std::min(resume, round_[f]);
   if (resume == level_at_.size()) return;  // the rates stand as they are
   // Back to the start of round `resume`: restore the loads that it and
   // later rounds re-summed, newest first.
@@ -197,7 +188,6 @@ void FairShareFiller::resume(const std::vector<double>& capacity) {
     load_[log_links_[i]] = log_loads_[i];
   }
   for (const std::size_t f : gone_) {
-    if (state_[f] == kLocal) continue;
     for (const std::size_t l : {up_[f], down_[f]}) {
       const auto first = link_flows_.begin() + link_begin_[l];
       const auto last = link_flows_.begin() + link_end_[l];
@@ -315,14 +305,6 @@ std::vector<double> nominal_capacity(const WanTopology& topo) {
 }
 
 }  // namespace
-
-std::vector<double> max_min_rates(const WanTopology& topo,
-                                  const std::vector<Flow>& flows) {
-  std::vector<std::size_t> ids(flows.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  FairShareFiller filler;
-  return filler.fill(nominal_capacity(topo), flows, ids);
-}
 
 FaultSimReport simulate_flows_with_faults(const WanTopology& topo,
                                           std::vector<Flow> flows,

@@ -30,13 +30,6 @@ struct FlowResult {
   double mean_rate = 0.0;
 };
 
-/// Computes max-min fair rates for a set of concurrently active flows.
-/// Returned rates are index-aligned with `flows`. Intra-site flows
-/// (src == dst) are treated as infinitely fast and get rate 0 here with
-/// completion handled by the caller.
-std::vector<double> max_min_rates(const WanTopology& topo,
-                                  const std::vector<Flow>& flows);
-
 /// Fluid simulation of all flows to completion. Deterministic.
 /// Zero-byte or intra-site flows complete instantly at their start time.
 std::vector<FlowResult> simulate_flows(const WanTopology& topo,

@@ -1,6 +1,6 @@
 // Differential test: the per-link progressive filling behind
-// max_min_rates and simulate_flows_with_faults against the whole-flow
-// scan it replaced (flow_oracle), bit for bit, on seeded random
+// simulate_flows_with_faults against the whole-flow scan it replaced
+// (flow_oracle), bit for bit, on seeded random
 // instances: 2-80 sites, tied and untied capacities, intra-site and
 // zero-byte flows, staggered starts, sparse receivers, outages,
 // degradations (factor 0 included), kills, resume and restart retry, and
@@ -168,15 +168,6 @@ void expect_same_report(const FaultSimReport& want, const FaultSimReport& got,
   EXPECT_TRUE(same_bits(want.makespan, got.makespan)) << where;
 }
 
-void expect_same_rates(const std::vector<double>& want,
-                       const std::vector<double>& got,
-                       const std::string& where) {
-  ASSERT_EQ(want.size(), got.size()) << where;
-  for (std::size_t f = 0; f < want.size(); ++f) {
-    EXPECT_TRUE(same_bits(want[f], got[f])) << where << " flow " << f;
-  }
-}
-
 TEST(FlowDifferentialTest, SimulationMatchesWholeFlowScanBitForBit) {
   std::size_t faulted = 0;
   std::size_t failures = 0;
@@ -197,21 +188,11 @@ TEST(FlowDifferentialTest, SimulationMatchesWholeFlowScanBitForBit) {
   EXPECT_GT(failures, 0u);
 }
 
-TEST(FlowDifferentialTest, RatesMatchWholeFlowScanBitForBit) {
-  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
-    const Case c = random_case(seed);
-    expect_same_rates(oracle::max_min_rates(c.topo, c.flows),
-                      max_min_rates(c.topo, c.flows),
-                      "seed " + std::to_string(seed));
-    if (::testing::Test::HasFailure()) return;
-  }
-}
-
 TEST(FlowDifferentialTest, WideWanShapesMatchBitForBit) {
   // 64 sites in three tiers, shuffle flows f_i * r_j from staggered map
-  // finishes: all-to-all and ~19 receivers, the wide_wan benchmark's
-  // shapes. The oracle simulates only the sparse one; all-to-all would
-  // take it seconds.
+  // finishes into 19 receivers, the wide_wan benchmark's sparse shape.
+  // The all-to-all shape would take the oracle seconds; the 4,032-flow
+  // pin below covers it.
   Rng rng(64);
   std::vector<Site> sites(64);
   for (std::size_t s = 0; s < sites.size(); ++s) {
@@ -219,31 +200,27 @@ TEST(FlowDifferentialTest, WideWanShapesMatchBitForBit) {
     sites[s] = Site{std::to_string(s), tier * kBase, tier * kBase * 2};
   }
   const WanTopology topo(std::move(sites));
-  for (const std::size_t receivers : {64u, 19u}) {
-    std::vector<double> shuffle_bytes(64);
-    std::vector<double> start(64);
-    for (std::size_t i = 0; i < 64; ++i) {
-      shuffle_bytes[i] = rng.uniform(1e7, 4e8);
-      start[i] = rng.uniform(0.0, 2.0);
-    }
-    std::vector<double> fraction(receivers);
-    for (double& r : fraction) r = rng.uniform(0.5, 1.5) / receivers;
-    std::vector<Flow> flows;
-    for (SiteId i = 0; i < 64; ++i) {
-      for (SiteId j = 0; j < receivers; ++j) {
-        const SiteId dst = static_cast<SiteId>(j * 64 / receivers);
-        if (i != dst) {
-          flows.push_back({i, dst, shuffle_bytes[i] * fraction[j], start[i]});
-        }
+  constexpr std::size_t kReceivers = 19;
+  std::vector<double> shuffle_bytes(64);
+  std::vector<double> start(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    shuffle_bytes[i] = rng.uniform(1e7, 4e8);
+    start[i] = rng.uniform(0.0, 2.0);
+  }
+  std::vector<double> fraction(kReceivers);
+  for (double& r : fraction) r = rng.uniform(0.5, 1.5) / kReceivers;
+  std::vector<Flow> flows;
+  for (SiteId i = 0; i < 64; ++i) {
+    for (SiteId j = 0; j < kReceivers; ++j) {
+      const SiteId dst = static_cast<SiteId>(j * 64 / kReceivers);
+      if (i != dst) {
+        flows.push_back({i, dst, shuffle_bytes[i] * fraction[j], start[i]});
       }
     }
-    const std::string where = std::to_string(receivers) + " receivers";
-    expect_same_rates(oracle::max_min_rates(topo, flows),
-                      max_min_rates(topo, flows), where);
-    if (receivers == 64) continue;
-    expect_same_report(oracle::simulate_flows_with_faults(topo, flows, {}),
-                       simulate_flows_with_faults(topo, flows, {}), where);
   }
+  expect_same_report(oracle::simulate_flows_with_faults(topo, flows, {}),
+                     simulate_flows_with_faults(topo, flows, {}),
+                     "19 receivers");
 }
 
 /// A wide_wan-shaped shuffle: 32-64 sites in three tiers, each site
@@ -413,13 +390,6 @@ TEST(FlowDifferentialTest, BothSidesRejectTheSameInvalidInputs) {
         throws([&] { simulate_flows_with_faults(topo, flows, c.plan); });
     EXPECT_EQ(oracle_threw, c.rejected);
     EXPECT_EQ(threw, oracle_threw);
-  }
-  // max_min_rates checks every flow's endpoints, intra-site ones too.
-  for (const Flow& flow : {Flow{99, 1, 1e8, 0.0}, Flow{99, 99, 1e8, 0.0}}) {
-    std::vector<Flow> flows = good;
-    flows.push_back(flow);
-    EXPECT_TRUE(throws([&] { oracle::max_min_rates(topo, flows); }));
-    EXPECT_TRUE(throws([&] { max_min_rates(topo, flows); }));
   }
 }
 

