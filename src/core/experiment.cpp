@@ -325,7 +325,7 @@ DynamicRunResult run_dynamic_experiment(const ExperimentConfig& config,
     for (std::size_t a = 0; a < feeds.size(); ++a) {
       DatasetState& d = controller.mutable_dataset(a);
       for (std::size_t i = 0; i < d.site_count(); ++i) {
-        d.append_rows(i, std::move(feeds[a].batches[b][i]));
+        d.append_rows(i, feeds[a].batches[b][i]);
       }
     }
     // Next query: round-robin over datasets and their query types,
