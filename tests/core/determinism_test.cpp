@@ -16,7 +16,6 @@
 #include "core/placement.h"
 #include "core/similarity_service.h"
 #include "net/faults.h"
-#include "olap/cube_io.h"
 #include "similarity/dimsum.h"
 #include "similarity/kmeans.h"
 #include "workload/query_mix.h"
@@ -182,13 +181,13 @@ TEST_F(DeterminismTest, EndToEndUnderFaultPlanBitIdentical) {
   }
 }
 
-/// What set-up leaves at one point: every site's rows, and the
-/// encode_cube image of every site's base cube and dimension cubes.
-/// Cube images list cells in hash-map iteration order, which follows
-/// insertion history, so they pin how each cube was folded.
+/// What set-up leaves at one point: every site's rows, and the sorted
+/// cells of every site's base cube and dimension cubes, each with the
+/// bits of its count, sum, min and max, so they pin how each cube was
+/// folded.
 struct SetupState {
   std::uint32_t rows_crc = 0;
-  std::vector<std::string> cubes;  // per dataset, site: base, then types
+  std::vector<std::uint32_t> cubes;  // per dataset, site: base, then types
 };
 
 SetupState setup_state(const std::vector<DatasetState>& datasets) {
@@ -197,9 +196,9 @@ SetupState setup_state(const std::vector<DatasetState>& datasets) {
   for (const DatasetState& d : datasets) {
     for (std::size_t s = 0; s < d.site_count(); ++s) {
       const olap::DatasetCubes& cubes = d.cubes_at(s);
-      out.cubes.push_back(olap::encode_cube(cubes.base_cube()));
+      out.cubes.push_back(olap::cells_crc(cubes.base_cube()));
       for (olap::QueryTypeId t = 0; t < cubes.query_type_count(); ++t) {
-        out.cubes.push_back(olap::encode_cube(cubes.dimension_cube(t)));
+        out.cubes.push_back(olap::cells_crc(cubes.dimension_cube(t)));
       }
     }
   }
@@ -213,7 +212,7 @@ void expect_setup_equal(const SetupState& got, const SetupState& want,
   EXPECT_EQ(got.rows_crc, want.rows_crc);
   ASSERT_EQ(got.cubes.size(), want.cubes.size());
   for (std::size_t c = 0; c < want.cubes.size(); ++c) {
-    EXPECT_TRUE(got.cubes[c] == want.cubes[c]) << "cube image " << c;
+    EXPECT_EQ(got.cubes[c], want.cubes[c]) << "cube " << c;
   }
 }
 

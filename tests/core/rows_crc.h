@@ -1,7 +1,7 @@
 // Test helpers over controller state: the rows section of the state
 // image, encoded test-side; one crc32 over every dataset's per-site rows,
 // value by value, so a change to which rows sit where, or to their order,
-// changes it; and one over every site's cube images.
+// changes it; and one over every site's cubes, cell by cell.
 #pragma once
 
 #include <cstdint>
@@ -9,12 +9,11 @@
 #include <variant>
 #include <vector>
 
-#include "../olap/cube_image.h"
+#include "../olap/cube_crc.h"
 #include "../olap/row_tables.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "core/state.h"
-#include "olap/cube_io.h"
 
 namespace bohr::core {
 
@@ -68,32 +67,21 @@ inline std::uint32_t rows_crc(const std::vector<DatasetState>& datasets) {
   return crc32(out.take());
 }
 
-/// Every dataset's per-site encode_cube images, the base cube then each
-/// dimension cube: their DIMS and CELLS payloads, which list cells in
-/// hash-map iteration order, so a change to a cell's bits, to the key
-/// hash or to how a cube was folded changes it. The frames' own checksums
-/// stay out: a crc32 run over a payload and then that payload's crc32
-/// ends in a state that does not depend on the payload, so a crc32 over
-/// whole images would see only their lengths.
+/// Every dataset's per-site cubes, the base cube then each dimension
+/// cube, by their sorted cells (olap::add_cells), so a change to a
+/// cell's bits, or to which cells a cube holds, changes it.
 inline std::uint32_t cubes_crc(const std::vector<DatasetState>& datasets) {
-  std::string payloads;
-  const auto add = [&payloads](const olap::OlapCube& cube) {
-    const std::string image = olap::encode_cube(cube);
-    const olap::cube_image::Frames frames = olap::cube_image::frames(image);
-    for (const std::size_t frame : {frames.dims, frames.cells}) {
-      payloads.append(image, frame + 8, olap::cube_image::u64_at(image, frame));
-    }
-  };
+  Crc32 crc;
   for (const DatasetState& d : datasets) {
     for (std::size_t s = 0; s < d.site_count(); ++s) {
       const olap::DatasetCubes& cubes = d.cubes_at(s);
-      add(cubes.base_cube());
+      olap::add_cells(crc, cubes.base_cube());
       for (olap::QueryTypeId t = 0; t < cubes.query_type_count(); ++t) {
-        add(cubes.dimension_cube(t));
+        olap::add_cells(crc, cubes.dimension_cube(t));
       }
     }
   }
-  return crc32(payloads);
+  return crc.value();
 }
 
 }  // namespace bohr::core
