@@ -1,13 +1,12 @@
 // Bring-your-own-data workflow: export a dataset to CSV (stand-in for a
-// real trace), re-import it, inspect it with a cube query, persist its
-// cube, and run the full Bohr-vs-baseline comparison on it.
+// real trace), re-import it, inspect it with a cube query, and run the
+// full Bohr-vs-baseline comparison on it.
 //
 // Run: ./build/examples/trace_import
 #include <cstdio>
 #include <sstream>
 
 #include "core/experiment.h"
-#include "olap/cube_io.h"
 #include "olap/cube_query.h"
 #include "workload/query_mix.h"
 #include "workload/trace_io.h"
@@ -51,16 +50,7 @@ int main() {
   }
   std::printf("\n");
 
-  // 4. Persist the cube (queries need only this, §8.5 — raw data can go
-  //    to cold storage).
-  olap::save_cube("/tmp/bohr_site0.cube", state.cubes_at(0).base_cube());
-  const auto restored = olap::load_cube("/tmp/bohr_site0.cube");
-  std::printf("cube persisted and restored: %zu cells, %llu records\n",
-              restored.cell_count(),
-              static_cast<unsigned long long>(restored.total_records()));
-  std::remove("/tmp/bohr_site0.cube");
-
-  // 5. Full comparison on the imported data. run_workload regenerates
+  // 4. Full comparison on the imported data. run_workload regenerates
   //    deterministically from the same seed, so configure it identically.
   core::ExperimentConfig cfg;
   cfg.workload = workload::WorkloadKind::BigData;

@@ -2,8 +2,8 @@
 // crash-atomic file commit every on-disk format shares.
 //
 // Every binary image the controller keeps — the checkpoint state image,
-// cube files, the migration, churn and site-health images, the degraded
-// report and the latency recorder — is a sequence of fixed-width
+// the migration, churn and site-health images, the degraded report and
+// the latency recorder — is a sequence of fixed-width
 // little-endian integers, doubles as their IEEE-754 bit patterns, and
 // length-prefixed strings or sub-images. ByteWriter appends them;
 // ByteReader<Error> reads them back and is the one place untrusted bytes
@@ -18,8 +18,7 @@
 //     cannot wrap).
 //
 // A failed check throws the format's own error type, so each format keeps
-// its error contract (SnapshotRejected, olap::CubeIoError,
-// ContractViolation).
+// its error contract (SnapshotRejected, ContractViolation).
 #pragma once
 
 #include <bit>

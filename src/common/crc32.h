@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for on-disk
-// integrity checks: cube file sections, checkpoint manifests.
+// integrity checks: checkpoint manifests and the files they list.
 //
 // Header-only with a constexpr-generated table so the checksum is
 // available to every layer without a link dependency. The incremental

@@ -88,14 +88,6 @@ void OlapCube::insert(const CellCoords& coords, double measure) {
   invalidate_columns();
 }
 
-void OlapCube::insert_aggregate(const CellCoords& coords,
-                                const CellAggregate& agg) {
-  BOHR_EXPECTS(coords.size() == dims_.size());
-  cells_[coords].merge(agg);
-  total_records_ += agg.count;
-  invalidate_columns();
-}
-
 void OlapCube::merge(const OlapCube& other) {
   BOHR_EXPECTS(other.dims_.size() == dims_.size());
   cells_.reserve(cells_.size() + other.cells_.size());

@@ -126,10 +126,6 @@ class OlapCube {
   /// Inserts one record: coordinates must match dimension_count().
   void insert(const CellCoords& coords, double measure);
 
-  /// Inserts a pre-aggregated cell (deserialization / cube merging from
-  /// the wire). Coordinates must match dimension_count().
-  void insert_aggregate(const CellCoords& coords, const CellAggregate& agg);
-
   /// Bulk merge of a compatible cube (same dimension count).
   void merge(const OlapCube& other);
 
@@ -145,10 +141,6 @@ class OlapCube {
   std::size_t cell_count() const { return cells_.size(); }
   std::uint64_t total_records() const { return total_records_; }
   bool empty() const { return cells_.empty(); }
-
-  /// Pre-sizes the cell map for `n` expected cells — bulk loaders (e.g.
-  /// cube deserialization) call this to avoid rehash churn.
-  void reserve_cells(std::size_t n) { cells_.reserve(n); }
 
   /// Lookup; returns nullptr if the cell has no data.
   const CellAggregate* find(const CellCoords& coords) const;
@@ -200,15 +192,9 @@ class OlapCube {
   /// racer returns that one snapshot.
   std::shared_ptr<const CubeColumns> columns() const;
 
-  /// Iteration support for tests and serialization.
-  const std::unordered_map<CellCoords, CellAggregate, CellCoordsHash>& cells()
-      const {
-    return cells_;
-  }
-
-  /// The cells in ascending coordinate order: the canonical order for
-  /// every read whose result depends on order, independent of the map's
-  /// bucket layout and insertion history.
+  /// The cells in ascending coordinate order: the one way to walk every
+  /// cell, so no reader sees the map's bucket layout or insertion
+  /// history.
   std::vector<const std::pair<const CellCoords, CellAggregate>*>
   sorted_cells() const;
 

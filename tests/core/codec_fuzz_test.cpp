@@ -14,8 +14,6 @@
 // mutants.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/crc32.h"
 #include "common/latency.h"
 #include "common/rng.h"
 #include "core/checkpoint.h"
@@ -35,9 +32,7 @@
 #include "core/experiment.h"
 #include "core/migration.h"
 #include "net/site_health.h"
-#include "olap/cube_io.h"
 #include "snapshot_files.h"
-#include "../olap/cube_image.h"
 #include "../temp_dir.h"
 
 namespace bohr::core {
@@ -137,12 +132,11 @@ std::string describe(const std::exception& e) {
 }
 
 /// Decodes every mutant of `image`. A mutant `decode` accepts must encode
-/// to an image that decodes to the same value (compared by
-/// `fingerprint`); every other mutant must throw `Error`.
-template <typename Error, typename Decode, typename Encode,
-          typename Fingerprint>
+/// to an image that decodes to a value of the same encoding; every other
+/// mutant must throw `Error`.
+template <typename Error, typename Decode, typename Encode>
 Outcome fuzz(const std::string& image, const MutationPlan& plan,
-             Decode decode, Encode encode, Fingerprint fingerprint) {
+             Decode decode, Encode encode) {
   Outcome outcome;
   for_each_mutant(image, plan, [&](const std::string& label,
                                    const std::string& mutant) {
@@ -158,8 +152,7 @@ Outcome fuzz(const std::string& image, const MutationPlan& plan,
     }
     ++outcome.decoded;
     try {
-      EXPECT_EQ(fingerprint(decode(encode(*value))), fingerprint(*value))
-          << label;
+      EXPECT_EQ(encode(decode(encode(*value))), encode(*value)) << label;
     } catch (const std::exception& e) {
       ADD_FAILURE() << label << ": re-encoded image threw " << describe(e);
     }
@@ -167,89 +160,7 @@ Outcome fuzz(const std::string& image, const MutationPlan& plan,
   return outcome;
 }
 
-template <typename Error, typename Decode, typename Encode>
-Outcome fuzz(const std::string& image, const MutationPlan& plan,
-             Decode decode, Encode encode) {
-  return fuzz<Error>(image, plan, decode, encode, encode);
-}
-
 // ---- formats decoded directly -------------------------------------------
-
-olap::OlapCube fuzz_cube() {
-  const olap::Dimension date("date", {{"day", 1}, {"month", 30}}, false);
-  const olap::Dimension bucket("bucket", {{"base", 1}, {"b16", 16}}, true);
-  olap::OlapCube cube({date, bucket, olap::Dimension("plain")});
-  Rng rng(kSeed);
-  for (int i = 0; i < 12; ++i) {
-    cube.insert({rng.below(60), rng.below(256), rng.below(40)},
-                rng.uniform(-5.0, 5.0));
-  }
-  return cube;
-}
-
-/// Order-independent identity of a cube: dimensions, then its cells
-/// sorted, doubles by bit pattern (a flipped bit may make one NaN).
-std::string cube_fingerprint(const olap::OlapCube& cube) {
-  std::string out;
-  for (const olap::Dimension& d : cube.dimensions()) {
-    out += d.name() + (d.is_hashed() ? "#" : "") + ":";
-    for (std::size_t l = 0; l < d.level_count(); ++l) {
-      out += d.level(l).name + "/" + std::to_string(d.level(l).granularity) +
-             ",";
-    }
-  }
-  std::vector<std::string> cells;
-  for (const auto& [coords, agg] : cube.cells()) {
-    std::string cell;
-    for (const olap::MemberId m : coords) cell += std::to_string(m) + ",";
-    for (const double x : {agg.sum, agg.min, agg.max}) {
-      cell += std::to_string(std::bit_cast<std::uint64_t>(x)) + ",";
-    }
-    cells.push_back(cell + std::to_string(agg.count));
-  }
-  std::sort(cells.begin(), cells.end());
-  for (const std::string& cell : cells) out += "|" + cell;
-  return out + "|" + std::to_string(cube.total_records());
-}
-
-TEST(CodecFuzzTest, CubeV2) {
-  const std::string image = olap::encode_cube(fuzz_cube());
-  const olap::cube_image::Frames frames = olap::cube_image::frames(image);
-  MutationPlan plan;
-  plan.reseal = [frames, size = image.size()](std::string& mutant,
-                                              std::size_t at) {
-    if (mutant.size() != size) return;  // cut short: the CRCs are gone
-    // A payload edit reseals its section (the CRC is the 4 bytes before
-    // the next frame); a body_bytes edit reseals the footer.
-    if (at >= frames.dims + 8 && at < frames.cells - 4) {
-      olap::cube_image::reseal_section(mutant, frames.dims);
-    }
-    if (at >= frames.cells + 8 && at < frames.footer - 4) {
-      olap::cube_image::reseal_section(mutant, frames.cells);
-    }
-    if (at >= frames.footer && at < frames.footer + 8) {
-      const std::uint32_t crc = crc32(mutant.data() + frames.footer, 8);
-      std::memcpy(mutant.data() + frames.footer + 8, &crc, sizeof(crc));
-    }
-  };
-  // Every offset, not every fourth: the CELLS payload need not start on
-  // a 4-byte boundary.
-  for (std::size_t at = 0; at < image.size(); ++at) plan.fields.push_back(at);
-  expect_both_outcomes(fuzz<olap::CubeIoError>(
-      image, plan, [](const std::string& b) { return olap::decode_cube(b); },
-      [](const olap::OlapCube& c) { return olap::encode_cube(c); },
-      cube_fingerprint));
-}
-
-TEST(CodecFuzzTest, CubeV1) {
-  const std::string image = olap::encode_cube_v1(fuzz_cube());
-  MutationPlan plan;
-  for (std::size_t at = 0; at < image.size(); ++at) plan.fields.push_back(at);
-  expect_both_outcomes(fuzz<olap::CubeIoError>(
-      image, plan, [](const std::string& b) { return olap::decode_cube(b); },
-      [](const olap::OlapCube& c) { return olap::encode_cube_v1(c); },
-      cube_fingerprint));
-}
 
 net::WanTopology fuzz_topology() {
   std::vector<net::Site> sites;

@@ -1,8 +1,7 @@
 // Pins the exact bytes of every binary image format: one small, fixed
 // object per format goes through its encoder, and the image's size and
-// CRC-32 (for a v2 cube image, also the CRC-32 of each section's
-// payload) must equal constants recorded from the per-format encoders
-// that common/bytes.h replaced. The state image's row section is pinned
+// CRC-32 must equal constants recorded from the per-format encoders that
+// common/bytes.h replaced. The state image's row section is pinned
 // after a checkpointed prepare, against a test-side encoding of the
 // controller's rows. A codec change that moves a single byte of any
 // on-disk or checkpoint format fails here.
@@ -21,8 +20,6 @@
 #include "core/migration.h"
 #include "net/faults.h"
 #include "net/site_health.h"
-#include "olap/cube_io.h"
-#include "../olap/cube_image.h"
 #include "../temp_dir.h"
 #include "rows_crc.h"
 #include "snapshot_files.h"
@@ -133,65 +130,6 @@ TEST(CodecGoldenTest, LatencyImage) {
   LatencyRecorder recorder;
   for (const double q : {0.125, 3.5, 1e-9, 42.0, 7.25}) recorder.add(q);
   expect_pinned(recorder.serialize(), 48, 0x606f2a6bu);
-}
-
-olap::OlapCube golden_cube() {
-  const olap::Dimension date("date", {{"day", 1}, {"month", 30}}, false);
-  const olap::Dimension bucket("bucket", {{"base", 1}, {"b16", 16}}, true);
-  olap::OlapCube cube({date, bucket, olap::Dimension("plain")});
-  cube.insert({3, 17, 1}, 2.5);
-  cube.insert({3, 17, 1}, -1.0);
-  cube.insert({40, 200, 7}, 9.75);
-  cube.insert({59, 0, 39}, 0.0);
-  return cube;
-}
-
-/// Enough cells that the cell map rehashes as it grows, so the order in
-/// which an image lists them depends on the key hash as well as on the
-/// order of insertion.
-olap::OlapCube rehashed_cube() {
-  olap::OlapCube cube({olap::Dimension("a"), olap::Dimension("b")});
-  for (olap::MemberId i = 0; i < 64; ++i) {
-    cube.insert({i % 8, i / 8}, 0.5 * static_cast<double>(i));
-  }
-  return cube;
-}
-
-/// Each v2 section ends with its payload's crc32, and a crc32 over a
-/// message and then its crc32 does not depend on the message, so a crc32
-/// over a whole v2 image sees its framing (version, lengths, each
-/// section's crc32 field, footer) but not its payloads: pin both.
-void expect_v2_pinned(const std::string& image, std::size_t size,
-                      std::uint32_t image_crc, std::uint32_t dims_crc,
-                      std::uint32_t cells_crc) {
-  expect_pinned(image, size, image_crc);
-  const olap::cube_image::Frames frames = olap::cube_image::frames(image);
-  const auto payload_crc = [&image](std::size_t frame) {
-    return crc32(image.data() + frame + 8,
-                 olap::cube_image::u64_at(image, frame));
-  };
-  EXPECT_EQ(payload_crc(frames.dims), dims_crc)
-      << std::hex << "actual DIMS crc32 0x" << payload_crc(frames.dims);
-  EXPECT_EQ(payload_crc(frames.cells), cells_crc)
-      << std::hex << "actual CELLS crc32 0x" << payload_crc(frames.cells);
-}
-
-TEST(CodecGoldenTest, CubeImages) {
-  const olap::OlapCube cube = golden_cube();
-  {
-    SCOPED_TRACE("v2");
-    expect_v2_pinned(olap::encode_cube(cube), 374, 0x9bae2d32u, 0x40c26a4eu,
-                     0x72e65fdeu);
-  }
-  {
-    SCOPED_TRACE("v2, rehashed");
-    expect_v2_pinned(olap::encode_cube(rehashed_cube()), 3206, 0x51d14705u,
-                     0xe9b94408u, 0x3d35cc67u);
-  }
-  {
-    SCOPED_TRACE("v1");
-    expect_pinned(olap::encode_cube_v1(cube), 330, 0x275c098du);
-  }
 }
 
 /// The state image a checkpointed Bohr prepare leaves in its last
