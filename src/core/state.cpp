@@ -159,7 +159,7 @@ engine::RecordStream DatasetState::map_rows(std::size_t site, std::size_t t,
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const std::uint64_t key = projected_key(rows, r, dim_attrs, positions);
     if (selectivity < 1.0 && mix64(key ^ query_salt) > threshold) continue;
-    out.push_back(engine::KeyValue{key, builder_.measure_for(rows, r)});
+    out.push_back(key);
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // Controller-side state for one dataset: per-site rows, per-site OLAP
 // cubes, registered query types, and the mapping from rows to engine
-// key/value streams.
+// key streams.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,9 @@ class DatasetState {
   std::vector<std::uint64_t> row_keys(std::size_t site) const;
 
   /// Builds the mapped input stream at `site` for query-type spec `t`:
-  /// one KeyValue per row passing the selectivity filter. Filtering is a
+  /// one key per row passing the selectivity filter. Filtering is a
   /// deterministic hash test so recurring queries see consistent data.
-  /// Reads only the spec's dimension columns and the measure column.
+  /// Reads only the spec's dimension columns.
   engine::RecordStream map_rows(std::size_t site, std::size_t t,
                                 double selectivity,
                                 std::uint64_t query_salt) const;

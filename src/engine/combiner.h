@@ -2,16 +2,15 @@
 // records sharing a key into one record before shuffling.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "engine/record.h"
 
 namespace bohr::engine {
 
-enum class AggregateOp { Sum, Count, Max, Min };
-
-/// Combines `records` by key with the given op. Output is sorted by key
-/// (deterministic). Count outputs the number of occurrences as the value.
-RecordStream combine(std::span<const KeyValue> records, AggregateOp op);
+/// Combines `records` by key: one record per distinct key, sorted by key
+/// (deterministic).
+RecordStream combine(std::span<const std::uint64_t> records);
 
 }  // namespace bohr::engine

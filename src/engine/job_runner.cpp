@@ -48,12 +48,12 @@ JobResult run_job(const net::WanTopology& topo,
     const auto partitions = make_partitions(
         site_inputs[i], config.partition_records, config.partition_policy);
     LocalStageResult local = run_local_stage(
-        partitions, config.machine, config.executor_assignment, spec.op,
+        partitions, config.machine, config.executor_assignment,
         spec.compute_multiplier, config.dimsum, rng);
     result.sites[i].map_finish_seconds = local.stage_seconds;
-    result.sites[i].shuffle_records = local.shuffle_input.size();
+    result.sites[i].shuffle_records = local.shuffle_records;
     result.sites[i].shuffle_bytes =
-        static_cast<double>(local.shuffle_input.size()) *
+        static_cast<double>(local.shuffle_records) *
         spec.intermediate_bytes_per_record;
     result.sites[i].exchanged_records = local.exchanged_records;
     result.sites[i].rdd_check_seconds = local.rdd_check_seconds;

@@ -100,7 +100,7 @@ struct JobResult {
 /// callers may cache its result or run it beside other jobs.
 bool consumes_rng(const JobConfig& config);
 
-/// `site_inputs[i]` holds the already-mapped key/value stream at site i
+/// `site_inputs[i]` holds the already-mapped key stream at site i
 /// (selectivity applied by the caller). `reduce_fractions` must sum to 1.
 JobResult run_job(const net::WanTopology& topo,
                   const std::vector<RecordStream>& site_inputs,

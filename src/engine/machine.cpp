@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "engine/combiner.h"
 #include "similarity/kmeans.h"
 
 namespace bohr::engine {
@@ -33,20 +32,19 @@ struct SimilarityAssignment {
   std::uint64_t modeled_ops = 0;
 };
 
+/// `partition_keys[p]` holds partition p's distinct keys, sorted: DIMSUM
+/// deduplicates each partition anyway, so they score as the raw records
+/// would.
 SimilarityAssignment assign_by_similarity(
-    const std::vector<RecordStream>& partitions, std::size_t executors,
+    const std::vector<RecordStream>& partitions,
+    const std::vector<RecordStream>& partition_keys, std::size_t executors,
     const similarity::DimsumParams& dimsum_params, double record_scale) {
   SimilarityAssignment out;
   const std::size_t n = partitions.size();
-  std::vector<std::vector<std::uint64_t>> key_sets(n);
   std::uint64_t total_records = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    key_sets[p].reserve(partitions[p].size());
-    for (const KeyValue& kv : partitions[p]) key_sets[p].push_back(kv.key);
-    total_records += partitions[p].size();
-  }
+  for (const RecordStream& part : partitions) total_records += part.size();
   const similarity::DimsumResult sim =
-      similarity::dimsum_jaccard(key_sets, dimsum_params);
+      similarity::dimsum_jaccard(partition_keys, dimsum_params);
 
   std::vector<std::vector<double>> points;
   points.reserve(n);
@@ -141,7 +139,7 @@ void MachineConfig::validate() const {
 
 LocalStageResult run_local_stage(
     const std::vector<RecordStream>& partitions, const MachineConfig& config,
-    ExecutorAssignment assignment, AggregateOp op, double compute_multiplier,
+    ExecutorAssignment assignment, double compute_multiplier,
     const similarity::DimsumParams& dimsum_params, bohr::Rng& rng) {
   config.validate();
   BOHR_EXPECTS(compute_multiplier > 0.0);
@@ -149,9 +147,18 @@ LocalStageResult run_local_stage(
   LocalStageResult result;
   if (partitions.empty()) return result;
 
+  // Each partition's distinct keys, once: its combined records, the keys
+  // its executor holds, and its similarity signature. Partitions are
+  // independent, so they combine in parallel.
+  std::vector<RecordStream> partition_keys(partitions.size());
+  parallel_for(partitions.size(), [&](std::size_t p) {
+    partition_keys[p] = combine(partitions[p]);
+  });
+
   if (assignment == ExecutorAssignment::SimilarityKMeans) {
-    SimilarityAssignment sim = assign_by_similarity(
-        partitions, config.executors, dimsum_params, config.record_scale);
+    SimilarityAssignment sim =
+        assign_by_similarity(partitions, partition_keys, config.executors,
+                             dimsum_params, config.record_scale);
     result.executor_of_partition = std::move(sim.executor_of_partition);
     result.rdd_check_seconds = static_cast<double>(sim.modeled_ops) /
                                config.rdd_check_ops_per_sec;
@@ -160,42 +167,21 @@ LocalStageResult run_local_stage(
         assign_round_robin(partitions.size(), config.executors, rng);
   }
 
-  // Per-executor map + per-partition combine. The combiner runs are
-  // independent per partition and thread; the executor-key / shuffle
-  // bookkeeping folds serially in partition order so shuffle_input keeps
-  // its historical record sequence. Partitions are combined in bounded
-  // windows so peak memory stays O(window) combined streams instead of
-  // O(all partitions); the window size is a fixed constant, never a
-  // function of the thread count (determinism rule 1).
-  constexpr std::size_t kCombineWindow = 256;
+  // Per-executor map + per-partition combine; each executor's distinct
+  // keys are its partitions' key lists, merged.
   std::vector<double> map_records(config.executors, 0.0);
-  std::vector<std::unordered_set<std::uint64_t>> executor_keys(
-      config.executors);
-  std::vector<RecordStream> combined_of(
-      std::min(kCombineWindow, partitions.size()));
-  for (std::size_t base = 0; base < partitions.size();
-       base += kCombineWindow) {
-    const std::size_t window =
-        std::min(kCombineWindow, partitions.size() - base);
-    parallel_for(window, [&](std::size_t i) {
-      const std::size_t p = base + i;
-      combined_of[i] =
-          config.combiner_enabled
-              ? combine(partitions[p], op)
-              : RecordStream(partitions[p].begin(), partitions[p].end());
-    });
-    for (std::size_t i = 0; i < window; ++i) {
-      const std::size_t p = base + i;
-      const std::size_t e = result.executor_of_partition[p];
-      BOHR_CHECK(e < config.executors);
-      map_records[e] += static_cast<double>(partitions[p].size());
-      RecordStream& combined = combined_of[i];
-      for (const KeyValue& kv : combined) executor_keys[e].insert(kv.key);
-      result.shuffle_input.insert(result.shuffle_input.end(), combined.begin(),
-                                  combined.end());
-      RecordStream().swap(combined);  // release this partition's stream
-    }
+  std::vector<RecordStream> executor_keys(config.executors);
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    const std::size_t e = result.executor_of_partition[p];
+    BOHR_CHECK(e < config.executors);
+    map_records[e] += static_cast<double>(partitions[p].size());
+    result.shuffle_records += config.combiner_enabled
+                                  ? partition_keys[p].size()
+                                  : partitions[p].size();
+    executor_keys[e].insert(executor_keys[e].end(), partition_keys[p].begin(),
+                            partition_keys[p].end());
   }
+  for (RecordStream& keys : executor_keys) keys = combine(keys);
 
   // Executor cost: map scan plus per-distinct-key aggregation state.
   // Similar partitions on one executor share keys, shrinking the state —
@@ -239,14 +225,12 @@ LocalStageResult run_local_stage(
   for (const double t : executor_time) slowest = std::max(slowest, t);
 
   // Diagnostic: keys resident on more than one executor (the duplicate
-  // state similarity-aware assignment removes).
-  std::unordered_map<std::uint64_t, std::size_t> holders;
-  for (const auto& keys : executor_keys) {
-    for (const auto k : keys) ++holders[k];
+  // state similarity-aware assignment removes), sum_e |K_e| - |U_e K_e|.
+  RecordStream held;
+  for (const RecordStream& keys : executor_keys) {
+    held.insert(held.end(), keys.begin(), keys.end());
   }
-  for (const auto& [key, count] : holders) {
-    if (count > 1) result.exchanged_records += count - 1;
-  }
+  result.exchanged_records = held.size() - combine(held).size();
 
   result.stage_seconds = result.rdd_check_seconds + slowest;
   return result;

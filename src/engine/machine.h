@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/combiner.h"
 #include "engine/record.h"
 #include "similarity/dimsum.h"
 
@@ -70,9 +69,10 @@ struct LocalStageResult {
   /// Simulated seconds until every executor finished map+combine+merge
   /// and the cross-executor exchange completed.
   double stage_seconds = 0.0;
-  /// Per-partition combined outputs, concatenated: this is the shuffle
-  /// input (Spark combines per map task; no machine-wide combine).
-  RecordStream shuffle_input;
+  /// Records handed to the shuffle: each partition's combined record
+  /// count (its distinct keys; its raw records with the combiner off),
+  /// summed. Spark combines per map task, not machine-wide.
+  std::size_t shuffle_records = 0;
   /// Records crossing executors during local aggregation.
   std::size_t exchanged_records = 0;
   /// Simulated cost of RDD similarity checking (0 unless k-means mode).
@@ -87,7 +87,7 @@ struct LocalStageResult {
 /// scaling per-record map cost (UDFs cost more than scans).
 LocalStageResult run_local_stage(
     const std::vector<RecordStream>& partitions, const MachineConfig& config,
-    ExecutorAssignment assignment, AggregateOp op, double compute_multiplier,
+    ExecutorAssignment assignment, double compute_multiplier,
     const similarity::DimsumParams& dimsum_params, bohr::Rng& rng);
 
 }  // namespace bohr::engine

@@ -7,19 +7,16 @@
 
 namespace bohr::engine {
 
-std::vector<RecordStream> make_partitions(std::span<const KeyValue> records,
-                                          std::size_t partition_records,
-                                          PartitionPolicy policy) {
+std::vector<RecordStream> make_partitions(
+    std::span<const std::uint64_t> records, std::size_t partition_records,
+    PartitionPolicy policy) {
   BOHR_EXPECTS(partition_records > 0);
   std::vector<RecordStream> partitions;
   if (records.empty()) return partitions;
 
   RecordStream working(records.begin(), records.end());
   if (policy == PartitionPolicy::CubeSorted) {
-    std::sort(working.begin(), working.end(),
-              [](const KeyValue& a, const KeyValue& b) {
-                return a.key < b.key;
-              });
+    std::sort(working.begin(), working.end());
   }
   const std::size_t count =
       (working.size() + partition_records - 1) / partition_records;

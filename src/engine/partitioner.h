@@ -23,9 +23,9 @@ enum class PartitionPolicy {
 /// Splits `records` into partitions of at most `partition_records` each.
 /// Always yields at least one partition for non-empty input; empty input
 /// yields no partitions.
-std::vector<RecordStream> make_partitions(std::span<const KeyValue> records,
-                                          std::size_t partition_records,
-                                          PartitionPolicy policy);
+std::vector<RecordStream> make_partitions(
+    std::span<const std::uint64_t> records, std::size_t partition_records,
+    PartitionPolicy policy);
 
 /// Reduce work decomposed into B relocatable, equal-weight buckets.
 /// `owner[b]` is the site running bucket b; each bucket carries 1/B of

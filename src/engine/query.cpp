@@ -28,33 +28,28 @@ QuerySpec default_spec_for(QueryKind kind) {
       spec.selectivity = 0.35;
       spec.compute_multiplier = 1.0;
       spec.intermediate_bytes_per_record = 48.0;
-      spec.op = AggregateOp::Count;
       break;
     case QueryKind::Udf:
       // PageRank-style UDF: every record contributes, expensive map.
       spec.selectivity = 1.0;
       spec.compute_multiplier = 6.0;
       spec.intermediate_bytes_per_record = 72.0;
-      spec.op = AggregateOp::Sum;
       break;
     case QueryKind::Aggregation:
       spec.selectivity = 1.0;
       spec.compute_multiplier = 1.6;
       spec.intermediate_bytes_per_record = 64.0;
-      spec.op = AggregateOp::Sum;
       break;
     case QueryKind::OlapSql:
       // TPC-DS style: moderately selective star-join aggregation.
       spec.selectivity = 0.6;
       spec.compute_multiplier = 2.2;
       spec.intermediate_bytes_per_record = 96.0;
-      spec.op = AggregateOp::Sum;
       break;
     case QueryKind::TraceJob:
       spec.selectivity = 0.8;
       spec.compute_multiplier = 2.8;
       spec.intermediate_bytes_per_record = 80.0;
-      spec.op = AggregateOp::Sum;
       break;
   }
   return spec;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "engine/combiner.h"
 #include "olap/cube_store.h"
 
 namespace bohr::engine {
@@ -26,7 +25,6 @@ struct QuerySpec {
   std::size_t dataset = 0;
   /// Which attribute subset (dimension cube) the query groups by.
   olap::QueryTypeId query_type = 0;
-  AggregateOp op = AggregateOp::Sum;
   /// Fraction of input rows the map stage emits (filter selectivity).
   double selectivity = 1.0;
   /// Per-record map cost relative to a plain scan (UDFs cost more).

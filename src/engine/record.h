@@ -1,8 +1,11 @@
-// Key-value records flowing through the map/combine/shuffle/reduce engine.
+// Records flowing through the map/combine/shuffle/reduce engine.
 //
-// Keys are 64-bit hashes of the attribute combination the query groups by
-// (i.e. the dimension-cube cell of the record for that query type), so
-// "combinable" and "same cube cell" coincide by construction.
+// A record is its key: a 64-bit hash of the attribute combination the
+// query groups by (i.e. the dimension-cube cell of the record for that
+// query type), so "combinable" and "same cube cell" coincide by
+// construction. QCT and data reduction depend only on how many records
+// the combiners leave and where they are shuffled, so records carry no
+// value; answers that need values come from the cubes.
 #pragma once
 
 #include <cstdint>
@@ -10,13 +13,6 @@
 
 namespace bohr::engine {
 
-struct KeyValue {
-  std::uint64_t key = 0;
-  double value = 0.0;
-
-  friend bool operator==(const KeyValue&, const KeyValue&) = default;
-};
-
-using RecordStream = std::vector<KeyValue>;
+using RecordStream = std::vector<std::uint64_t>;
 
 }  // namespace bohr::engine

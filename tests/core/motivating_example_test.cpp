@@ -11,8 +11,6 @@
 namespace bohr::core {
 namespace {
 
-using engine::AggregateOp;
-using engine::KeyValue;
 using engine::RecordStream;
 
 constexpr std::uint64_t kUrlA = 1;
@@ -23,14 +21,11 @@ std::size_t intermediate_records(const RecordStream& tokyo,
                                  const RecordStream& oregon) {
   // Each site runs its mapper with a combiner; intermediate data is the
   // union of both sites' combined outputs (Fig 1 counts records).
-  return engine::combine(tokyo, AggregateOp::Count).size() +
-         engine::combine(oregon, AggregateOp::Count).size();
+  return engine::combine(tokyo).size() + engine::combine(oregon).size();
 }
 
 RecordStream records(std::initializer_list<std::uint64_t> keys) {
-  RecordStream out;
-  for (const auto k : keys) out.push_back(KeyValue{k, 1.0});
-  return out;
+  return RecordStream(keys);
 }
 
 TEST(MotivatingExampleTest, InPlaceProcessingFourRecords) {

@@ -123,9 +123,7 @@ TEST(MovementTest, SimilarityAwareMovesCombinableRows) {
     // Count intermediate records of query type 0 with ideal combining.
     std::size_t total = 0;
     for (std::size_t s = 0; s < state.site_count(); ++s) {
-      total += engine::combine(state.map_rows(s, 0, 1.0, 1),
-                               engine::AggregateOp::Count)
-                   .size();
+      total += engine::combine(state.map_rows(s, 0, 1.0, 1)).size();
     }
     return total;
   };

@@ -102,7 +102,7 @@ TEST(DatasetStateTest, RowKeysMatchMapRowsAtFullSelectivity) {
           state.map_rows(s, t, 1.0, state.query_salt(t));
       ASSERT_EQ(mapped.size(), state.rows_at(s).size());
       for (std::size_t r = 0; r < mapped.size(); ++r) {
-        EXPECT_EQ(keys[r * specs + t], mapped[r].key)
+        EXPECT_EQ(keys[r * specs + t], mapped[r])
             << "site " << s << " row " << r << " spec " << t;
       }
     }

@@ -31,7 +31,7 @@ QuerySpec sum_spec(double bytes_per_record = 10.0) {
 
 RecordStream unique_records(std::uint64_t base, std::size_t count) {
   RecordStream s;
-  for (std::size_t i = 0; i < count; ++i) s.push_back({base + i, 1.0});
+  for (std::size_t i = 0; i < count; ++i) s.push_back(base + i);
   return s;
 }
 
@@ -53,7 +53,7 @@ TEST(JobRunnerTest, CombinableKeysShrinkShuffle) {
   // 8-record partition to one record.
   const auto topo = two_site_topo();
   RecordStream same;
-  for (int i = 0; i < 16; ++i) same.push_back({42, 1.0});
+  for (int i = 0; i < 16; ++i) same.push_back(42);
   const std::vector<RecordStream> inputs{same, {}};
   Rng rng(1);
   const auto result =
@@ -64,7 +64,7 @@ TEST(JobRunnerTest, CombinableKeysShrinkShuffle) {
 TEST(JobRunnerTest, CubeSortedBeatsArrivalOrderOnInterleavedKeys) {
   const auto topo = two_site_topo();
   RecordStream interleaved;
-  for (std::uint64_t i = 0; i < 64; ++i) interleaved.push_back({i % 16, 1.0});
+  for (std::uint64_t i = 0; i < 64; ++i) interleaved.push_back(i % 16);
   const std::vector<RecordStream> inputs{interleaved, {}};
   JobConfig arrival = fast_config();
   arrival.partition_policy = PartitionPolicy::ArrivalOrder;

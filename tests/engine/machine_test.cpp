@@ -10,11 +10,7 @@ namespace {
 std::vector<RecordStream> make_parts(
     std::initializer_list<std::initializer_list<std::uint64_t>> keysets) {
   std::vector<RecordStream> parts;
-  for (const auto& ks : keysets) {
-    RecordStream s;
-    for (const auto k : ks) s.push_back({k, 1.0});
-    parts.push_back(std::move(s));
-  }
+  for (const auto& ks : keysets) parts.emplace_back(ks);
   return parts;
 }
 
@@ -30,9 +26,9 @@ TEST(MachineTest, EmptyPartitionsZeroResult) {
   Rng rng(1);
   const auto result =
       run_local_stage({}, small_machine(), ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 1.0, {}, rng);
+                      1.0, {}, rng);
   EXPECT_DOUBLE_EQ(result.stage_seconds, 0.0);
-  EXPECT_TRUE(result.shuffle_input.empty());
+  EXPECT_EQ(result.shuffle_records, 0u);
 }
 
 TEST(MachineTest, ShuffleInputIsPerPartitionCombined) {
@@ -42,9 +38,9 @@ TEST(MachineTest, ShuffleInputIsPerPartitionCombined) {
   Rng rng(1);
   const auto result =
       run_local_stage(parts, small_machine(), ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 1.0, {}, rng);
+                      1.0, {}, rng);
   // Partition 1 combines to {1,2}; partition 2 to {1,3} -> 4 records.
-  EXPECT_EQ(result.shuffle_input.size(), 4u);
+  EXPECT_EQ(result.shuffle_records, 4u);
 }
 
 TEST(MachineTest, MapTimeScalesWithComputeMultiplier) {
@@ -52,10 +48,10 @@ TEST(MachineTest, MapTimeScalesWithComputeMultiplier) {
   Rng rng(1);
   const auto cheap =
       run_local_stage(parts, small_machine(), ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 1.0, {}, rng);
+                      1.0, {}, rng);
   const auto pricey =
       run_local_stage(parts, small_machine(), ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 6.0, {}, rng);
+                      6.0, {}, rng);
   EXPECT_GT(pricey.stage_seconds, cheap.stage_seconds);
 }
 
@@ -64,7 +60,7 @@ TEST(MachineTest, AssignmentCoversAllPartitions) {
   Rng rng(7);
   const auto result =
       run_local_stage(parts, small_machine(), ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 1.0, {}, rng);
+                      1.0, {}, rng);
   ASSERT_EQ(result.executor_of_partition.size(), parts.size());
   for (const auto e : result.executor_of_partition) EXPECT_LT(e, 2u);
 }
@@ -77,9 +73,9 @@ TEST(MachineTest, SimilarityAssignmentClustersIdenticalPartitions) {
   dimsum.gamma = 1e9;
   dimsum.num_hashes = 64;
   Rng rng(3);
-  const auto result = run_local_stage(
-      parts, small_machine(), ExecutorAssignment::SimilarityKMeans,
-      AggregateOp::Sum, 1.0, dimsum, rng);
+  const auto result =
+      run_local_stage(parts, small_machine(),
+                      ExecutorAssignment::SimilarityKMeans, 1.0, dimsum, rng);
   EXPECT_EQ(result.executor_of_partition[0], result.executor_of_partition[1]);
   EXPECT_EQ(result.executor_of_partition[2], result.executor_of_partition[3]);
   EXPECT_NE(result.executor_of_partition[0], result.executor_of_partition[2]);
@@ -96,16 +92,16 @@ TEST(MachineTest, SimilarityAssignmentReducesExchange) {
   similarity::DimsumParams dimsum;
   dimsum.gamma = 1e9;
   Rng rng_a(5);
-  const auto clustered = run_local_stage(
-      parts, small_machine(), ExecutorAssignment::SimilarityKMeans,
-      AggregateOp::Sum, 1.0, dimsum, rng_a);
+  const auto clustered =
+      run_local_stage(parts, small_machine(),
+                      ExecutorAssignment::SimilarityKMeans, 1.0, dimsum, rng_a);
   // Find a round-robin seed that splits a pair (seed 5 shuffles; try a few).
   std::size_t worst_exchange = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng_b(seed);
     const auto rr = run_local_stage(parts, small_machine(),
-                                    ExecutorAssignment::RoundRobin,
-                                    AggregateOp::Sum, 1.0, dimsum, rng_b);
+                                    ExecutorAssignment::RoundRobin, 1.0,
+                                    dimsum, rng_b);
     worst_exchange = std::max(worst_exchange, rr.exchanged_records);
   }
   EXPECT_EQ(clustered.exchanged_records, 0u);
@@ -117,7 +113,7 @@ TEST(MachineTest, RddCheckCostGrowsWithExecutors) {
   Rng gen(11);
   for (int p = 0; p < 16; ++p) {
     RecordStream s;
-    for (int r = 0; r < 50; ++r) s.push_back({gen.below(100), 1.0});
+    for (int r = 0; r < 50; ++r) s.push_back(gen.below(100));
     parts.push_back(std::move(s));
   }
   similarity::DimsumParams dimsum;
@@ -128,7 +124,7 @@ TEST(MachineTest, RddCheckCostGrowsWithExecutors) {
     Rng rng(2);
     const auto res =
         run_local_stage(parts, cfg, ExecutorAssignment::SimilarityKMeans,
-                        AggregateOp::Sum, 1.0, dimsum, rng);
+                        1.0, dimsum, rng);
     EXPECT_GE(res.rdd_check_seconds, last);
     last = res.rdd_check_seconds;
   }
@@ -139,7 +135,7 @@ TEST(MachineTest, MoreExecutorsFasterMapStage) {
   for (int p = 0; p < 8; ++p) {
     RecordStream s;
     for (std::uint64_t r = 0; r < 100; ++r) {
-      s.push_back({static_cast<std::uint64_t>(p) * 1000 + r, 1.0});
+      s.push_back(static_cast<std::uint64_t>(p) * 1000 + r);
     }
     parts.push_back(std::move(s));
   }
@@ -150,11 +146,11 @@ TEST(MachineTest, MoreExecutorsFasterMapStage) {
   Rng rng_a(1);
   Rng rng_b(1);
   const auto slow =
-      run_local_stage(parts, one, ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 1.0, {}, rng_a);
+      run_local_stage(parts, one, ExecutorAssignment::RoundRobin, 1.0, {},
+                      rng_a);
   const auto fast =
-      run_local_stage(parts, four, ExecutorAssignment::RoundRobin,
-                      AggregateOp::Sum, 1.0, {}, rng_b);
+      run_local_stage(parts, four, ExecutorAssignment::RoundRobin, 1.0, {},
+                      rng_b);
   EXPECT_LT(fast.stage_seconds, slow.stage_seconds);
 }
 
@@ -163,8 +159,7 @@ TEST(MachineTest, InvalidConfigThrows) {
   bad.executors = 0;
   Rng rng(1);
   EXPECT_THROW(run_local_stage(make_parts({{1}}), bad,
-                               ExecutorAssignment::RoundRobin,
-                               AggregateOp::Sum, 1.0, {}, rng),
+                               ExecutorAssignment::RoundRobin, 1.0, {}, rng),
                bohr::ContractViolation);
 }
 

@@ -10,7 +10,7 @@ std::vector<RecordStream> big_parts(std::size_t n_parts,
   std::vector<RecordStream> parts(n_parts);
   std::uint64_t key = 0;
   for (auto& p : parts) {
-    for (std::size_t r = 0; r < records; ++r) p.push_back({key++, 1.0});
+    for (std::size_t r = 0; r < records; ++r) p.push_back(key++);
   }
   return parts;
 }
@@ -26,8 +26,7 @@ MachineConfig machine() {
 double stage_seconds(const MachineConfig& cfg, std::uint64_t seed) {
   Rng rng(seed);
   return run_local_stage(big_parts(8, 100), cfg,
-                         ExecutorAssignment::RoundRobin, AggregateOp::Sum,
-                         1.0, {}, rng)
+                         ExecutorAssignment::RoundRobin, 1.0, {}, rng)
       .stage_seconds;
 }
 
@@ -35,8 +34,7 @@ TEST(StragglerTest, NoStragglersByDefault) {
   Rng rng(1);
   const auto result =
       run_local_stage(big_parts(8, 100), machine(),
-                      ExecutorAssignment::RoundRobin, AggregateOp::Sum, 1.0,
-                      {}, rng);
+                      ExecutorAssignment::RoundRobin, 1.0, {}, rng);
   EXPECT_EQ(result.stragglers, 0u);
   EXPECT_EQ(result.speculations, 0u);
 }
@@ -81,8 +79,7 @@ TEST(StragglerTest, CountsReported) {
   Rng rng(3);
   const auto result =
       run_local_stage(big_parts(8, 100), cfg,
-                      ExecutorAssignment::RoundRobin, AggregateOp::Sum, 1.0,
-                      {}, rng);
+                      ExecutorAssignment::RoundRobin, 1.0, {}, rng);
   EXPECT_EQ(result.stragglers, 4u);  // every executor straggled
   EXPECT_GT(result.speculations, 0u);
 }
@@ -95,13 +92,11 @@ TEST(StragglerTest, ShuffleVolumeUnaffected) {
   Rng rng_b(5);
   const auto a =
       run_local_stage(big_parts(4, 50), clean,
-                      ExecutorAssignment::RoundRobin, AggregateOp::Sum, 1.0,
-                      {}, rng_a);
+                      ExecutorAssignment::RoundRobin, 1.0, {}, rng_a);
   const auto b =
       run_local_stage(big_parts(4, 50), slow,
-                      ExecutorAssignment::RoundRobin, AggregateOp::Sum, 1.0,
-                      {}, rng_b);
-  EXPECT_EQ(a.shuffle_input.size(), b.shuffle_input.size());
+                      ExecutorAssignment::RoundRobin, 1.0, {}, rng_b);
+  EXPECT_EQ(a.shuffle_records, b.shuffle_records);
 }
 
 TEST(StragglerTest, InvalidSlowdownThrows) {
@@ -110,8 +105,7 @@ TEST(StragglerTest, InvalidSlowdownThrows) {
   cfg.straggler_slowdown = 0.5;  // < 1 makes no sense
   Rng rng(1);
   EXPECT_THROW(run_local_stage(big_parts(2, 10), cfg,
-                               ExecutorAssignment::RoundRobin,
-                               AggregateOp::Sum, 1.0, {}, rng),
+                               ExecutorAssignment::RoundRobin, 1.0, {}, rng),
                bohr::ContractViolation);
 }
 
