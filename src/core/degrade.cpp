@@ -175,6 +175,25 @@ DegradationService::DegradationService(
     if (a == 0) {
       site_count_ = d.site_count();
     }
+    // Each site's totals, read once for every spec of the dataset. With
+    // cubes they come from the base cube, not each spec's dimension cube:
+    // totals are projection-invariant up to rounding, and one cube gives
+    // every spec the same per-site total. Without cubes (plain-Iridium
+    // strategies) they come straight from the raw rows, and substitution
+    // stays unavailable.
+    std::vector<olap::CubeTotals> site_totals(d.site_count());
+    for (std::size_t s = 0; s < d.site_count(); ++s) {
+      if (d.has_cubes()) {
+        site_totals[s] = olap::cube_totals(d.cubes_at(s).base_cube());
+      } else {
+        const olap::CubeBuilder builder(d.bundle().cube_spec);
+        const olap::RowTable& rows = d.rows_at(s);
+        site_totals[s].records = rows.size();
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          site_totals[s].sum += builder.measure_for(rows, r);
+        }
+      }
+    }
     const std::size_t spec_count = d.bundle().query_types.size();
     info.specs.resize(spec_count);
     for (std::size_t t = 0; t < spec_count; ++t) {
@@ -183,26 +202,8 @@ DegradationService::DegradationService(
       st.site_value.assign(d.site_count(), 0.0);
       st.site_records.assign(d.site_count(), 0);
       for (std::size_t s = 0; s < d.site_count(); ++s) {
-        if (d.has_cubes()) {
-          // Read the base cube, not the spec's dimension cube: totals
-          // are projection-invariant up to rounding, and one cube gives
-          // every spec of the dataset the same per-site total.
-          const olap::CubeTotals totals =
-              olap::cube_totals(d.cubes_at(s).base_cube());
-          st.site_value[s] = totals.sum;
-          st.site_records[s] = totals.records;
-        } else {
-          // No cubes (plain-Iridium strategies): totals straight from
-          // the raw rows; substitution stays unavailable.
-          const olap::CubeBuilder builder(d.bundle().cube_spec);
-          double sum = 0.0;
-          const olap::RowTable& rows = d.rows_at(s);
-          for (std::size_t r = 0; r < rows.size(); ++r) {
-            sum += builder.measure_for(rows, r);
-          }
-          st.site_value[s] = sum;
-          st.site_records[s] = rows.size();
-        }
+        st.site_value[s] = site_totals[s].sum;
+        st.site_records[s] = site_totals[s].records;
         st.total_value += st.site_value[s];
         st.total_records += st.site_records[s];
       }

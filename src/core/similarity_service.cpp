@@ -24,19 +24,6 @@ DatasetSimilarity check_similarity(const DatasetState& dataset,
       n, std::vector<std::unordered_set<std::uint64_t>>(n));
 
   const auto weights = dataset.cube_type_weights();
-
-  // Ingest builds no columnar snapshots. Build the ones the exchange reads
-  // (every site's weighted dimension cubes) before the timer: formatting
-  // is pre-processing the lag hides (§4.1), so Table 3 times probing only.
-  std::vector<olap::QueryTypeId> read;
-  for (const auto& w : weights) {
-    if (w.weight > 0.0) read.push_back(w.query_type);
-  }
-  parallel_for(n * read.size(), [&](std::size_t p) {
-    dataset.cubes_at(p / read.size())
-        .dimension_cube(read[p % read.size()])
-        .columns();
-  });
   const WallTimer timer;
 
   // Self-similarity straight from each site's dimension cubes. Sites are

@@ -1,11 +1,9 @@
 #include "olap/cube.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "olap/cube_columns.h"
 
 namespace bohr::olap {
 
@@ -39,43 +37,6 @@ OlapCube::OlapCube(std::vector<Dimension> dimensions)
   BOHR_EXPECTS(dims_.size() <= kMaxCubeDims);
 }
 
-OlapCube::OlapCube(const OlapCube& other)
-    : dims_(other.dims_),
-      cells_(other.cells_),
-      total_records_(other.total_records_) {
-  // The snapshot is an immutable view of identical cell state — share it.
-  set_cached_columns(other.cached_columns());
-}
-
-OlapCube& OlapCube::operator=(const OlapCube& other) {
-  if (this == &other) return *this;
-  dims_ = other.dims_;
-  cells_ = other.cells_;
-  total_records_ = other.total_records_;
-  set_cached_columns(other.cached_columns());
-  return *this;
-}
-
-OlapCube::OlapCube(OlapCube&& other) noexcept
-    : dims_(std::move(other.dims_)),
-      cells_(std::move(other.cells_)),
-      total_records_(other.total_records_) {
-  set_cached_columns(other.cached_columns());
-  other.total_records_ = 0;
-  other.set_cached_columns(nullptr);
-}
-
-OlapCube& OlapCube::operator=(OlapCube&& other) noexcept {
-  if (this == &other) return *this;
-  dims_ = std::move(other.dims_);
-  cells_ = std::move(other.cells_);
-  total_records_ = other.total_records_;
-  set_cached_columns(other.cached_columns());
-  other.total_records_ = 0;
-  other.set_cached_columns(nullptr);
-  return *this;
-}
-
 const Dimension& OlapCube::dimension(std::size_t idx) const {
   BOHR_EXPECTS(idx < dims_.size());
   return dims_[idx];
@@ -83,17 +44,17 @@ const Dimension& OlapCube::dimension(std::size_t idx) const {
 
 void OlapCube::insert(const CellCoords& coords, double measure) {
   BOHR_EXPECTS(coords.size() == dims_.size());
-  cells_[coords].add(measure);
+  cell_at(coords).add(measure);
   ++total_records_;
-  invalidate_columns();
 }
 
 void OlapCube::merge(const OlapCube& other) {
+  // Walking cells_ while appending to it would read freed memory once
+  // the array grows.
+  BOHR_EXPECTS(&other != this);
   BOHR_EXPECTS(other.dims_.size() == dims_.size());
-  cells_.reserve(cells_.size() + other.cells_.size());
-  for (const auto& [coords, agg] : other.cells_) cells_[coords].merge(agg);
+  for (const Cell& cell : other.cells_) cell_at(cell.coords).merge(cell.agg);
   total_records_ += other.total_records_;
-  invalidate_columns();
 }
 
 void OlapCube::insert_rows(std::span<const CellCoords> coords,
@@ -110,26 +71,64 @@ void OlapCube::insert_rows(std::span<const CellCoords> coords,
       BOHR_EXPECTS(p < coords.front().size());
     }
   }
-  cells_.reserve(cells_.size() + n);
   CellCoords cell(cell_dims);
   for (std::size_t i = 0; i < n; ++i) {
     if (project.empty()) {
       BOHR_EXPECTS(coords[i].size() == dims_.size());
-      cells_[coords[i]].add(measures[i]);
+      cell_at(coords[i]).add(measures[i]);
     } else {
       for (std::size_t k = 0; k < cell_dims; ++k) {
         cell[k] = coords[i][project[k]];
       }
-      cells_[cell].add(measures[i]);
+      cell_at(cell).add(measures[i]);
     }
   }
   total_records_ += n;
-  invalidate_columns();
 }
 
 const CellAggregate* OlapCube::find(const CellCoords& coords) const {
-  const auto it = cells_.find(coords);
-  return it == cells_.end() ? nullptr : &it->second;
+  if (cells_.empty()) return nullptr;
+  const std::uint32_t pos = slots_[slot_of(CellCoordsHash{}(coords), coords)];
+  return pos == kEmptySlot ? nullptr : &cells_[pos].agg;
+}
+
+std::size_t OlapCube::slot_of(std::uint64_t hash,
+                              const CellCoords& coords) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = hash & mask;
+  for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+    const std::uint32_t pos = slots_[slot];
+    if (hashes_[pos] == hash && cells_[pos].coords == coords) break;
+  }
+  return slot;
+}
+
+CellAggregate& OlapCube::cell_at(const CellCoords& coords) {
+  const std::uint64_t hash = CellCoordsHash{}(coords);
+  if (slots_.empty()) grow_index();
+  std::size_t slot = slot_of(hash, coords);
+  if (slots_[slot] == kEmptySlot) {
+    // A new cell. The index grows with the cells, never with the rows.
+    if (2 * (cells_.size() + 1) > slots_.size()) {
+      grow_index();
+      slot = slot_of(hash, coords);
+    }
+    slots_[slot] = static_cast<std::uint32_t>(cells_.size());
+    cells_.push_back(Cell{coords, CellAggregate{}});
+    hashes_.push_back(hash);
+  }
+  return cells_[slots_[slot]].agg;
+}
+
+void OlapCube::grow_index() {
+  BOHR_EXPECTS(cells_.size() < kEmptySlot / 2);
+  slots_.assign(std::max<std::size_t>(8, 2 * slots_.size()), kEmptySlot);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
+    std::size_t slot = hashes_[pos] & mask;
+    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(pos);
+  }
 }
 
 OlapCube OlapCube::slice(std::size_t dim, MemberId member) const {
@@ -141,14 +140,14 @@ OlapCube OlapCube::slice(std::size_t dim, MemberId member) const {
     if (d != dim) new_dims.push_back(dims_[d]);
   }
   OlapCube out(std::move(new_dims));
-  for (const auto* cell : sorted_cells()) {
+  for (const Cell* cell : sorted_cells()) {
     const auto& [coords, agg] = *cell;
     if (coords[dim] != member) continue;
     CellCoords reduced;
     for (std::size_t d = 0; d < coords.size(); ++d) {
       if (d != dim) reduced.push_back(coords[d]);
     }
-    out.cells_[std::move(reduced)].merge(agg);
+    out.cell_at(reduced).merge(agg);
     out.total_records_ += agg.count;
   }
   return out;
@@ -160,7 +159,7 @@ OlapCube OlapCube::dice(std::size_t dim,
   OlapCube out(dims_);
   for (const auto& [coords, agg] : cells_) {
     if (!members.contains(coords[dim])) continue;
-    out.cells_[coords] = agg;
+    out.cell_at(coords) = agg;
     out.total_records_ += agg.count;
   }
   return out;
@@ -169,10 +168,10 @@ OlapCube OlapCube::dice(std::size_t dim,
 OlapCube OlapCube::roll_up(std::size_t dim, std::size_t level) const {
   BOHR_EXPECTS(dim < dims_.size());
   OlapCube out(dims_);
-  for (const auto* cell : sorted_cells()) {
-    CellCoords coarse = cell->first;
+  for (const Cell* cell : sorted_cells()) {
+    CellCoords coarse = cell->coords;
     coarse[dim] = dims_[dim].coarsen(coarse[dim], level);
-    out.cells_[std::move(coarse)].merge(cell->second);
+    out.cell_at(coarse).merge(cell->agg);
   }
   out.total_records_ = total_records_;
   return out;
@@ -193,7 +192,7 @@ OlapCube OlapCube::pivot(const std::vector<std::size_t>& order) const {
   for (const auto& [coords, agg] : cells_) {
     CellCoords permuted(coords.size());
     for (std::size_t d = 0; d < order.size(); ++d) permuted[d] = coords[order[d]];
-    out.cells_[std::move(permuted)] = agg;
+    out.cell_at(permuted) = agg;
   }
   out.total_records_ = total_records_;
   return out;
@@ -217,55 +216,37 @@ std::vector<OlapCube> OlapCube::project_each(
       new_dims.push_back(dims_[d]);
     }
     OlapCube& out = outs.emplace_back(std::move(new_dims));
-    for (const auto* cell : sorted) {
+    for (const Cell* cell : sorted) {
       CellCoords projected;
-      for (const std::size_t d : dims) projected.push_back(cell->first[d]);
-      out.cells_[std::move(projected)].merge(cell->second);
+      for (const std::size_t d : dims) projected.push_back(cell->coords[d]);
+      out.cell_at(projected).merge(cell->agg);
     }
     out.total_records_ = total_records_;
   }
   return outs;
 }
 
-std::vector<const std::pair<const CellCoords, CellAggregate>*>
-OlapCube::sorted_cells() const {
-  std::vector<const std::pair<const CellCoords, CellAggregate>*> out;
+std::vector<const Cell*> OlapCube::sorted_cells() const {
+  std::vector<const Cell*> out;
   out.reserve(cells_.size());
-  for (const auto& cell : cells_) out.push_back(&cell);
-  std::sort(out.begin(), out.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const Cell& cell : cells_) out.push_back(&cell);
+  std::sort(out.begin(), out.end(), [](const Cell* a, const Cell* b) {
+    return a->coords < b->coords;
+  });
   return out;
 }
 
-std::shared_ptr<const CubeColumns> OlapCube::columns() const {
-  if (auto snap = cached_columns()) return snap;
-  // Build outside the lock; if a concurrent reader installed first, its
-  // equivalent snapshot wins and this one is dropped.
-  auto built = std::make_shared<const CubeColumns>(*this);
-  std::lock_guard lock(columns_mu_);
-  if (!columns_cache_) {
-    columns_cache_ = std::move(built);
-    columns_valid_.store(true, std::memory_order_relaxed);
-  }
-  return columns_cache_;
-}
-
 std::vector<Cell> OlapCube::top_cells(std::size_t k) const {
-  // Rank row indices over the columnar snapshot and materialize only the
-  // winners — the old path copied every cell (one vector allocation per
-  // cell) just to sort and throw most of them away. Rows are in
-  // ascending-coordinate order, so the row-index tie-break reproduces
-  // the historical coordinate tie-break exactly.
-  const auto cols = columns();
-  const std::size_t n = cols->num_rows();
-  const std::span<const std::uint64_t> counts = cols->counts();
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  const auto by_count_desc = [&](std::uint32_t a, std::uint32_t b) {
-    if (counts[a] != counts[b]) return counts[a] > counts[b];
-    return a < b;
+  // Rank pointers into the table and copy out only the winners.
+  // Coordinates are unique, so (count desc, coords asc) is a total order.
+  std::vector<const Cell*> order;
+  order.reserve(cells_.size());
+  for (const Cell& cell : cells_) order.push_back(&cell);
+  const auto by_count_desc = [](const Cell* a, const Cell* b) {
+    if (a->agg.count != b->agg.count) return a->agg.count > b->agg.count;
+    return a->coords < b->coords;
   };
-  if (k > 0 && k < n) {
+  if (k > 0 && k < order.size()) {
     std::partial_sort(order.begin(), order.begin() + static_cast<long>(k),
                       order.end(), by_count_desc);
     order.resize(k);
@@ -274,9 +255,7 @@ std::vector<Cell> OlapCube::top_cells(std::size_t k) const {
   }
   std::vector<Cell> out;
   out.reserve(order.size());
-  for (const std::uint32_t row : order) {
-    out.push_back(Cell{cols->coords_of(row), cols->aggregate_of(row)});
-  }
+  for (const Cell* cell : order) out.push_back(*cell);
   return out;
 }
 

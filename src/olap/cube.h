@@ -10,13 +10,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -27,10 +23,8 @@
 
 namespace bohr::olap {
 
-class CubeColumns;
-
 /// Most dimensions a cube may have. The TPC-DS and Facebook specs have 4,
-/// BigData 3; a cap of 4 keeps a cell's key inside its map node.
+/// BigData 3; a cap of 4 keeps a cell's key inside its table entry.
 inline constexpr std::size_t kMaxCubeDims = 4;
 
 /// Cell address: one member per cube dimension, positionally aligned.
@@ -99,25 +93,21 @@ struct CellAggregate {
   void merge(const CellAggregate& other);
 };
 
-/// A populated cell (address + aggregate), used in query results.
+/// A populated cell (address + aggregate): what a cube's table holds.
 struct Cell {
   CellCoords coords;
   CellAggregate agg;
 };
 
+/// One flat cell table: the cells in one array, in first-insertion order,
+/// plus an open-addressing index of positions into that array. Readers
+/// never see the array's order: sorted_cells() is the one ordered walk,
+/// find() the one lookup, and top_cells() ranks by count.
 class OlapCube {
  public:
   OlapCube() = default;
   /// At least one and at most kMaxCubeDims dimensions.
   explicit OlapCube(std::vector<Dimension> dimensions);
-
-  // The columnar-snapshot cache is guarded by a mutex (concurrent readers
-  // may race to build it), so copy/move are user-provided: copies share
-  // the still-valid snapshot, moves steal it.
-  OlapCube(const OlapCube& other);
-  OlapCube& operator=(const OlapCube& other);
-  OlapCube(OlapCube&& other) noexcept;
-  OlapCube& operator=(OlapCube&& other) noexcept;
 
   std::size_t dimension_count() const { return dims_.size(); }
   const Dimension& dimension(std::size_t idx) const;
@@ -126,14 +116,15 @@ class OlapCube {
   /// Inserts one record: coordinates must match dimension_count().
   void insert(const CellCoords& coords, double measure);
 
-  /// Bulk merge of a compatible cube (same dimension count).
+  /// Bulk merge of a compatible cube (same dimension count). Merging a
+  /// cube into itself is a contract violation.
   void merge(const OlapCube& other);
 
-  /// Bulk insert of `coords.size()` records: reserves room for them, then
-  /// folds each row's measure into its cell in row order, exactly as
-  /// repeated insert() would. When `project` is non-empty, row i's cell
-  /// is coords[i] restricted to those positions (what a dimension cube
-  /// ingests), so callers never materialize the projected coordinates.
+  /// Bulk insert of `coords.size()` records: folds each row's measure
+  /// into its cell in row order, exactly as repeated insert() would.
+  /// When `project` is non-empty, row i's cell is coords[i] restricted
+  /// to those positions (what a dimension cube ingests), so callers
+  /// never materialize the projected coordinates.
   void insert_rows(std::span<const CellCoords> coords,
                    std::span<const double> measures,
                    std::span<const std::size_t> project = {});
@@ -142,7 +133,9 @@ class OlapCube {
   std::uint64_t total_records() const { return total_records_; }
   bool empty() const { return cells_.empty(); }
 
-  /// Lookup; returns nullptr if the cell has no data.
+  /// Lookup; returns nullptr if the cell has no data. The pointer stays
+  /// valid only until the next insert into this cube (insert, insert_rows
+  /// or merge), which may grow the table.
   const CellAggregate* find(const CellCoords& coords) const;
 
   /// --- OLAP operations (each returns a new cube) -----------------------
@@ -165,7 +158,7 @@ class OlapCube {
 
   /// dimension cube (§2.2): keep only `dims`, aggregating the rest away.
   /// Cells fold in sorted_cells() order, so equal cubes project to equal
-  /// cubes whatever order their maps iterate in.
+  /// cubes whatever order their cells were inserted in.
   OlapCube project(const std::vector<std::size_t>& dims) const;
 
   /// project() onto each of `dim_sets`, sorting the cells once.
@@ -184,48 +177,34 @@ class OlapCube {
   /// dimensions. 0 when every record is unique; -> 1 for heavy repetition.
   double combine_effectiveness() const;
 
-  /// Columnar (struct-of-arrays) snapshot of the cells, lazily built and
-  /// cached until the next mutation. The hot read paths — top-cell
-  /// ranking, probe scoring, cube queries — stream the snapshot instead
-  /// of chasing map nodes. Safe to call from concurrent readers: racing
-  /// builders build outside the lock, the first install wins, and every
-  /// racer returns that one snapshot.
-  std::shared_ptr<const CubeColumns> columns() const;
-
   /// The cells in ascending coordinate order: the one way to walk every
-  /// cell, so no reader sees the map's bucket layout or insertion
-  /// history.
-  std::vector<const std::pair<const CellCoords, CellAggregate>*>
-  sorted_cells() const;
+  /// cell, so no reader sees the table's insertion history. Every fold
+  /// or floating-point sum over a cube's cells walks this order. The
+  /// pointers stay valid only until the next insert into this cube.
+  std::vector<const Cell*> sorted_cells() const;
 
  private:
-  /// Drops the cached snapshot (call on any mutation). The relaxed flag
-  /// probe keeps the per-insert cost of an already-empty cache to one
-  /// cheap load.
-  void invalidate_columns() {
-    if (columns_valid_.load(std::memory_order_relaxed)) {
-      set_cached_columns(nullptr);
-    }
-  }
+  /// Cell `coords`'s aggregate, appended as an empty cell when the cube
+  /// has none yet.
+  CellAggregate& cell_at(const CellCoords& coords);
+  /// The index slot holding the cell with `coords` (whose hash is
+  /// `hash`), or the empty slot where it would go.
+  std::size_t slot_of(std::uint64_t hash, const CellCoords& coords) const;
+  /// Doubles the index (at least 8 slots) and re-slots every cell.
+  void grow_index();
 
-  std::shared_ptr<const CubeColumns> cached_columns() const {
-    std::lock_guard lock(columns_mu_);
-    return columns_cache_;
-  }
-
-  void set_cached_columns(std::shared_ptr<const CubeColumns> snap) {
-    std::lock_guard lock(columns_mu_);
-    columns_valid_.store(snap != nullptr, std::memory_order_relaxed);
-    columns_cache_ = std::move(snap);
-  }
+  static constexpr std::uint32_t kEmptySlot = static_cast<std::uint32_t>(-1);
 
   std::vector<Dimension> dims_;
-  std::unordered_map<CellCoords, CellAggregate, CellCoordsHash> cells_;
+  /// The cells, in first-insertion order.
+  std::vector<Cell> cells_;
+  /// CellCoordsHash of cells_[i]: a fast reject before the coordinate
+  /// compare, and what grow_index() re-slots by.
+  std::vector<std::uint64_t> hashes_;
+  /// Open-addressing index (linear probing, power-of-two size, at most
+  /// half full): positions into cells_, kEmptySlot where vacant.
+  std::vector<std::uint32_t> slots_;
   std::uint64_t total_records_ = 0;
-  mutable std::atomic<bool> columns_valid_{false};
-  mutable std::mutex columns_mu_;
-  /// Guarded by columns_mu_.
-  mutable std::shared_ptr<const CubeColumns> columns_cache_;
 };
 
 }  // namespace bohr::olap

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "olap/cube_columns.h"
-
 namespace bohr::olap {
 
 bool dims_compatible(const OlapCube& a, const OlapCube& b) {
@@ -25,35 +23,28 @@ bool dims_compatible(const OlapCube& a, const OlapCube& b) {
 CubeRelation relate(const OlapCube& a, const OlapCube& b) {
   CubeRelation rel;
   if (!dims_compatible(a, b) || (a.empty() && b.empty())) return rel;
-  const auto ca = a.columns();
-  const auto cb = b.columns();
-  const auto counts_a = ca->counts();
-  const auto counts_b = cb->counts();
 
-  // One pass over a's canonical rows accumulates min/max for every cell
-  // of a (cells absent from b contribute count_a to the max sum); a
-  // second pass over b adds the b-only cells. Integer accumulators keep
-  // the ratio exact regardless of summation order.
+  // One pass over a's cells accumulates min/max for every cell of a
+  // (cells absent from b contribute count_a to the max sum); a second
+  // pass over b adds the b-only cells. Integer accumulators keep the
+  // ratio exact whatever order the cells are visited in.
   std::uint64_t sum_min = 0;
   std::uint64_t sum_max = 0;
   std::uint64_t a_in_b = 0;
   std::uint64_t b_in_a = 0;
-  CellCoords coords;
-  for (std::size_t row = 0; row < ca->num_rows(); ++row) {
-    coords = ca->coords_of(row);
-    const CellAggregate* cell = b.find(coords);
-    const std::uint64_t na = counts_a[row];
-    const std::uint64_t nb = cell != nullptr ? cell->count : 0;
+  for (const Cell* cell : a.sorted_cells()) {
+    const CellAggregate* other = b.find(cell->coords);
+    const std::uint64_t na = cell->agg.count;
+    const std::uint64_t nb = other != nullptr ? other->count : 0;
     sum_min += std::min(na, nb);
     sum_max += std::max(na, nb);
-    if (cell != nullptr) {
+    if (other != nullptr) {
       a_in_b += na;
       b_in_a += nb;
     }
   }
-  for (std::size_t row = 0; row < cb->num_rows(); ++row) {
-    coords = cb->coords_of(row);
-    if (a.find(coords) == nullptr) sum_max += counts_b[row];
+  for (const Cell* cell : b.sorted_cells()) {
+    if (a.find(cell->coords) == nullptr) sum_max += cell->agg.count;
   }
 
   if (a.total_records() > 0) {
@@ -86,8 +77,7 @@ bool covers_group_by(const std::vector<std::size_t>& cube_dims,
 CubeTotals cube_totals(const OlapCube& cube) {
   CubeTotals totals;
   totals.records = cube.total_records();
-  const auto cols = cube.columns();
-  for (const double s : cols->sums()) totals.sum += s;
+  for (const Cell* cell : cube.sorted_cells()) totals.sum += cell->agg.sum;
   return totals;
 }
 

@@ -35,8 +35,8 @@ struct CubeRelation {
 bool dims_compatible(const OlapCube& a, const OlapCube& b);
 
 /// Full relation between two cubes. Incompatible or empty pairs yield
-/// the zero relation (distance 1). Iterates canonical columnar
-/// snapshots, so results are bit-stable across runs and thread counts.
+/// the zero relation (distance 1). Its sums are integers, so results
+/// are bit-stable across runs and thread counts.
 CubeRelation relate(const OlapCube& a, const OlapCube& b);
 
 /// Dimension-coverage test: a cube materialized over attribute positions
@@ -48,6 +48,7 @@ bool covers_group_by(const std::vector<std::size_t>& cube_dims,
 
 /// Grand totals of a cube — the value plane a substitution rescales.
 /// Invariant under project(): projection merges cells, never records.
+/// The sum folds in sorted_cells() order, so equal cubes give equal bits.
 struct CubeTotals {
   std::uint64_t records = 0;
   double sum = 0.0;

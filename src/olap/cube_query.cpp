@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "olap/cube_columns.h"
 
 namespace bohr::olap {
 
@@ -69,26 +68,24 @@ std::vector<CubeQueryRow> execute(const OlapCube& cube,
     }
   }
 
-  // Filter -> group -> aggregate over the columnar snapshot: the filter
-  // only touches the filtered dimensions' columns and the group key only
-  // the grouped ones, so the scan streams contiguous memory instead of
-  // chasing map nodes. Rows are in canonical coordinate order, so the
-  // serial aggregate fold accumulates each group's floating-point sums
-  // in the same sequence at every thread count.
-  const auto cols = cube.columns();
-  const std::size_t n = cols->num_rows();
+  // Filter -> group -> aggregate over the cells in coordinate order, so
+  // the serial aggregate fold accumulates each group's floating-point
+  // sums in the same sequence at every thread count.
+  const auto cells = cube.sorted_cells();
+  const std::size_t n = cells.size();
   std::vector<char> keep_of(n, 0);
   std::vector<CellCoords> group_of(n);
   parallel_for(n, [&](std::size_t c) {
+    const CellCoords& coords = cells[c]->coords;
     for (const auto& f : query.filters) {
-      if (!f.members.contains(cols->member(c, f.dim))) return;
+      if (!f.members.contains(coords[f.dim])) return;
     }
     CellCoords group;
     for (std::size_t g = 0; g < query.group_by.size(); ++g) {
       const std::size_t d = query.group_by[g];
       const std::size_t level =
           query.group_levels.empty() ? 0 : query.group_levels[g];
-      group.push_back(cube.dimension(d).coarsen(cols->member(c, d), level));
+      group.push_back(cube.dimension(d).coarsen(coords[d], level));
     }
     group_of[c] = std::move(group);
     keep_of[c] = 1;
@@ -96,7 +93,7 @@ std::vector<CubeQueryRow> execute(const OlapCube& cube,
   std::unordered_map<CellCoords, GroupAggregate, CellCoordsHash> groups;
   for (std::size_t c = 0; c < n; ++c) {
     if (!keep_of[c]) continue;
-    groups[std::move(group_of[c])].merge(cols->aggregate_of(c));
+    groups[std::move(group_of[c])].merge(cells[c]->agg);
   }
 
   std::vector<CubeQueryRow> rows;

@@ -29,8 +29,7 @@ class DatasetCubes {
   const std::vector<std::size_t>& query_type_dims(QueryTypeId qt) const;
 
   /// Adds rows [begin, end) of `table` to the base cube and every
-  /// dimension cube, each folded in row order. Builds no columnar
-  /// snapshot; each cube builds its own on first read.
+  /// dimension cube, each folded in row order.
   void add_rows(const RowTable& table, std::size_t begin, std::size_t end);
 
   const OlapCube& base_cube() const { return base_; }

@@ -2,26 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "olap/cube_columns.h"
 
 namespace bohr::similarity {
-
-namespace {
-
-/// Finishes a builder-made record: the coordinate hash every receiver
-/// would otherwise recompute per evaluation.
-ProbeRecord make_record(olap::QueryTypeId qt, olap::CellCoords coords,
-                        std::uint64_t cluster_size) {
-  ProbeRecord rec{qt, std::move(coords), cluster_size, 0};
-  rec.coords_hash = olap::CellCoordsHash{}(rec.coords);
-  return rec;
-}
-
-}  // namespace
 
 std::uint64_t Probe::wire_bytes() const {
   std::uint64_t bytes = 16;  // header: dataset id + record count
@@ -96,9 +81,9 @@ Probe build_probe(std::size_t dataset_id, const olap::DatasetCubes& cubes,
   for (std::size_t w = 0; w < weights.size(); ++w) {
     if (slots[w] == 0) continue;
     const olap::OlapCube& cube = cubes.dimension_cube(weights[w].query_type);
-    for (olap::Cell& cell : cube.top_cells(slots[w])) {
-      probe.records.push_back(make_record(
-          weights[w].query_type, std::move(cell.coords), cell.agg.count));
+    for (const olap::Cell& cell : cube.top_cells(slots[w])) {
+      probe.records.push_back(
+          ProbeRecord{weights[w].query_type, cell.coords, cell.agg.count});
     }
   }
   return probe;
@@ -130,8 +115,8 @@ Probe build_probe_random(std::size_t dataset_id,
     rng.shuffle(all);
     const std::size_t take = std::min(slots[w], all.size());
     for (std::size_t c = 0; c < take; ++c) {
-      probe.records.push_back(make_record(
-          weights[w].query_type, std::move(all[c].coords), all[c].agg.count));
+      probe.records.push_back(ProbeRecord{weights[w].query_type,
+                                          all[c].coords, all[c].agg.count});
     }
   }
   return probe;
@@ -141,12 +126,6 @@ ProbeEvaluation evaluate_probe(const Probe& probe,
                                const olap::DatasetCubes& receiver) {
   ProbeEvaluation eval;
   eval.matched.resize(probe.records.size(), 0);
-  // Records arrive grouped by query type (build_probe appends type by
-  // type), so a single cursor over the receiver's columnar snapshots
-  // suffices — no per-call allocation. Lookups probe the snapshot's hash
-  // index with the record's precomputed hash instead of the cell map.
-  olap::QueryTypeId cur_qt = receiver.query_type_count();  // none yet
-  std::shared_ptr<const olap::CubeColumns> cols;
   double matched_weight = 0.0;
   double total_weight = 0.0;
   for (std::size_t r = 0; r < probe.records.size(); ++r) {
@@ -154,14 +133,7 @@ ProbeEvaluation evaluate_probe(const Probe& probe,
     BOHR_EXPECTS(rec.query_type < receiver.query_type_count());
     const double w = static_cast<double>(rec.cluster_size);
     total_weight += w;
-    if (rec.query_type != cur_qt) {
-      cur_qt = rec.query_type;
-      cols = receiver.dimension_cube(cur_qt).columns();
-    }
-    const std::uint64_t hash = rec.coords_hash != 0
-                                   ? rec.coords_hash
-                                   : olap::CellCoordsHash{}(rec.coords);
-    if (cols->find_hashed(hash, rec.coords) != olap::CubeColumns::npos) {
+    if (receiver.dimension_cube(rec.query_type).find(rec.coords) != nullptr) {
       eval.matched[r] = 1;
       matched_weight += w;
     }

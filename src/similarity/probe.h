@@ -30,11 +30,6 @@ struct ProbeRecord {
   olap::QueryTypeId query_type = 0;
   olap::CellCoords coords;
   std::uint64_t cluster_size = 0;
-  /// CellCoordsHash of `coords`, precomputed by the builders so every
-  /// receiver scores the record without re-hashing (a probe is evaluated
-  /// once per receiving site). 0 = not yet computed; derived, never
-  /// shipped (wire_bytes excludes it).
-  std::uint64_t coords_hash = 0;
 };
 
 struct Probe {

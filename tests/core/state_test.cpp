@@ -6,9 +6,6 @@
 
 #include "../olap/row_tables.h"
 #include "common/check.h"
-#include "common/parallel.h"
-#include "common/phase_timer.h"
-#include "common/timer.h"
 #include "core/similarity_service.h"
 
 namespace bohr::core {
@@ -30,14 +27,6 @@ DatasetState make_state(bool with_cubes,
   Rng rng(3);
   auto mix = workload::sample_query_mix(bundle, rng);
   return DatasetState(std::move(bundle), std::move(mix), with_cubes);
-}
-
-/// Columnar snapshot builds so far: samples and summed wall seconds.
-PhaseTotal snapshot_builds() {
-  for (PhaseTotal& p : phase_snapshot()) {
-    if (p.name == "cube.columns_build") return p;
-  }
-  return PhaseTotal{};
 }
 
 TEST(DatasetStateTest, CubesTrackRows) {
@@ -241,55 +230,6 @@ TEST(SimilarityServiceTest, LargerProbeFindsMoreMatches) {
     }
   }
   EXPECT_GE(large_total, small_total);
-}
-
-TEST(SimilarityServiceTest, BuildsSnapshotsOfWeightedDimensionCubesOnly) {
-  const DatasetState state = make_state(true);
-  std::vector<bool> weighted(state.cubes_at(0).query_type_count(), false);
-  std::size_t n_weighted = 0;
-  for (const auto& w : state.cube_type_weights()) {
-    if (w.weight > 0.0 && !weighted[w.query_type]) {
-      weighted[w.query_type] = true;
-      ++n_weighted;
-    }
-  }
-  const std::uint64_t start = snapshot_builds().samples;
-  check_similarity(state, SimilarityOptions{30});
-  EXPECT_EQ(snapshot_builds().samples,
-            start + state.site_count() * n_weighted);
-  // Reading a cube again builds a snapshot only if the exchange did not.
-  for (std::size_t s = 0; s < state.site_count(); ++s) {
-    const olap::DatasetCubes& cubes = state.cubes_at(s);
-    for (olap::QueryTypeId qt = 0; qt < cubes.query_type_count(); ++qt) {
-      const std::uint64_t before = snapshot_builds().samples;
-      cubes.dimension_cube(qt).columns();
-      EXPECT_EQ(snapshot_builds().samples, before + (weighted[qt] ? 0 : 1))
-          << "site " << s << " query type " << qt;
-    }
-    const std::uint64_t before = snapshot_builds().samples;
-    cubes.base_cube().columns();
-    EXPECT_EQ(snapshot_builds().samples, before + 1) << "site " << s;
-  }
-}
-
-TEST(SimilarityServiceTest, SnapshotBuildsStayOutOfCheckingSeconds) {
-  // At one thread the builds and the timed window are disjoint spans of
-  // the call, so their sum cannot exceed it. Had the builds run inside
-  // the window, they would count twice and overshoot.
-  workload::GeneratorConfig cfg = gen_config();
-  cfg.rows_per_site = 2000;
-  const DatasetState state = make_state(true, cfg);
-  const std::size_t threads = thread_count();
-  set_thread_count(1);
-  const PhaseTotal before = snapshot_builds();
-  const WallTimer call;
-  const DatasetSimilarity sim = check_similarity(state, SimilarityOptions{30});
-  const double call_seconds = call.elapsed_seconds();
-  const PhaseTotal after = snapshot_builds();
-  set_thread_count(threads);
-  const double build_seconds = after.seconds - before.seconds;
-  ASSERT_GT(after.samples, before.samples);
-  EXPECT_LE(sim.checking_seconds + build_seconds, call_seconds + 1e-9);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Test-side fingerprint of a cube by its cells, not by the order its map
-// stores them in: what every reader of a cube reads.
+// Test-side fingerprint of a cube by its cells, not by the order its
+// table stores them in: what every reader of a cube reads.
 #pragma once
 
 #include <cstdint>
@@ -13,16 +13,16 @@ namespace bohr::olap {
 /// Feeds `cube` to `crc`: its dimension count, then each cell in
 /// sorted_cells() order as its coordinates, its count and the bits of
 /// its sum, min and max. A change to any cell's bits, or to which cells
-/// exist, changes the digest; the map's iteration order does not.
+/// exist, changes the digest; the table's insertion order does not.
 inline void add_cells(Crc32& crc, const OlapCube& cube) {
   ByteWriter out;
   out.u32(static_cast<std::uint32_t>(cube.dimension_count()));
   for (const auto* cell : cube.sorted_cells()) {
-    for (const MemberId m : cell->first) out.u64(m);
-    out.u64(cell->second.count);
-    out.f64(cell->second.sum);
-    out.f64(cell->second.min);
-    out.f64(cell->second.max);
+    for (const MemberId m : cell->coords) out.u64(m);
+    out.u64(cell->agg.count);
+    out.f64(cell->agg.sum);
+    out.f64(cell->agg.min);
+    out.f64(cell->agg.max);
   }
   crc.update(out.take());
 }

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "common/phase_timer.h"
 #include "default_cube_spec.h"
-#include "olap/cube_columns.h"
 #include "row_tables.h"
 
 namespace bohr::olap {
@@ -31,14 +29,6 @@ DatasetCubes make_store() {
 void add(DatasetCubes& store, const std::vector<Row>& rows) {
   const RowTable table = table_of(log_schema(), rows);
   store.add_rows(table, 0, table.size());
-}
-
-/// Columnar snapshots built so far (each build records one sample).
-std::uint64_t snapshot_builds() {
-  for (const PhaseTotal& p : phase_snapshot()) {
-    if (p.name == "cube.columns_build") return p.samples;
-  }
-  return 0;
 }
 
 TEST(CubeBuilderTest, DefaultSpecUsesDimensionsAndMeasure) {
@@ -118,23 +108,6 @@ TEST(DatasetCubesTest, RebuildDimensionCubeMatchesIncremental) {
   EXPECT_EQ(rebuilt.cell_count(), store.dimension_cube(by_rd).cell_count());
   EXPECT_EQ(rebuilt.total_records(),
             store.dimension_cube(by_rd).total_records());
-}
-
-TEST(DatasetCubesTest, SnapshotsAreBuiltOnFirstReadNotOnIngest) {
-  DatasetCubes store = make_store();
-  const QueryTypeId by_url = store.register_query_type({0});
-  const std::uint64_t start = snapshot_builds();
-  add(store, {make_row("a", 1, 10, 1.0), make_row("b", 2, 11, 2.0)});
-  EXPECT_EQ(snapshot_builds(), start);
-  const auto first = store.dimension_cube(by_url).columns();
-  EXPECT_EQ(snapshot_builds(), start + 1);
-  EXPECT_EQ(store.dimension_cube(by_url).columns().get(), first.get());
-  EXPECT_EQ(snapshot_builds(), start + 1);
-  // A write drops the snapshot; the next read builds one more.
-  add(store, {make_row("c", 3, 12, 3.0)});
-  EXPECT_EQ(snapshot_builds(), start + 1);
-  EXPECT_EQ(store.dimension_cube(by_url).columns()->num_rows(), 3u);
-  EXPECT_EQ(snapshot_builds(), start + 2);
 }
 
 TEST(DatasetCubesTest, InvalidQueryTypeThrows) {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "cube_crc.h"
 
@@ -28,6 +32,26 @@ OlapCube sales_cube() {
   cube.insert({2014, 1, 100}, 2.0);
   return cube;
 }
+
+OlapCube three_dim_cube() {
+  return OlapCube({Dimension("a"), Dimension("b"), Dimension("c")});
+}
+
+/// Random records over a small member universe so cells collide heavily
+/// (what a combiner-friendly workload looks like).
+std::vector<std::pair<CellCoords, double>> random_records(std::uint64_t seed,
+                                                          std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::pair<CellCoords, double>> records;
+  records.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    records.push_back({CellCoords{rng.below(7), rng.below(5), rng.below(11)},
+                       rng.uniform(-5.0, 5.0)});
+  }
+  return records;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(CubeTest, InsertAggregatesIdenticalCoords) {
   OlapCube cube({Dimension("k")});
@@ -97,10 +121,10 @@ TEST(CubeTest, RollUpMergesCellsAtCoarserLevel) {
 
 TEST(CubeTest, RollUpAndSliceIgnoreInsertionHistory) {
   // The same 600 cells, inserted one at a time in one order and as one
-  // insert_rows batch in the opposite order, so the two maps hold them in
-  // different bucket layouts and insertion histories. roll_up and slice
-  // fold in coordinate order, so both cubes give the same cells and
-  // sums; a fold in map order gives some coarse cells different sum bits.
+  // insert_rows batch in the opposite order, so the two tables hold them
+  // in opposite orders. roll_up and slice fold in coordinate order, so
+  // both cubes give the same cells and sums; a fold in table order gives
+  // some coarse cells different sum bits.
   const Dimension time("time", {{"day", 1}, {"week", 7}});
   const std::vector<Dimension> dims = {time, Dimension("region"),
                                        Dimension("product")};
@@ -126,10 +150,10 @@ TEST(CubeTest, RollUpAndSliceIgnoreInsertionHistory) {
   EXPECT_EQ(rolled.cell_count(), 90u);  // 9 weeks (the last one partial)
   std::size_t sums_differ = 0;
   for (const auto* cell : rolled.sorted_cells()) {
-    const CellAggregate* other = rolled_back.find(cell->first);
+    const CellAggregate* other = rolled_back.find(cell->coords);
     ASSERT_NE(other, nullptr);
     sums_differ +=
-        std::memcmp(&cell->second.sum, &other->sum, sizeof(double)) != 0;
+        std::memcmp(&cell->agg.sum, &other->sum, sizeof(double)) != 0;
   }
   EXPECT_EQ(sums_differ, 0u);
   EXPECT_EQ(cells_crc(rolled), cells_crc(rolled_back));
@@ -174,7 +198,7 @@ TEST(CubeTest, ProjectionPreservesTotalCount) {
   for (std::size_t d = 0; d < 3; ++d) {
     const OlapCube p = cube.project({d});
     std::uint64_t total = 0;
-    for (const auto* cell : p.sorted_cells()) total += cell->second.count;
+    for (const auto* cell : p.sorted_cells()) total += cell->agg.count;
     EXPECT_EQ(total, cube.total_records());
   }
 }
@@ -215,6 +239,189 @@ TEST(CubeTest, MergeAddsCellwise) {
   EXPECT_EQ(a.total_records(), 3u);
   EXPECT_EQ(a.find({1})->count, 2u);
   EXPECT_DOUBLE_EQ(a.find({1})->sum, 3.0);
+}
+
+TEST(CubeTest, MergeIntoItselfThrows) {
+  OlapCube cube({Dimension("k")});
+  cube.insert({1}, 1.0);
+  EXPECT_THROW(cube.merge(cube), bohr::ContractViolation);
+  EXPECT_EQ(cube.total_records(), 1u);
+  EXPECT_EQ(cube.find({1})->count, 1u);
+}
+
+TEST(CubeTest, RowsAreInCanonicalCoordinateOrder) {
+  // Two cubes with the same cells inserted in opposite orders walk the
+  // same cells in the same strictly ascending coordinate order.
+  OlapCube forward = three_dim_cube();
+  OlapCube backward = three_dim_cube();
+  const auto records = random_records(0xC0FFEEu, 500);
+  for (const auto& [coords, m] : records) forward.insert(coords, m);
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    backward.insert(it->first, it->second);
+  }
+  const auto cells_f = forward.sorted_cells();
+  const auto cells_b = backward.sorted_cells();
+  ASSERT_EQ(cells_f.size(), cells_b.size());
+  ASSERT_EQ(cells_f.size(), forward.cell_count());
+  for (std::size_t i = 0; i < cells_f.size(); ++i) {
+    EXPECT_EQ(cells_f[i]->coords, cells_b[i]->coords);
+    if (i > 0) {
+      EXPECT_LT(cells_f[i - 1]->coords, cells_f[i]->coords);
+    }
+    // Counts are insertion-order independent.
+    EXPECT_EQ(cells_f[i]->agg.count, cells_b[i]->agg.count);
+  }
+}
+
+TEST(CubeTest, LookupsAgreeWithTheMap) {
+  // find() and the sorted walk read one table: every cell the walk
+  // visits is found at its own aggregate, and nothing else is found.
+  OlapCube cube = three_dim_cube();
+  for (const auto& [coords, m] : random_records(0xF1D0u, 300)) {
+    cube.insert(coords, m);
+  }
+  for (const Cell* cell : cube.sorted_cells()) {
+    EXPECT_EQ(cube.find(cell->coords), &cell->agg);
+  }
+  for (MemberId probe = 100; probe < 130; ++probe) {
+    EXPECT_EQ(cube.find({probe, probe, probe}), nullptr);
+  }
+  // Coordinates of another arity name no cell.
+  EXPECT_EQ(cube.find({0, 0}), nullptr);
+  EXPECT_EQ(OlapCube().find({0}), nullptr);
+}
+
+TEST(CubeTest, TopCellsMatchesFullSortReference) {
+  OlapCube cube = three_dim_cube();
+  for (const auto& [coords, m] : random_records(0x70Cu, 800)) {
+    cube.insert(coords, m);
+  }
+  // Reference: copy every cell, full sort by (count desc, coords asc).
+  std::vector<Cell> reference;
+  for (const Cell* cell : cube.sorted_cells()) reference.push_back(*cell);
+  std::sort(reference.begin(), reference.end(),
+            [](const Cell& a, const Cell& b) {
+              if (a.agg.count != b.agg.count) return a.agg.count > b.agg.count;
+              return a.coords < b.coords;
+            });
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                              std::size_t{17}, reference.size(),
+                              reference.size() + 10}) {
+    const std::vector<Cell> got = cube.top_cells(k);
+    const std::size_t expect_n =
+        k == 0 ? reference.size() : std::min(k, reference.size());
+    ASSERT_EQ(got.size(), expect_n) << "k=" << k;
+    for (std::size_t i = 0; i < expect_n; ++i) {
+      EXPECT_EQ(got[i].coords, reference[i].coords) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got[i].agg.count, reference[i].agg.count);
+    }
+  }
+}
+
+TEST(CubeTest, InsertRowsBitIdenticalToSerialInsert) {
+  // A batch of 6000 rows, large enough that many cells collect several
+  // measures.
+  const auto records = random_records(0xB1117u, 6000);
+  std::vector<CellCoords> coords;
+  std::vector<double> measures;
+  for (const auto& [c, m] : records) {
+    coords.push_back(c);
+    measures.push_back(m);
+  }
+
+  OlapCube serial = three_dim_cube();
+  for (const auto& [c, m] : records) serial.insert(c, m);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_thread_count(threads);
+    OlapCube bulk = three_dim_cube();
+    bulk.insert_rows(coords, measures);
+    set_thread_count(1);
+
+    ASSERT_EQ(bulk.cell_count(), serial.cell_count());
+    ASSERT_EQ(bulk.total_records(), serial.total_records());
+    for (const Cell* cell : serial.sorted_cells()) {
+      const auto& [c, agg] = *cell;
+      const CellAggregate* got = bulk.find(c);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(got->count, agg.count);
+      // Bit-identical, not approximate: each cell's measures accumulate
+      // in row order exactly as repeated insert() does.
+      EXPECT_EQ(got->sum, agg.sum);
+      EXPECT_EQ(got->min, agg.min);
+      EXPECT_EQ(got->max, agg.max);
+    }
+  }
+}
+
+TEST(CubeTest, InsertRowsProjectsWithoutMaterializing) {
+  // Projection must match inserting the projected cells one by one, for
+  // a small batch and a large one.
+  for (const std::size_t n : {std::size_t{600}, std::size_t{6000}}) {
+    const auto records = random_records(0x9C0u, n);
+    std::vector<CellCoords> coords;
+    std::vector<double> measures;
+    for (const auto& [c, m] : records) {
+      coords.push_back(c);
+      measures.push_back(m);
+    }
+    // Projected bulk insert over positions {2, 0} of the full coords.
+    const std::vector<std::size_t> positions{2, 0};
+    OlapCube projected({Dimension("c"), Dimension("a")});
+    projected.insert_rows(coords, measures, positions);
+
+    OlapCube reference({Dimension("c"), Dimension("a")});
+    for (const auto& [c, m] : records) reference.insert({c[2], c[0]}, m);
+
+    ASSERT_EQ(projected.cell_count(), reference.cell_count());
+    for (const Cell* cell : reference.sorted_cells()) {
+      const auto& [c, agg] = *cell;
+      const CellAggregate* got = projected.find(c);
+      ASSERT_NE(got, nullptr) << "n=" << n;
+      EXPECT_EQ(got->count, agg.count);
+      EXPECT_EQ(got->sum, agg.sum);
+    }
+  }
+}
+
+TEST(CubeTest, GrowingTableFindsEveryEarlierCell) {
+  // 1,500 distinct cells, one at a time, take the index from 8 slots to
+  // 4,096 through nine doublings. After every insert each earlier cell
+  // is still found, with the bits of the measure it was given.
+  OlapCube cube = three_dim_cube();
+  Rng rng(0x6E0u);
+  std::vector<std::pair<CellCoords, double>> added;
+  for (MemberId i = 0; i < 1500; ++i) {
+    added.emplace_back(CellCoords{i % 7, i / 7, i * 31},
+                       rng.uniform(-5.0, 5.0));
+    cube.insert(added.back().first, added.back().second);
+    ASSERT_EQ(cube.cell_count(), added.size());
+    for (const auto& [coords, measure] : added) {
+      const CellAggregate* agg = cube.find(coords);
+      ASSERT_NE(agg, nullptr) << "after " << added.size() << " cells";
+      ASSERT_EQ(agg->count, 1u);
+      ASSERT_EQ(bits(agg->sum), bits(measure));
+      ASSERT_EQ(bits(agg->min), bits(measure));
+      ASSERT_EQ(bits(agg->max), bits(measure));
+    }
+  }
+}
+
+TEST(CubeTest, CopyIsUnchangedByLaterInserts) {
+  OlapCube cube = three_dim_cube();
+  for (const auto& [c, m] : random_records(0xC09Eu, 200)) cube.insert(c, m);
+  const std::uint32_t crc = cells_crc(cube);
+  const std::size_t cells = cube.cell_count();
+  const OlapCube copied = cube;
+  // New cells, enough to grow the original's index, and more records
+  // into cells the copy holds too.
+  for (MemberId i = 0; i < 300; ++i) cube.insert({100 + i, i, i}, 1.0);
+  for (const auto& [c, m] : random_records(0xC09Fu, 200)) cube.insert(c, m);
+  ASSERT_NE(cells_crc(cube), crc);
+  EXPECT_EQ(cells_crc(copied), crc);
+  EXPECT_EQ(copied.cell_count(), cells);
+  EXPECT_EQ(copied.total_records(), 200u);
+  EXPECT_EQ(copied.find({100, 0, 0}), nullptr);
 }
 
 TEST(DimensionTest, HierarchyValidation) {

@@ -1,10 +1,7 @@
 // Shared-state concurrency of the serving loop, written to run under
-// ThreadSanitizer: snapshot readers racing the columnar cache's CAS
-// install, and concurrent batches executing over one controller's cube
-// and similarity state. These spawn raw std::threads (not the pooled
-// runtime) so the races exist at every BOHR_THREADS setting.
-#include <atomic>
-#include <memory>
+// ThreadSanitizer: concurrent batches executing over one controller's
+// cube and similarity state. These spawn raw std::threads (not the
+// pooled runtime) so the races exist at every BOHR_THREADS setting.
 #include <thread>
 #include <vector>
 
@@ -13,47 +10,10 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/experiment.h"
-#include "olap/cube.h"
-#include "olap/cube_columns.h"
 #include "serve/server.h"
 
 namespace bohr::serve {
 namespace {
-
-TEST(ServeConcurrencyTest, ColumnsReadersRaceTheCacheInstall) {
-  olap::OlapCube cube({olap::Dimension("a"), olap::Dimension("b")});
-  Rng rng(21);
-  for (int i = 0; i < 400; ++i) {
-    cube.insert({rng.below(13), rng.below(7)}, rng.uniform(-1.0, 1.0));
-  }
-
-  // Rounds of: mutate (which invalidates the columnar cache), then N
-  // readers race to CAS-install the rebuilt snapshot. Every reader must
-  // observe a complete snapshot of the post-mutation cube.
-  constexpr int kReaders = 8;
-  constexpr int kRounds = 25;
-  for (int round = 0; round < kRounds; ++round) {
-    cube.insert({rng.below(13), rng.below(7)}, rng.uniform(-1.0, 1.0));
-    const std::size_t expected_rows = cube.cell_count();
-    std::atomic<int> ready{0};
-    std::vector<std::shared_ptr<const olap::CubeColumns>> seen(kReaders);
-    std::vector<std::thread> threads;
-    threads.reserve(kReaders);
-    for (int r = 0; r < kReaders; ++r) {
-      threads.emplace_back([&, r] {
-        ready.fetch_add(1);
-        while (ready.load() < kReaders) {
-        }
-        seen[r] = cube.columns();
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& snapshot : seen) {
-      ASSERT_NE(snapshot, nullptr);
-      EXPECT_EQ(snapshot->num_rows(), expected_rows);
-    }
-  }
-}
 
 core::Controller prepared_controller() {
   core::ExperimentConfig cfg;
