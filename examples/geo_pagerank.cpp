@@ -62,10 +62,11 @@ int main() {
     const core::PrepareReport& prep = controller.prepare();
     std::printf("Pre-processing (hidden in the %gs lag between queries):\n",
                 config.lag_seconds);
-    std::printf("  probe exchange ....... %.1f KiB on the WAN, %.3f s\n",
-                prep.probe_bytes / 1024.0, prep.similarity_seconds);
-    std::printf("  joint placement LP ... %.3f s (%zu simplex pivots)\n",
-                prep.decision.lp_seconds, prep.decision.lp_iterations);
+    std::printf("  probe exchange ....... %.1f KiB on the WAN\n",
+                prep.probe_bytes / 1024.0);
+    std::printf("  joint placement LP ... %zu simplex pivots, %.3f s modeled\n",
+                prep.decision.lp_iterations,
+                prep.decision.modeled_lp_seconds());
     std::printf("  data movement ........ %.2f GB in %.1f s (%s)\n\n",
                 prep.bytes_moved / 1e9, prep.movement_seconds,
                 prep.movement_within_lag ? "fits the lag" : "LAG EXCEEDED");
