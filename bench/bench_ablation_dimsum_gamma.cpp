@@ -3,6 +3,7 @@
 // pairs examined, mean absolute error vs exact Jaccard, and wall time.
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -40,6 +41,9 @@ std::vector<std::vector<std::uint64_t>> make_partitions() {
                            ? base + rng.below(size)
                            : base + 50000 + rng.below(10 * size));
       }
+      // dimsum_jaccard takes each partition as its sorted distinct keys.
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
       parts.push_back(std::move(keys));
     }
   }

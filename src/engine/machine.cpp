@@ -32,9 +32,8 @@ struct SimilarityAssignment {
   std::uint64_t modeled_ops = 0;
 };
 
-/// `partition_keys[p]` holds partition p's distinct keys, sorted: DIMSUM
-/// deduplicates each partition anyway, so they score as the raw records
-/// would.
+/// `partition_keys[p]` holds partition p's distinct keys, sorted, the
+/// key sets DIMSUM reads in place.
 SimilarityAssignment assign_by_similarity(
     const std::vector<RecordStream>& partitions,
     const std::vector<RecordStream>& partition_keys, std::size_t executors,

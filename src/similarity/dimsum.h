@@ -34,8 +34,10 @@ struct DimsumResult {
   std::uint64_t pairs_skipped = 0;
 };
 
-/// All-pairs Jaccard estimates for `partitions` (each a key multiset;
-/// duplicates ignored). Skipped pairs get similarity 0.
+/// All-pairs Jaccard estimates for `partitions`, each a key set held as
+/// strictly increasing keys (engine::combine's output); throws
+/// ContractViolation otherwise. Skipped pairs, and examined pairs whose
+/// key ranges are disjoint, get similarity 0.
 DimsumResult dimsum_jaccard(
     std::span<const std::vector<std::uint64_t>> partitions,
     const DimsumParams& params);

@@ -1,6 +1,7 @@
 // Symmetric similarity matrix over n items (RDD partitions, datasets).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -29,10 +30,20 @@ class SimilarityMatrix {
   }
 
   /// Row i as a dense vector (feature representation for clustering).
+  /// Cells (j, i) for j < i are column i of the triangle, one cell per
+  /// stored row, n - j - 1 apart; cells (i, j) for j >= i are the
+  /// contiguous tail of stored row i.
   std::vector<double> row(std::size_t i) const {
     BOHR_EXPECTS(i < n_);
     std::vector<double> out(n_);
-    for (std::size_t j = 0; j < n_; ++j) out[j] = get(i, j);
+    std::size_t at = i;  // index(0, i)
+    for (std::size_t j = 0; j < i; ++j) {
+      out[j] = data_[at];
+      at += n_ - j - 1;
+    }
+    const auto tail = data_.begin() + static_cast<std::ptrdiff_t>(at);
+    std::copy(tail, tail + static_cast<std::ptrdiff_t>(n_ - i),
+              out.begin() + static_cast<std::ptrdiff_t>(i));
     return out;
   }
 

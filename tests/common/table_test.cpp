@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/rng.h"
 
 namespace bohr {
 namespace {
@@ -46,6 +50,42 @@ TEST(HashTest, Mix64IsInjectiveOnSamples) {
   // mix64 is a bijection with fixed point 0 (murmur3 finalizer property).
   EXPECT_EQ(mix64(0), 0u);
   EXPECT_NE(mix64(1), 1u);
+}
+
+/// Inverse of an odd multiplier mod 2^64 by Newton's iteration: each
+/// step doubles the correct low bits, and c * c == 1 mod 8 gives three.
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t c) {
+  std::uint64_t inv = c;
+  for (int i = 0; i < 5; ++i) inv *= 2 - c * inv;
+  return inv;
+}
+
+/// mix64 undone step by step: x ^= x >> 33 is its own inverse (the
+/// shifted copy is clear of the bits it changes), and each odd multiply
+/// is undone by its modular inverse.
+constexpr std::uint64_t unmix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= inverse_mod_2_64(0xC4CEB9FE1A85EC53ULL);
+  x ^= x >> 33;
+  x *= inverse_mod_2_64(0xFF51AFD7ED558CCDULL);
+  x ^= x >> 33;
+  return x;
+}
+
+TEST(HashTest, Mix64RoundTripsThroughItsInverse) {
+  // The inverse proves mix64 a bijection, which DIMSUM relies on to
+  // leave disjoint key sets unscored (their MinHash slots never agree).
+  for (const std::uint64_t x : {std::uint64_t{0}, std::uint64_t{1},
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    EXPECT_EQ(unmix64(mix64(x)), x);
+    EXPECT_EQ(mix64(unmix64(x)), x);
+  }
+  Rng rng(64);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t x = rng();
+    ASSERT_EQ(unmix64(mix64(x)), x) << x;
+    ASSERT_EQ(mix64(unmix64(x)), x) << x;
+  }
 }
 
 TEST(HashTest, IndexedHashVariesWithIndex) {

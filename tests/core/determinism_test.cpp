@@ -42,12 +42,16 @@ auto results_per_thread_count(Fn&& fn) {
   return results;
 }
 
+/// 24 partitions of 40-119 draws from 300 keys, each held as its sorted
+/// distinct keys, as dimsum_jaccard takes them.
 std::vector<std::vector<std::uint64_t>> synthetic_partitions() {
   Rng rng(99);
   std::vector<std::vector<std::uint64_t>> parts(24);
   for (auto& part : parts) {
     const std::size_t len = 40 + rng.below(80);
     for (std::size_t r = 0; r < len; ++r) part.push_back(rng.below(300));
+    std::sort(part.begin(), part.end());
+    part.erase(std::unique(part.begin(), part.end()), part.end());
   }
   return parts;
 }

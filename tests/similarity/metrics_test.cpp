@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "jaccard_oracle.h"
@@ -60,6 +63,33 @@ TEST(MinHashTest, DisjointSetsEstimateNearZero) {
   const auto a = MinHashSignature::of(xs, 128);
   const auto b = MinHashSignature::of(ys, 128);
   EXPECT_LT(a.estimate_jaccard(b), 0.05);
+}
+
+TEST(MinHashTest, DisjointSetsAgreeInNoSlot) {
+  // Each slot's minimum is the hash of one key of its set, and the slot
+  // hash is a bijection, so two disjoint sets never share a slot value
+  // and estimate exactly +0.0. DIMSUM leaves such pairs unscored.
+  Rng rng(33);
+  for (const std::size_t hashes : {std::size_t{32}, std::size_t{256}}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      // Consecutive small keys, dealt to the two sides at random.
+      std::vector<std::uint64_t> xs;
+      std::vector<std::uint64_t> ys;
+      const std::uint64_t from = rng.below(1000);
+      const std::uint64_t count = 2 + rng.below(80);
+      for (std::uint64_t k = from; k < from + count; ++k) {
+        (rng.bernoulli(0.5) ? xs : ys).push_back(k);
+      }
+      if (xs.empty() || ys.empty()) continue;
+      const auto a = MinHashSignature::of(xs, hashes);
+      const auto b = MinHashSignature::of(ys, hashes);
+      for (std::size_t h = 0; h < hashes; ++h) {
+        ASSERT_NE(a.min_at(h), b.min_at(h)) << "slot " << h;
+      }
+      const double estimate = a.estimate_jaccard(b);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate), 0u);
+    }
+  }
 }
 
 TEST(MinHashTest, EstimateTracksTrueJaccard) {
