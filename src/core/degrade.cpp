@@ -175,38 +175,35 @@ DegradationService::DegradationService(
     if (a == 0) {
       site_count_ = d.site_count();
     }
-    // Each site's totals, read once for every spec of the dataset. With
-    // cubes they come from the base cube, not each spec's dimension cube:
-    // totals are projection-invariant up to rounding, and one cube gives
-    // every spec the same per-site total. Without cubes (plain-Iridium
-    // strategies) they come straight from the raw rows, and substitution
-    // stays unavailable.
-    std::vector<olap::CubeTotals> site_totals(d.site_count());
+    // Each site's totals, once per dataset: every spec reads the same
+    // ones. With cubes they come from the base cube, not each spec's
+    // dimension cube: totals are projection-invariant up to rounding,
+    // and one cube gives every spec the same per-site total. Without
+    // cubes (plain-Iridium strategies) they come straight from the raw
+    // rows, and substitution stays unavailable.
+    info.site_value.assign(d.site_count(), 0.0);
+    info.site_records.assign(d.site_count(), 0);
     for (std::size_t s = 0; s < d.site_count(); ++s) {
+      olap::CubeTotals totals;
       if (d.has_cubes()) {
-        site_totals[s] = olap::cube_totals(d.cubes_at(s).base_cube());
+        totals = olap::cube_totals(d.cubes_at(s).base_cube());
       } else {
         const olap::CubeBuilder builder(d.bundle().cube_spec);
         const olap::RowTable& rows = d.rows_at(s);
-        site_totals[s].records = rows.size();
+        totals.records = rows.size();
         for (std::size_t r = 0; r < rows.size(); ++r) {
-          site_totals[s].sum += builder.measure_for(rows, r);
+          totals.sum += builder.measure_for(rows, r);
         }
       }
+      info.site_value[s] = totals.sum;
+      info.site_records[s] = totals.records;
+      info.total_value += totals.sum;
+      info.total_records += totals.records;
     }
     const std::size_t spec_count = d.bundle().query_types.size();
     info.specs.resize(spec_count);
     for (std::size_t t = 0; t < spec_count; ++t) {
-      SpecStats& st = info.specs[t];
-      st.qt = d.has_cubes() ? d.cube_query_type(t) : 0;
-      st.site_value.assign(d.site_count(), 0.0);
-      st.site_records.assign(d.site_count(), 0);
-      for (std::size_t s = 0; s < d.site_count(); ++s) {
-        st.site_value[s] = site_totals[s].sum;
-        st.site_records[s] = site_totals[s].records;
-        st.total_value += st.site_value[s];
-        st.total_records += st.site_records[s];
-      }
+      info.specs[t].qt = d.has_cubes() ? d.cube_query_type(t) : 0;
     }
     if (d.has_cubes()) {
       // Prepare-time sketch: the global dimension cube per query type,
@@ -230,22 +227,21 @@ DegradationService::DegradationService(
 DegradedAnswer DegradationService::answer(
     std::size_t a, std::size_t t, const std::vector<bool>& site_ok) const {
   const DatasetInfo& info = info_[a];
-  const SpecStats& st = info.specs[t];
   DegradedAnswer ans;
   ans.dataset = static_cast<std::uint32_t>(a);
   ans.spec = static_cast<std::uint32_t>(t);
-  ans.exact_value = st.total_value;
+  ans.exact_value = info.total_value;
 
   double usable_value = 0.0;
   std::uint64_t usable_records = 0;
   std::vector<std::size_t> lost_homes;
   std::vector<std::size_t> usable_homes;
-  for (std::size_t s = 0; s < st.site_records.size(); ++s) {
-    if (st.site_records[s] == 0) continue;  // not a home site
+  for (std::size_t s = 0; s < info.site_records.size(); ++s) {
+    if (info.site_records[s] == 0) continue;  // not a home site
     const bool ok = s < site_ok.size() && site_ok[s];
     if (ok) {
-      usable_value += st.site_value[s];
-      usable_records += st.site_records[s];
+      usable_value += info.site_value[s];
+      usable_records += info.site_records[s];
       usable_homes.push_back(s);
     } else {
       lost_homes.push_back(s);
@@ -253,14 +249,14 @@ DegradedAnswer DegradationService::answer(
   }
   ans.sites_usable = static_cast<std::uint32_t>(usable_homes.size());
   ans.sites_lost = static_cast<std::uint32_t>(lost_homes.size());
-  ans.coverage = st.total_records > 0
+  ans.coverage = info.total_records > 0
                      ? static_cast<double>(usable_records) /
-                           static_cast<double>(st.total_records)
+                           static_cast<double>(info.total_records)
                      : 1.0;
 
   if (lost_homes.empty()) {
     ans.mode = AnswerMode::kExact;
-    ans.value = st.total_value;
+    ans.value = info.total_value;
     ans.error_estimate = 0.0;
     return ans;
   }
@@ -361,7 +357,7 @@ void DegradationService::substitute(std::size_t a, std::size_t t,
       best_containment = rel.containment_ab;
       best_dataset = b;
       best_value = totals.sum *
-                   (static_cast<double>(st.total_records) /
+                   (static_cast<double>(info.total_records) /
                     static_cast<double>(totals.records));
     }
   }
@@ -385,17 +381,17 @@ void DegradationService::substitute(std::size_t a, std::size_t t,
   std::uint64_t sum_records = 0;
   for (std::size_t b = 0; b < info_.size(); ++b) {
     if (b == a || info_[b].specs.empty()) continue;
-    const SpecStats& sb = info_[b].specs[0];
-    for (std::size_t s = 0; s < sb.site_records.size(); ++s) {
+    const DatasetInfo& other = info_[b];
+    for (std::size_t s = 0; s < other.site_records.size(); ++s) {
       if (s < site_ok.size() && site_ok[s]) {
-        sum_value += sb.site_value[s];
-        sum_records += sb.site_records[s];
+        sum_value += other.site_value[s];
+        sum_records += other.site_records[s];
       }
     }
   }
   const double mean =
       sum_records > 0 ? sum_value / static_cast<double>(sum_records) : 0.0;
-  out.value = static_cast<double>(st.total_records) * mean;
+  out.value = static_cast<double>(info.total_records) * mean;
   out.similarity = 0.0;
   out.error_estimate = 1.0;
 }

@@ -143,13 +143,14 @@ class DegradationService {
  private:
   struct SpecStats {
     olap::QueryTypeId qt = 0;
+  };
+  struct DatasetInfo {
+    bool has_cubes = false;
+    /// Per-site totals, shared by every spec of the dataset.
     std::vector<double> site_value;          // per-site aggregate sum
     std::vector<std::uint64_t> site_records; // per-site record count
     double total_value = 0.0;
     std::uint64_t total_records = 0;
-  };
-  struct DatasetInfo {
-    bool has_cubes = false;
     std::vector<SpecStats> specs;              // per query-type spec
     std::vector<std::vector<std::size_t>> type_dims;  // per QueryTypeId
     /// Prepare-time sketch: the all-sites dimension cube per query
