@@ -9,11 +9,48 @@
 // process from the CPU.
 #include "common/simd.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/hash.h"
 
 namespace bohr::simd {
+
+namespace {
+
+/// A double's bits with the sign dropped: zero only for +0.0 and -0.0.
+constexpr std::uint64_t kMagnitude = 0x7FFF'FFFF'FFFF'FFFFULL;
+
+/// Whether some element of x[0, len) is neither +0.0 nor -0.0.
+bool any_nonzero(const double* x, std::size_t len) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    bits |= std::bit_cast<std::uint64_t>(x[i]);
+  }
+  return (bits & kMagnitude) != 0;
+}
+
+/// The full blocks in word w of two masks that either marks; `full` is
+/// the number of full blocks, and bits at or past it are cleared.
+std::uint64_t live_full_blocks(const std::uint64_t* a_blocks,
+                               const std::uint64_t* b_blocks, std::size_t w,
+                               std::size_t full) {
+  const std::uint64_t live = a_blocks[w] | b_blocks[w];
+  const std::size_t left = full - w * 64;
+  return left >= 64 ? live : live & ((std::uint64_t{1} << left) - 1);
+}
+
+/// Whether n ends in a short block and either mask marks it.
+bool tail_live(const std::uint64_t* a_blocks, const std::uint64_t* b_blocks,
+               std::size_t n) {
+  const std::size_t full = n / 4;
+  if (full * 4 == n) return false;
+  return (((a_blocks[full / 64] | b_blocks[full / 64]) >> (full % 64)) &
+          1) != 0;
+}
+
+}  // namespace
 
 // ---- scalar references --------------------------------------------------
 
@@ -53,6 +90,46 @@ double squared_distance_scalar(const double* a, const double* b,
   for (; i < n; ++i) {
     const double d = a[i] - b[i];
     acc += d * d;
+  }
+  return acc;
+}
+
+void nonzero_blocks_scalar(const double* x, std::size_t n,
+                           std::uint64_t* blocks) {
+  std::fill_n(blocks, block_mask_words(n), 0);
+  for (std::size_t b = 0; b * 4 < n; ++b) {
+    const std::size_t len = std::min<std::size_t>(4, n - b * 4);
+    blocks[b / 64] |= std::uint64_t{any_nonzero(x + b * 4, len)} << (b % 64);
+  }
+}
+
+double squared_distance_blocks_scalar(const double* a,
+                                      const std::uint64_t* a_blocks,
+                                      const double* b,
+                                      const std::uint64_t* b_blocks,
+                                      std::size_t n) {
+  const std::size_t full = n / 4;
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  for (std::size_t w = 0; w * 64 < full; ++w) {
+    for (std::uint64_t live = live_full_blocks(a_blocks, b_blocks, w, full);
+         live != 0; live &= live - 1) {
+      const std::size_t i = (w * 64 + std::countr_zero(live)) * 4;
+      const double d0 = a[i] - b[i];
+      const double d1 = a[i + 1] - b[i + 1];
+      const double d2 = a[i + 2] - b[i + 2];
+      const double d3 = a[i + 3] - b[i + 3];
+      l0 += d0 * d0;
+      l1 += d1 * d1;
+      l2 += d2 * d2;
+      l3 += d3 * d3;
+    }
+  }
+  double acc = (l0 + l1) + (l2 + l3);
+  if (tail_live(a_blocks, b_blocks, n)) {
+    for (std::size_t i = full * 4; i < n; ++i) {
+      const double d = a[i] - b[i];
+      acc += d * d;
+    }
   }
   return acc;
 }
@@ -193,6 +270,56 @@ double squared_distance_avx2(const double* a, const double* b,
   return out;
 }
 
+__attribute__((target("avx2")))
+void nonzero_blocks_avx2(const double* x, std::size_t n,
+                         std::uint64_t* blocks) {
+  const std::size_t full = n / 4;
+  const __m256i magnitude =
+      _mm256_set1_epi64x(static_cast<long long>(kMagnitude));
+  for (std::size_t w = 0; w < block_mask_words(n); ++w) {
+    std::uint64_t word = 0;
+    const std::size_t end = std::min(full, w * 64 + 64);
+    for (std::size_t b = w * 64; b < end; ++b) {
+      const __m256i v = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(x + b * 4));
+      word |= std::uint64_t{_mm256_testz_si256(v, magnitude) == 0}
+              << (b % 64);
+    }
+    blocks[w] = word;
+  }
+  if (full * 4 < n) {
+    blocks[full / 64] |= std::uint64_t{any_nonzero(x + full * 4, n % 4)}
+                         << (full % 64);
+  }
+}
+
+__attribute__((target("avx2")))
+double squared_distance_blocks_avx2(const double* a,
+                                    const std::uint64_t* a_blocks,
+                                    const double* b,
+                                    const std::uint64_t* b_blocks,
+                                    std::size_t n) {
+  const std::size_t full = n / 4;
+  __m256d acc = _mm256_setzero_pd();
+  for (std::size_t w = 0; w * 64 < full; ++w) {
+    for (std::uint64_t live = live_full_blocks(a_blocks, b_blocks, w, full);
+         live != 0; live &= live - 1) {
+      const std::size_t i = (w * 64 + std::countr_zero(live)) * 4;
+      const __m256d d =
+          _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    }
+  }
+  double out = combine_lanes(acc);
+  if (tail_live(a_blocks, b_blocks, n)) {
+    for (std::size_t i = full * 4; i < n; ++i) {
+      const double d = a[i] - b[i];
+      out += d * d;
+    }
+  }
+  return out;
+}
+
 // ---- dispatch -----------------------------------------------------------
 
 std::uint64_t indexed_hash_min(const std::uint64_t* keys, std::size_t n,
@@ -210,6 +337,22 @@ std::size_t count_equal_u64(const std::uint64_t* a, const std::uint64_t* b,
 double squared_distance(const double* a, const double* b, std::size_t n) {
   return kUseAvx2 ? squared_distance_avx2(a, b, n)
                   : squared_distance_scalar(a, b, n);
+}
+
+void nonzero_blocks(const double* x, std::size_t n, std::uint64_t* blocks) {
+  if (kUseAvx2) {
+    nonzero_blocks_avx2(x, n, blocks);
+  } else {
+    nonzero_blocks_scalar(x, n, blocks);
+  }
+}
+
+double squared_distance_blocks(const double* a, const std::uint64_t* a_blocks,
+                               const double* b, const std::uint64_t* b_blocks,
+                               std::size_t n) {
+  return kUseAvx2
+             ? squared_distance_blocks_avx2(a, a_blocks, b, b_blocks, n)
+             : squared_distance_blocks_scalar(a, a_blocks, b, b_blocks, n);
 }
 
 }  // namespace bohr::simd
@@ -230,6 +373,16 @@ std::size_t count_equal_u64(const std::uint64_t* a, const std::uint64_t* b,
 
 double squared_distance(const double* a, const double* b, std::size_t n) {
   return squared_distance_scalar(a, b, n);
+}
+
+void nonzero_blocks(const double* x, std::size_t n, std::uint64_t* blocks) {
+  nonzero_blocks_scalar(x, n, blocks);
+}
+
+double squared_distance_blocks(const double* a, const std::uint64_t* a_blocks,
+                               const double* b, const std::uint64_t* b_blocks,
+                               std::size_t n) {
+  return squared_distance_blocks_scalar(a, a_blocks, b, b_blocks, n);
 }
 
 }  // namespace bohr::simd

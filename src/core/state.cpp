@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -41,6 +42,25 @@ std::uint64_t projected_key(const olap::RowTable& rows, std::size_t r,
     h = hash_combine(h, rows.member(dim_attrs[p], r));
   }
   return h;
+}
+
+/// projected_key of every row, in row order, folded one dimension column
+/// at a time: each row's hash_combine chain is projected_key's, and each
+/// column's type is resolved once rather than once per row.
+std::vector<std::uint64_t> projected_keys(
+    const olap::RowTable& rows, const std::vector<std::size_t>& dim_attrs,
+    const std::vector<std::size_t>& positions) {
+  std::vector<std::uint64_t> keys(rows.size(), kEngineKeySeed);
+  for (const std::size_t p : positions) {
+    std::visit(
+        [&keys](const auto& column) {
+          for (std::size_t r = 0; r < keys.size(); ++r) {
+            keys[r] = hash_combine(keys[r], olap::value_to_member(column[r]));
+          }
+        },
+        rows.column(dim_attrs[p]));
+  }
+  return keys;
 }
 
 }  // namespace
@@ -149,19 +169,22 @@ engine::RecordStream DatasetState::map_rows(std::size_t site, std::size_t t,
   BOHR_EXPECTS(site < site_count());
   BOHR_EXPECTS(t < bundle_.query_types.size());
   BOHR_EXPECTS(selectivity > 0.0 && selectivity <= 1.0);
-  const olap::RowTable& rows = rows_at(site);
-  const auto& dim_attrs = bundle_.cube_spec.dim_attrs;
-  const auto& positions = bundle_.query_types[t].dim_positions;
-  engine::RecordStream out;
-  out.reserve(rows.size());
-  const auto threshold = static_cast<std::uint64_t>(
-      selectivity * 18446744073709551615.0);  // 2^64 - 1
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::uint64_t key = projected_key(rows, r, dim_attrs, positions);
-    if (selectivity < 1.0 && mix64(key ^ query_salt) > threshold) continue;
-    out.push_back(key);
+  engine::RecordStream keys =
+      projected_keys(rows_at(site), bundle_.cube_spec.dim_attrs,
+                     bundle_.query_types[t].dim_positions);
+  if (selectivity < 1.0) {
+    // Keep, in order, the keys whose salted hash is at most the
+    // threshold; each key is written and kept by advancing the end.
+    const auto threshold = static_cast<std::uint64_t>(
+        selectivity * 18446744073709551615.0);  // 2^64 - 1
+    std::size_t kept = 0;
+    for (const std::uint64_t key : keys) {
+      keys[kept] = key;
+      kept += mix64(key ^ query_salt) <= threshold;
+    }
+    keys.resize(kept);
   }
-  return out;
+  return keys;
 }
 
 std::uint64_t DatasetState::query_salt(std::size_t t) const {

@@ -45,13 +45,11 @@ SimilarityAssignment assign_by_similarity(
   const similarity::DimsumResult sim =
       similarity::dimsum_jaccard(partition_keys, dimsum_params);
 
-  std::vector<std::vector<double>> points;
-  points.reserve(n);
-  for (std::size_t p = 0; p < n; ++p) points.push_back(sim.matrix.row(p));
   similarity::KMeansParams km;
   km.k = executors;
   km.seed = dimsum_params.seed ^ 0xC1A5ULL;
-  const similarity::KMeansResult clusters = similarity::kmeans(points, km);
+  const similarity::KMeansResult clusters =
+      similarity::kmeans(sim.matrix.rows(), km);
 
   // Balance: raw k-means clusters can be badly size-skewed, and an
   // executor stuck with the biggest similarity family would dominate the

@@ -54,6 +54,9 @@ class RowTable {
   /// Appends the rows of `from` at `rows`, in that order.
   void append_rows(const RowTable& from, std::span<const std::size_t> rows);
 
+  /// Column `attr`, for readers that go down a whole column at once.
+  const Column& column(std::size_t attr) const { return columns_[attr]; }
+
   /// value_to_member of the value at (attr, row).
   MemberId member(std::size_t attr, std::size_t row) const {
     const Column& c = columns_[attr];

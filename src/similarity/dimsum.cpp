@@ -50,44 +50,57 @@ DimsumResult dimsum_jaccard(
     });
   }
 
-  // Sampling pre-pass: the bernoulli draws consume one shared sequential
-  // stream, so they must happen in historical (i, j) order. The draws are
-  // cheap; only the scoring of the examined pairs is worth threading.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> to_score;
-  Rng rng(params.seed);
+  // Sampling pre-pass: the Bernoulli draws consume one shared sequential
+  // stream, so they must happen in historical (i, j) order, where a pair
+  // with an empty partition takes no draw; only the scoring of the
+  // examined pairs is worth threading. Each non-empty partition's size,
+  // first key and last key are read once into flat arrays, and every
+  // pair of a row is written to the list of pairs to score, which
+  // advances past it only when the pair is examined and its key ranges
+  // overlap, so no pair costs a branch.
+  //
+  // An examined pair whose key ranges are disjoint would score exactly
+  // +0.0, the value its cell already holds, so it is counted but not
+  // scored. Exact Jaccard of disjoint sets is 0 / |union|. A MinHash
+  // slot's minimum is the hash of one key of its set, and the slot hash
+  // mix64(x ^ mix64(h + 1)) is a bijection, so disjoint sets agree in no
+  // slot and estimate 0 / m. Ranges that share only a boundary key
+  // overlap and are scored.
+  std::vector<std::uint32_t> live;  // the non-empty partitions, in order
+  std::vector<double> sizes;        // their sizes, first and last keys
+  std::vector<std::uint64_t> fronts;
+  std::vector<std::uint64_t> backs;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<std::uint64_t>& xs = partitions[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::vector<std::uint64_t>& ys = partitions[j];
-      if (xs.empty() || ys.empty()) {
-        ++result.pairs_skipped;
-        continue;
-      }
+    const std::vector<std::uint64_t>& keys = partitions[i];
+    if (keys.empty()) continue;
+    live.push_back(static_cast<std::uint32_t>(i));
+    sizes.push_back(static_cast<double>(keys.size()));
+    fronts.push_back(keys.front());
+    backs.push_back(keys.back());
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> to_score;
+  std::size_t kept = 0;
+  Rng rng(params.seed);
+  for (std::size_t a = 0; a < live.size(); ++a) {
+    // Room for every pair of this row past the kept ones.
+    to_score.resize(std::max(to_score.size(), kept + live.size() - a - 1));
+    for (std::size_t b = a + 1; b < live.size(); ++b) {
       // Jaccard ceiling from set sizes bounds how similar the pair can be.
       const double ceiling =
-          static_cast<double>(std::min(xs.size(), ys.size())) /
-          static_cast<double>(std::max(xs.size(), ys.size()));
-      const double examine_prob = std::min(1.0, params.gamma * ceiling);
-      if (!rng.bernoulli(examine_prob)) {
-        ++result.pairs_skipped;
-        continue;
-      }
-      ++result.pairs_examined;
-      // An examined pair whose key ranges are disjoint would score
-      // exactly +0.0, the value its cell already holds, so it is counted
-      // but not scored. Exact Jaccard of disjoint sets is 0 / |union|. A
-      // MinHash slot's minimum is the hash of one key of its set, and the
-      // slot hash mix64(x ^ mix64(h + 1)) is a bijection, so disjoint sets
-      // agree in no slot and estimate 0 / m. Ranges that share only a
-      // boundary key overlap and are scored.
-      if (xs.back() < ys.front() || ys.back() < xs.front()) continue;
-      to_score.emplace_back(static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(j));
+          std::min(sizes[a], sizes[b]) / std::max(sizes[a], sizes[b]);
+      const bool examined =
+          rng.bernoulli(std::min(1.0, params.gamma * ceiling));
+      const bool overlap = (fronts[a] <= backs[b]) & (fronts[b] <= backs[a]);
+      result.pairs_examined += examined;
+      to_score[kept] = {live[a], live[b]};
+      kept += examined & overlap;
     }
   }
+  to_score.resize(kept);
+  result.pairs_skipped = n * (n - 1) / 2 - result.pairs_examined;
 
-  // Score the examined pairs whose ranges overlap; each writes a
-  // distinct matrix cell.
+  // Score the examined pairs whose ranges overlap; each writes its own
+  // two matrix cells.
   {
     ScopedPhase phase("dimsum.scoring");
     parallel_for(to_score.size(), [&](std::size_t p) {

@@ -66,7 +66,7 @@ TEST_F(DeterminismTest, SimilarityMatrixBitIdentical) {
     EXPECT_EQ(runs[r].pairs_examined, runs[0].pairs_examined);
     EXPECT_EQ(runs[r].pairs_skipped, runs[0].pairs_skipped);
     for (std::size_t i = 0; i < parts.size(); ++i) {
-      EXPECT_EQ(runs[r].matrix.row(i), runs[0].matrix.row(i))
+      EXPECT_EQ(runs[r].matrix.rows()[i], runs[0].matrix.rows()[i])
           << "row " << i << " at " << kThreadCounts[r] << " threads";
     }
   }

@@ -9,11 +9,17 @@
 // also start 1-3 elements into a larger buffer, since the bodies use
 // unaligned loads; they skip, saying why, on a CPU without AVX2.
 //
+// The zero-block kernels get their own cases: nonzero_blocks against the
+// definition on ±0.0, subnormals, NaN and infinities, and
+// squared_distance_blocks against squared_distance under exact, superset,
+// all-ones and tail-only masks, at sizes that cross a 64-block mask word.
+//
 // On top of the raw kernels, the suite checks the derived MinHash
 // quantities end to end: batched signature construction against the
 // streaming path, and the packed Jaccard estimate against a slot-by-slot
 // reference.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -95,6 +101,157 @@ TEST(SimdEquivalence, FloatKernelsBitIdenticalToScalar) {
   }
 }
 
+// Sizes for the zero-block kernels: kSizes, plus sizes either side of
+// one and two 64-block mask words (256 and 512 elements).
+std::vector<std::size_t> block_sizes() {
+  std::vector<std::size_t> sizes = kSizes;
+  for (const std::size_t n : {252, 253, 255, 256, 257, 259, 260, 300, 511,
+                              512, 513, 516}) {
+    sizes.push_back(n);
+  }
+  return sizes;
+}
+
+/// Values that are zero, with either sign, about `zero_share` of the
+/// time, and otherwise ordinary, subnormal, infinite or NaN, of either
+/// sign.
+std::vector<double> zero_heavy(Rng& rng, std::size_t n, double zero_share) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> odd{1.5, -2.25, tiny, -tiny, 1e-310,
+                                inf, -inf, nan, -nan};
+  std::vector<double> xs(n);
+  for (auto& x : xs) {
+    if (rng.uniform() < zero_share) {
+      x = rng.uniform() < 0.5 ? 0.0 : -0.0;
+    } else {
+      x = odd[rng.below(odd.size())];
+    }
+  }
+  return xs;
+}
+
+/// Finite values, zero (either sign) about `zero_share` of the time.
+std::vector<double> sparse_doubles(Rng& rng, std::size_t n,
+                                   double zero_share) {
+  std::vector<double> xs = random_doubles(rng, n);
+  for (auto& x : xs) {
+    if (rng.uniform() < zero_share) x = rng.uniform() < 0.5 ? 0.0 : -0.0;
+  }
+  return xs;
+}
+
+/// The block mask by its definition: bit b is set when some element of
+/// block b has nonzero bits once the sign bit is dropped.
+std::vector<std::uint64_t> mask_by_definition(const double* x,
+                                              std::size_t n) {
+  std::vector<std::uint64_t> mask(simd::block_mask_words(n), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((std::bit_cast<std::uint64_t>(x[i]) << 1) != 0) {
+      mask[i / 256] |= std::uint64_t{1} << ((i / 4) % 64);
+    }
+  }
+  return mask;
+}
+
+/// nonzero_blocks(x, n) into a buffer that starts out all ones, so a
+/// word the kernel fails to write shows.
+template <typename Kernel>
+std::vector<std::uint64_t> mask_of(Kernel kernel, const double* x,
+                                   std::size_t n) {
+  std::vector<std::uint64_t> mask(simd::block_mask_words(n), ~0ULL);
+  kernel(x, n, mask.data());
+  return mask;
+}
+
+TEST(SimdEquivalence, NonzeroBlocksMatchesDefinition) {
+  Rng rng(0xB10C5u);
+  for (const std::size_t n : block_sizes()) {
+    for (const double zero_share : {0.0, 0.5, 0.95, 1.0}) {
+      const auto x = zero_heavy(rng, n, zero_share);
+      const auto want = mask_by_definition(x.data(), n);
+      EXPECT_EQ(mask_of(simd::nonzero_blocks, x.data(), n), want)
+          << "n=" << n << " zero_share=" << zero_share;
+      EXPECT_EQ(mask_of(simd::nonzero_blocks_scalar, x.data(), n), want)
+          << "n=" << n << " zero_share=" << zero_share;
+    }
+  }
+}
+
+/// Masks for a pair of vectors that mark at least their nonzero blocks,
+/// each named for the test message.
+struct MaskCase {
+  const char* name;
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+};
+
+std::vector<MaskCase> superset_masks(Rng& rng, const double* a,
+                                     const double* b, std::size_t n) {
+  const std::size_t words = simd::block_mask_words(n);
+  MaskCase exact{"exact", mask_by_definition(a, n), mask_by_definition(b, n)};
+  MaskCase superset{"superset", exact.a, exact.b};
+  for (std::size_t w = 0; w < words; ++w) {
+    superset.a[w] |= rng();
+    superset.b[w] |= rng();
+  }
+  MaskCase ones{"all ones", std::vector<std::uint64_t>(words, ~0ULL),
+                std::vector<std::uint64_t>(words, ~0ULL)};
+  return {exact, superset, ones};
+}
+
+TEST(SimdEquivalence, SquaredDistanceBlocksMatchesDense) {
+  Rng rng(0xD15Bu);
+  for (const std::size_t n : block_sizes()) {
+    for (const double zero_share : {0.0, 0.6, 0.9, 1.0}) {
+      const auto a = sparse_doubles(rng, n, zero_share);
+      const auto b = sparse_doubles(rng, n, zero_share);
+      const double dense = simd::squared_distance(a.data(), b.data(), n);
+      for (const MaskCase& masks :
+           superset_masks(rng, a.data(), b.data(), n)) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(simd::squared_distance_blocks(
+                      a.data(), masks.a.data(), b.data(), masks.b.data(), n)),
+                  std::bit_cast<std::uint64_t>(dense))
+            << "n=" << n << " zero_share=" << zero_share << " " << masks.name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      simd::squared_distance_blocks_scalar(
+                          a.data(), masks.a.data(), b.data(), masks.b.data(),
+                          n)),
+                  std::bit_cast<std::uint64_t>(dense))
+            << "n=" << n << " zero_share=" << zero_share << " " << masks.name;
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalence, SquaredDistanceBlocksReadsATailOnlyMask) {
+  // Vectors that are zero but for their last block, under masks that
+  // mark only that block: the last block is short when n % 4 != 0.
+  Rng rng(0x7A11u);
+  for (const std::size_t n : block_sizes()) {
+    if (n == 0) continue;
+    const std::size_t last = (n - 1) / 4;
+    auto a = sparse_doubles(rng, n, 1.0);
+    auto b = sparse_doubles(rng, n, 1.0);
+    for (std::size_t i = last * 4; i < n; ++i) {
+      a[i] = rng.uniform(-3.0, 3.0);
+      b[i] = rng.uniform(-3.0, 3.0);
+    }
+    std::vector<std::uint64_t> mask(simd::block_mask_words(n), 0);
+    mask[last / 64] = std::uint64_t{1} << (last % 64);
+    const double dense = simd::squared_distance(a.data(), b.data(), n);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(simd::squared_distance_blocks(
+                  a.data(), mask.data(), b.data(), mask.data(), n)),
+              std::bit_cast<std::uint64_t>(dense))
+        << "n=" << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(simd::squared_distance_blocks_scalar(
+                  a.data(), mask.data(), b.data(), mask.data(), n)),
+              std::bit_cast<std::uint64_t>(dense))
+        << "n=" << n;
+  }
+}
+
 #if defined(__x86_64__)
 
 // Start offsets, in elements, of the AVX2 cases: the buffer's first
@@ -160,6 +317,47 @@ TEST(SimdEquivalence, Avx2SquaredDistanceBitIdenticalAtEveryOffset) {
         EXPECT_EQ(simd::squared_distance_avx2(pa, pb, n),
                   simd::squared_distance_scalar(pa, pb, n))
             << "n=" << n << " offsets=" << off_a << "," << off_b;
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalence, Avx2NonzeroBlocksMatchesScalarAtEveryOffset) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << kNoAvx2;
+  Rng rng(0xA7C5u);
+  for (const std::size_t n : block_sizes()) {
+    for (const double zero_share : {0.0, 0.5, 0.95, 1.0}) {
+      const auto buffer = zero_heavy(rng, n + kMaxOffset, zero_share);
+      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+        const double* x = buffer.data() + off;
+        EXPECT_EQ(mask_of(simd::nonzero_blocks_avx2, x, n),
+                  mask_of(simd::nonzero_blocks_scalar, x, n))
+            << "n=" << n << " zero_share=" << zero_share
+            << " offset=" << off;
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalence, Avx2SquaredDistanceBlocksBitIdenticalAtEveryOffset) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << kNoAvx2;
+  Rng rng(0xA7C6u);
+  for (const std::size_t n : block_sizes()) {
+    const auto a = sparse_doubles(rng, n + kMaxOffset, 0.7);
+    const auto b = sparse_doubles(rng, n + kMaxOffset, 0.7);
+    for (std::size_t off_a = 0; off_a <= kMaxOffset; ++off_a) {
+      for (std::size_t off_b = 0; off_b <= kMaxOffset; ++off_b) {
+        const double* pa = a.data() + off_a;
+        const double* pb = b.data() + off_b;
+        const double dense = simd::squared_distance_scalar(pa, pb, n);
+        for (const MaskCase& masks : superset_masks(rng, pa, pb, n)) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                        simd::squared_distance_blocks_avx2(
+                            pa, masks.a.data(), pb, masks.b.data(), n)),
+                    std::bit_cast<std::uint64_t>(dense))
+              << "n=" << n << " offsets=" << off_a << "," << off_b << " "
+              << masks.name;
+        }
       }
     }
   }

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "dimsum_oracle.h"
 #include "jaccard_oracle.h"
+#include "kmeans_oracle.h"
 #include "similarity/kmeans.h"
 
 namespace bohr::similarity {
@@ -37,9 +39,9 @@ TEST(SimilarityMatrixTest, SymmetricStorage) {
 TEST(SimilarityMatrixTest, RowExtraction) {
   SimilarityMatrix m(3);
   m.set(0, 1, 0.5);
-  m.set(0, 2, 0.25);
-  const auto row = m.row(0);
-  EXPECT_EQ(row, (std::vector<double>{1.0, 0.5, 0.25}));
+  m.set(2, 0, 0.25);
+  EXPECT_EQ(m.rows(), (std::vector<std::vector<double>>{
+                          {1.0, 0.5, 0.25}, {0.5, 1.0, 0.0}, {0.25, 0.0, 1.0}}));
 }
 
 TEST(DimsumTest, ExactModeMatchesJaccard) {
@@ -293,6 +295,120 @@ TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
   KMeansParams p8;
   p8.k = 8;
   EXPECT_GE(kmeans(points, p2).inertia, kmeans(points, p8).inertia);
+}
+
+using Points = std::vector<std::vector<double>>;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_kmeans_matches_oracle(const Points& points,
+                                  const KMeansParams& params) {
+  SCOPED_TRACE(::testing::Message()
+               << points.size() << " points of " << points.front().size()
+               << " dims, k=" << params.k << ", seed=" << params.seed);
+  const KMeansResult got = kmeans(points, params);
+  const KMeansResult want = oracle::kmeans(points, params);
+  EXPECT_EQ(got.assignments, want.assignments);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(bits(got.inertia), bits(want.inertia));
+  ASSERT_EQ(got.centroids.size(), want.centroids.size());
+  for (std::size_t c = 0; c < want.centroids.size(); ++c) {
+    ASSERT_EQ(got.centroids[c].size(), want.centroids[c].size());
+    for (std::size_t d = 0; d < want.centroids[c].size(); ++d) {
+      EXPECT_EQ(bits(got.centroids[c][d]), bits(want.centroids[c][d]))
+          << "centroid " << c << " dim " << d;
+    }
+  }
+}
+
+/// `n` points of `dim` values, each drawn from `values` with probability
+/// `density` and +0.0 or -0.0 otherwise.
+Points sparse_points(Rng& rng, std::size_t n, std::size_t dim,
+                     double density, const std::vector<double>& values) {
+  Points points(n, std::vector<double>(dim));
+  for (auto& point : points) {
+    for (auto& x : point) {
+      if (rng.uniform() < density) {
+        x = values[rng.below(values.size())];
+      } else {
+        x = rng.uniform() < 0.5 ? 0.0 : -0.0;
+      }
+    }
+  }
+  return points;
+}
+
+TEST(KMeansTest, MatchesDenseOracle) {
+  // kmeans skips 4-element blocks that are zero in both a point and a
+  // centroid, and adds only a point's nonzero blocks into its cluster's
+  // sum. Each lane and each sum starts at +0.0 and can never become
+  // -0.0, so dropping those +0.0 terms and ±0.0 addends changes no bit,
+  // and the dense oracle must agree in every assignment, the iteration
+  // count, and the bits of the inertia and of every centroid.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const Family& parts : {cube_sorted_slices(seed),
+                                overlapping_family(seed + 10)}) {
+      const DimsumResult sim = dimsum_jaccard(parts, DimsumParams{});
+      for (const std::size_t k : {2, 4, 8}) {
+        KMeansParams params;
+        params.k = k;
+        params.seed = seed ^ 0xC1A5ULL;
+        expect_kmeans_matches_oracle(sim.matrix.rows(), params);
+      }
+    }
+  }
+
+  Rng rng(0xD3A5Eu);
+  const std::vector<double> plain{0.25, 0.5, 1.0, 3.0};
+  for (const std::size_t dim : {1, 2, 3, 4, 5, 255, 256, 257, 300}) {
+    KMeansParams params;
+    params.k = 3;
+    params.seed = dim;
+    expect_kmeans_matches_oracle(sparse_points(rng, 30, dim, 0.1, plain),
+                                 params);
+    // Dense random points: every block is live.
+    Points dense(40, std::vector<double>(dim));
+    for (auto& point : dense) {
+      for (auto& x : point) x = rng.uniform(-5.0, 5.0);
+    }
+    expect_kmeans_matches_oracle(dense, params);
+  }
+
+  // k >= #points: each point is its own cluster.
+  const Points few = sparse_points(rng, 6, 9, 0.3, plain);
+  for (const std::size_t k : {6, 11}) {
+    KMeansParams params;
+    params.k = k;
+    expect_kmeans_matches_oracle(few, params);
+  }
+
+  // Duplicate points: seeding picks one centroid several times, so some
+  // clusters come out empty and are re-seeded with the farthest point.
+  Points copies(12, sparse_points(rng, 1, 40, 0.2, plain).front());
+  KMeansParams three;
+  three.k = 3;
+  expect_kmeans_matches_oracle(copies, three);
+  for (const auto& extra : sparse_points(rng, 3, 40, 0.2, plain)) {
+    copies.push_back(extra);
+  }
+  KMeansParams five;
+  five.k = 5;
+  expect_kmeans_matches_oracle(copies, five);
+
+  // Negative, -0.0, subnormal and infinite values.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> odd{-0.75, -0.0, tiny, -tiny, 1e-310, 2.0};
+  const std::vector<double> with_inf{-0.75, tiny, 1e-310, inf, -inf, 2.0};
+  for (const std::size_t dim : {7, 64, 129}) {
+    KMeansParams params;
+    params.k = 3;
+    params.seed = dim + 1;
+    expect_kmeans_matches_oracle(sparse_points(rng, 25, dim, 0.15, odd),
+                                 params);
+    expect_kmeans_matches_oracle(sparse_points(rng, 25, dim, 0.05, with_inf),
+                                 params);
+  }
 }
 
 TEST(KMeansTest, EmptyPointsThrow) {
