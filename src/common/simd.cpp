@@ -52,6 +52,26 @@ bool tail_live(const std::uint64_t* a_blocks, const std::uint64_t* b_blocks,
 
 }  // namespace
 
+// ---- zero-block mask (one tier) -----------------------------------------
+
+void nonzero_blocks(const double* x, std::size_t n, std::uint64_t* blocks) {
+  // Each word is gathered in a register, full blocks at a fixed length
+  // of 4; the short last block, if any, is ORed in after.
+  const std::size_t full = n / 4;
+  for (std::size_t w = 0; w < block_mask_words(n); ++w) {
+    std::uint64_t word = 0;
+    const std::size_t end = std::min(full, w * 64 + 64);
+    for (std::size_t b = w * 64; b < end; ++b) {
+      word |= std::uint64_t{any_nonzero(x + b * 4, 4)} << (b % 64);
+    }
+    blocks[w] = word;
+  }
+  if (full * 4 < n) {
+    blocks[full / 64] |= std::uint64_t{any_nonzero(x + full * 4, n % 4)}
+                         << (full % 64);
+  }
+}
+
 // ---- scalar references --------------------------------------------------
 
 std::uint64_t indexed_hash_min_scalar(const std::uint64_t* keys,
@@ -92,15 +112,6 @@ double squared_distance_scalar(const double* a, const double* b,
     acc += d * d;
   }
   return acc;
-}
-
-void nonzero_blocks_scalar(const double* x, std::size_t n,
-                           std::uint64_t* blocks) {
-  std::fill_n(blocks, block_mask_words(n), 0);
-  for (std::size_t b = 0; b * 4 < n; ++b) {
-    const std::size_t len = std::min<std::size_t>(4, n - b * 4);
-    blocks[b / 64] |= std::uint64_t{any_nonzero(x + b * 4, len)} << (b % 64);
-  }
 }
 
 double squared_distance_blocks_scalar(const double* a,
@@ -271,29 +282,6 @@ double squared_distance_avx2(const double* a, const double* b,
 }
 
 __attribute__((target("avx2")))
-void nonzero_blocks_avx2(const double* x, std::size_t n,
-                         std::uint64_t* blocks) {
-  const std::size_t full = n / 4;
-  const __m256i magnitude =
-      _mm256_set1_epi64x(static_cast<long long>(kMagnitude));
-  for (std::size_t w = 0; w < block_mask_words(n); ++w) {
-    std::uint64_t word = 0;
-    const std::size_t end = std::min(full, w * 64 + 64);
-    for (std::size_t b = w * 64; b < end; ++b) {
-      const __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(x + b * 4));
-      word |= std::uint64_t{_mm256_testz_si256(v, magnitude) == 0}
-              << (b % 64);
-    }
-    blocks[w] = word;
-  }
-  if (full * 4 < n) {
-    blocks[full / 64] |= std::uint64_t{any_nonzero(x + full * 4, n % 4)}
-                         << (full % 64);
-  }
-}
-
-__attribute__((target("avx2")))
 double squared_distance_blocks_avx2(const double* a,
                                     const std::uint64_t* a_blocks,
                                     const double* b,
@@ -339,14 +327,6 @@ double squared_distance(const double* a, const double* b, std::size_t n) {
                   : squared_distance_scalar(a, b, n);
 }
 
-void nonzero_blocks(const double* x, std::size_t n, std::uint64_t* blocks) {
-  if (kUseAvx2) {
-    nonzero_blocks_avx2(x, n, blocks);
-  } else {
-    nonzero_blocks_scalar(x, n, blocks);
-  }
-}
-
 double squared_distance_blocks(const double* a, const std::uint64_t* a_blocks,
                                const double* b, const std::uint64_t* b_blocks,
                                std::size_t n) {
@@ -373,10 +353,6 @@ std::size_t count_equal_u64(const std::uint64_t* a, const std::uint64_t* b,
 
 double squared_distance(const double* a, const double* b, std::size_t n) {
   return squared_distance_scalar(a, b, n);
-}
-
-void nonzero_blocks(const double* x, std::size_t n, std::uint64_t* blocks) {
-  nonzero_blocks_scalar(x, n, blocks);
 }
 
 double squared_distance_blocks(const double* a, const std::uint64_t* a_blocks,

@@ -1,5 +1,6 @@
-// Batched compute kernels for the similarity hot path. Each kernel has a
-// scalar reference (`*_scalar`) and, on x86-64, an AVX2 body (`*_avx2`).
+// Batched compute kernels for the similarity hot path. Each kernel but
+// the zero-block mask (`nonzero_blocks`) has a scalar reference
+// (`*_scalar`) and, on x86-64, an AVX2 body (`*_avx2`).
 // Every x86-64 build compiles both tiers; the public kernel picks one
 // once per process, AVX2 where the CPU has it and the scalar twin
 // elsewhere. No build option, flag or environment variable selects the
@@ -10,10 +11,10 @@
 // AVX2, and a third lets the k-means kernel skip zeros at no cost in
 // bits:
 //
-//  1. *Integer kernels are exact.* Hashing, min-reduction, equality
-//     counting and zero-block masks produce bit-identical results in
-//     both tiers — the AVX2 body is pure integer math with the same
-//     operations in a different width.
+//  1. *Integer kernels are exact.* Hashing, min-reduction, and equality
+//     counting produce bit-identical results in both tiers — the AVX2
+//     body is pure integer math with the same operations in a different
+//     width.
 //  2. *Float kernels fix the summation order.* Squared distances
 //     accumulate into four independent lanes (element i goes to lane
 //     i % 4) and combine lanes as (l0 + l1) + (l2 + l3), then add the
@@ -77,10 +78,9 @@ constexpr std::size_t block_mask_words(std::size_t n) {
 /// Writes the block_mask_words(n) words at `blocks`: bit b is set when
 /// some element of block b has nonzero bits with the sign dropped (any
 /// value but +0.0 and -0.0, NaN included), and every other bit is
-/// clear. Exact: both tiers write the same words.
+/// clear. One tier: gathering each word in a register, it runs k-means
+/// as fast as an AVX2 body did.
 void nonzero_blocks(const double* x, std::size_t n, std::uint64_t* blocks);
-void nonzero_blocks_scalar(const double* x, std::size_t n,
-                           std::uint64_t* blocks);
 
 /// squared_distance(a, b, n), reading only the blocks marked in
 /// `a_blocks` or `b_blocks` (block masks, as above; bits past the last
@@ -107,8 +107,6 @@ std::size_t count_equal_u64_avx2(const std::uint64_t* a,
                                  const std::uint64_t* b, std::size_t n);
 double squared_distance_avx2(const double* a, const double* b,
                              std::size_t n);
-void nonzero_blocks_avx2(const double* x, std::size_t n,
-                         std::uint64_t* blocks);
 double squared_distance_blocks_avx2(const double* a,
                                     const std::uint64_t* a_blocks,
                                     const double* b,

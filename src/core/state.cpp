@@ -32,35 +32,26 @@ bool fits(const olap::RowTable& rows, const olap::Schema& schema) {
   return true;
 }
 
-/// engine_key of row `r`'s cube coordinates projected onto `positions`
-/// (indices into `dim_attrs`), read from those dimensions' columns only.
-std::uint64_t projected_key(const olap::RowTable& rows, std::size_t r,
-                            const std::vector<std::size_t>& dim_attrs,
-                            const std::vector<std::size_t>& positions) {
-  std::uint64_t h = kEngineKeySeed;
-  for (const std::size_t p : positions) {
-    h = hash_combine(h, rows.member(dim_attrs[p], r));
-  }
-  return h;
-}
-
-/// projected_key of every row, in row order, folded one dimension column
-/// at a time: each row's hash_combine chain is projected_key's, and each
-/// column's type is resolved once rather than once per row.
-std::vector<std::uint64_t> projected_keys(
-    const olap::RowTable& rows, const std::vector<std::size_t>& dim_attrs,
-    const std::vector<std::size_t>& positions) {
-  std::vector<std::uint64_t> keys(rows.size(), kEngineKeySeed);
+/// Folds the cube coordinates of rows [begin, end), projected onto
+/// `positions` (indices into `dim_attrs`), into row r's key at
+/// out[(r - begin) * stride], which holds kEngineKeySeed on entry; the
+/// result is engine_key of those coordinates. One dimension column at a
+/// time, so each column's type is resolved once rather than once per row.
+void projected_keys(const olap::RowTable& rows,
+                    const std::vector<std::size_t>& dim_attrs,
+                    const std::vector<std::size_t>& positions,
+                    std::size_t begin, std::size_t end, std::uint64_t* out,
+                    std::size_t stride) {
   for (const std::size_t p : positions) {
     std::visit(
-        [&keys](const auto& column) {
-          for (std::size_t r = 0; r < keys.size(); ++r) {
-            keys[r] = hash_combine(keys[r], olap::value_to_member(column[r]));
+        [&](const auto& column) {
+          for (std::size_t r = begin; r < end; ++r) {
+            std::uint64_t& key = out[(r - begin) * stride];
+            key = hash_combine(key, olap::value_to_member(column[r]));
           }
         },
         rows.column(dim_attrs[p]));
   }
-  return keys;
 }
 
 }  // namespace
@@ -153,13 +144,13 @@ std::vector<std::uint64_t> DatasetState::row_keys(std::size_t site) const {
   const olap::RowTable& rows = rows_at(site);
   const auto& dim_attrs = bundle_.cube_spec.dim_attrs;
   const auto& specs = bundle_.query_types;
-  std::vector<std::uint64_t> keys(rows.size() * specs.size());
-  parallel_for(rows.size(), [&](std::size_t r) {
+  std::vector<std::uint64_t> keys(rows.size() * specs.size(), kEngineKeySeed);
+  parallel_for_chunks(rows.size(), /*grain=*/1024, [&](const ChunkRange& c) {
     for (std::size_t t = 0; t < specs.size(); ++t) {
-      keys[r * specs.size() + t] =
-          projected_key(rows, r, dim_attrs, specs[t].dim_positions);
+      projected_keys(rows, dim_attrs, specs[t].dim_positions, c.begin, c.end,
+                     &keys[c.begin * specs.size() + t], specs.size());
     }
-  }, /*grain=*/1024);
+  });
   return keys;
 }
 
@@ -169,9 +160,11 @@ engine::RecordStream DatasetState::map_rows(std::size_t site, std::size_t t,
   BOHR_EXPECTS(site < site_count());
   BOHR_EXPECTS(t < bundle_.query_types.size());
   BOHR_EXPECTS(selectivity > 0.0 && selectivity <= 1.0);
-  engine::RecordStream keys =
-      projected_keys(rows_at(site), bundle_.cube_spec.dim_attrs,
-                     bundle_.query_types[t].dim_positions);
+  const olap::RowTable& rows = rows_at(site);
+  engine::RecordStream keys(rows.size(), kEngineKeySeed);
+  projected_keys(rows, bundle_.cube_spec.dim_attrs,
+                 bundle_.query_types[t].dim_positions, 0, rows.size(),
+                 keys.data(), 1);
   if (selectivity < 1.0) {
     // Keep, in order, the keys whose salted hash is at most the
     // threshold; each key is written and kept by advancing the end.

@@ -47,38 +47,59 @@ constexpr std::size_t kStreams = 120;
 constexpr std::size_t kPartitionRecords = 24;
 constexpr std::size_t kExecutors = 4;
 constexpr int kReps = 9;
-/// Partition counts of the largest fifth of bulk_move's (query, site)
-/// streams at seed 1, at evenly spaced quantiles; the last 24 streams
-/// take them. The other four fifths have 45-130 partitions (median 103),
-/// as the first 96 streams' ~100 do. The tail holds about 70% of the
-/// n(n-1)/2 pairs and n^2 distances that DIMSUM and k-means spend their
-/// time on, and the longer a stream, the larger the share of each of its
-/// similarity rows that is zero.
-constexpr std::size_t kTailPartitions[] = {
-    135, 144, 159, 174, 182, 187, 191, 195, 200, 202, 208, 212,
-    217, 221, 227, 255, 274, 299, 316, 370, 400, 489, 625, 824};
-/// Over twenty Release runs each, dimsum_jaccard read 2.14-2.39x the
-/// oracle; the same code with a branch per pair in its sampling pre-pass
-/// read 1.49-1.67x (EXPERIMENTS.md, "Host cost — per-site query work at
-/// the cost of its data").
-constexpr double kMinDimsumRatio = 1.90;
-/// Over the same runs, kmeans skipping zero blocks read 1.21-1.29x the
-/// dense oracle; the same code with dense distances read 0.89-0.97x.
+/// One (query, site) stream of bulk_move's largest fifth: its partition
+/// count and its distinct keys.
+struct TailStream {
+  std::size_t partitions;
+  std::size_t keys;
+};
+/// The largest fifth (96) of bulk_move's 484 (query, site) streams at
+/// seed 1, one instance, one query pass, at 24 evenly spaced quantiles of
+/// partition count; the last 24 streams take them. The other four fifths
+/// have 42-120 partitions (median 100), as the first 96 streams' ~100
+/// do. The tail holds about 70% of the n(n-1)/2 pairs and n^2 distances
+/// that DIMSUM and k-means spend their time on, and the longer a stream,
+/// the larger the share of each of its similarity rows that is zero
+/// (EXPERIMENTS.md, "Host cost — per-site query work at the cost of its
+/// data", stream shapes).
+constexpr TailStream kTailStreams[] = {
+    {120, 17},  {122, 17},  {124, 16},   {127, 17},  {130, 17},
+    {140, 10},  {155, 12},  {172, 11},   {184, 650}, {189, 671},
+    {195, 671}, {197, 983}, {201, 934},  {209, 634}, {216, 940},
+    {222, 663}, {244, 16},  {265, 1018}, {286, 1171}, {313, 1221},
+    {363, 762}, {439, 18},  {701, 1847}, {881, 1129}};
+/// Over forty Release runs, dimsum_jaccard read 1.97-2.34x the oracle;
+/// the same code with a branch per pair in its sampling pre-pass read
+/// 1.57-1.78x over twenty (EXPERIMENTS.md, "Host cost — per-site query
+/// work at the cost of its data").
+constexpr double kMinDimsumRatio = 1.85;
+/// Over forty runs, kmeans skipping zero blocks read 1.22-1.50x the
+/// dense oracle; the same code with dense distances read 0.88-0.95x over
+/// twenty.
 constexpr double kMinKMeansRatio = 1.10;
 
-/// One (query, site) map stream as bulk_move's engine sees it: about
-/// 2,400 records (24 a partition for a tail stream) over Zipf-ranked
-/// hashed keys, about 700 keys per 2,400 records, cut by CubeSorted into
-/// partitions of 24 records, each partition's distinct keys.
+/// One (query, site) map stream as bulk_move's engine sees it, cut by
+/// CubeSorted into partitions of 24 records, each partition's distinct
+/// keys. A body stream has about 2,400 records over 700 Zipf-ranked
+/// hashed keys. A tail stream has 24 records a partition and exactly its
+/// distinct keys: each once, then Zipf draws over them, which makes its
+/// similarity rows denser than the measured stream's, not sparser.
 Family stream_partition_keys(std::size_t stream) {
-  constexpr std::size_t kBody = kStreams - std::size(kTailPartitions);
+  constexpr std::size_t kBody = kStreams - std::size(kTailStreams);
+  static const bohr::ZipfSampler body_zipf(700, 1.1);
   bohr::Rng rng(stream);
-  const std::size_t count =
-      stream < kBody ? 2300 + rng.below(200)
-                     : kPartitionRecords * kTailPartitions[stream - kBody];
-  const bohr::ZipfSampler zipf(count * 7 / 24, 1.1);
-  std::vector<std::uint64_t> records(count);
-  for (auto& key : records) key = bohr::mix64(zipf.sample(rng) + 1);
+  std::vector<std::uint64_t> records;
+  if (stream < kBody) {
+    records.resize(2300 + rng.below(200));
+    for (auto& key : records) key = bohr::mix64(body_zipf.sample(rng) + 1);
+  } else {
+    const TailStream tail = kTailStreams[stream - kBody];
+    const bohr::ZipfSampler zipf(tail.keys, 1.1);
+    records.resize(kPartitionRecords * tail.partitions);
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      records[r] = bohr::mix64((r < tail.keys ? r : zipf.sample(rng)) + 1);
+    }
+  }
   Family keys;
   for (const auto& part : bohr::engine::make_partitions(
            records, kPartitionRecords,
